@@ -25,7 +25,6 @@ import sys
 from fractions import Fraction
 
 from . import bounds, extremal
-from .corpus import min_mis
 from .graphio import FormatError, load_graphs
 from .graphs import Graph, GuardError, mask_of
 from .mibs import enumerate_mibs

@@ -1,8 +1,11 @@
 """Isomorphism-free generation of small graphs and extremal verification.
 
 Canonical form is the lexicographically minimal upper-triangle bit string
-over all vertex permutations (same bit order as graph6), found by a
-pruned search over vertex placements.  Generation augments the order
+(same bit order as graph6) over the vertex placements that put vertices
+in the order of an isomorphism invariant, found by a pruned search that
+also skips interchangeable twins.  The invariant does not depend on
+labels, so the form stays canonical although it is not the minimum over
+all permutations (see ``canonical_key``).  Generation augments the order
 n-1 class list with one new vertex per possible neighborhood and
 deduplicates by canonical key; this covers every class of any hereditary
 filter.  On top of that sit the exhaustive bound checks: the size-capped
@@ -25,6 +28,7 @@ from .graphs import (
     components,
     is_clique,
     is_k4_free,
+    iter_bits,
     max_degree,
 )
 from .mibs import enumerate_mibs
@@ -41,50 +45,88 @@ FILTERS = {
 
 
 def canonical_key(g: Graph) -> tuple[int, ...]:
-    """Permutation-minimal per-position adjacency segments.
+    """Canonical per-position adjacency segments of ``g``.
 
     Position j's segment holds the adjacency bits between the vertex
     placed at j and the vertices placed at 0..j-1 (bit for position 0 is
     the most significant), so the tuple concatenates to the graph6 bit
-    order of the relabeled graph.  Two graphs of equal order are
-    isomorphic iff their keys are equal.
+    order of the relabeled graph and ``graph_from_key`` rebuilds it.
+
+    Vertices are sorted by the invariant (degree, number of neighbors of
+    each degree), and position j may only take a vertex whose invariant
+    is the j-th in that order.  The key is the lexicographic minimum over
+    these invariant-respecting placements only, not over all
+    permutations.  It is still a canonical form: the invariant does not
+    depend on labels, so relabeling ``g`` permutes the set of allowed
+    placements without changing the set of keys they produce, and since
+    the key rebuilds a copy of ``g``, graphs with equal keys are
+    isomorphic.  Two graphs of equal order are isomorphic iff their keys
+    are equal.
 
     The search only ever descends along placements that realize the best
     known prefix exactly; a placement whose segment beats the best prefix
-    rewrites it and invalidates the deeper levels.
+    rewrites it and invalidates the deeper levels.  A vertex is skipped
+    while a lower-numbered twin (N(w) minus v equal to N(v) minus w) is
+    still unused: swapping the two is an automorphism fixing every placed
+    vertex, so both subtrees yield the same segments.
     """
     n = g.n
+    if n == 0:
+        return ()
     adj = g.adj
-    best: list[int | None] = [None] * n
-    chosen: list[int] = []
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_masks = [by_degree[d] for d in sorted(by_degree)]
+    invariant = [
+        (row.bit_count(), *[(row & m).bit_count() for m in degree_masks]) for row in adj
+    ]
+    cell_of: dict[tuple[int, ...], int] = {}
+    for v, inv in enumerate(invariant):
+        cell_of[inv] = cell_of.get(inv, 0) | 1 << v
+    cells = [cell_of[inv] for inv in sorted(invariant)]
+    twins = [0] * n
+    for v in range(n):
+        for w in iter_bits(cell_of[invariant[v]] & ((1 << v) - 1)):
+            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
+                twins[v] |= 1 << w
+
+    # Segments are kept top-aligned (position i weighs 1 << (n-1-i)) and
+    # shifted down at the end; segs[v] is v's segment against the placed
+    # vertices.
+    unset = 1 << n
+    best = [unset] * n
+    segs = [0] * n
 
     def place(level: int, used: int) -> None:
-        if level == n:
-            return
         cands = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            seg = 0
-            row = adj[v]
-            for u in chosen:
-                seg = (seg << 1) | (row >> u & 1)
-            cands.append((seg, v))
+        free = cells[level] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            if not twins[v] & ~used:
+                cands.append((segs[v], v))
         cands.sort()
+        bit = 1 << (n - 1 - level)
         for seg, v in cands:
-            b = best[level]
-            if b is not None and seg > b:
+            if seg > best[level]:
                 break
-            if b is None or seg < b:
+            if seg < best[level]:
                 best[level] = seg
                 for i in range(level + 1, n):
-                    best[i] = None
-            chosen.append(v)
-            place(level + 1, used | (1 << v))
-            chosen.pop()
+                    best[i] = unset
+            if level + 1 < n:
+                nbrs = list(iter_bits(adj[v] & ~used))
+                for u in nbrs:
+                    segs[u] |= bit
+                place(level + 1, used | 1 << v)
+                for u in nbrs:
+                    segs[u] ^= bit
 
     place(0, 0)
-    return tuple(0 if b is None else b for b in best)
+    return tuple(b >> (n - j) for j, b in enumerate(best))
 
 
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
@@ -111,7 +153,7 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
         for mask in range(1 << (n - 1)):
             rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
             rows.append(mask)
-            g = Graph(n, tuple(rows))
+            g = Graph.trusted(n, tuple(rows))
             if predicate(g):
                 seen.setdefault(canonical_key(g))
     return seen
@@ -154,7 +196,6 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
         else:
             keys = _augment_chunk((parents, n, filter_name))
         reps = [graph_from_key(n, key) for key in sorted(keys)]
-    reps = [g for g in reps if FILTERS[filter_name](g)]
     _class_cache[(n, filter_name)] = reps
     return reps
 
@@ -245,7 +286,7 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
             "long_cycle",
             Fraction(11, 12),
             lambda g: any(
-                c.bit_count() >= 4 and all(g.degree(v) == 2 for v in _bits_of(c))
+                c.bit_count() >= 4 and all(g.degree(v) == 2 for v in iter_bits(c))
                 for c in components(g)
             ),
         ),
@@ -269,12 +310,6 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
                 if count > allowance:
                     bad.append(row)
     return rows, bad
-
-
-def _bits_of(mask: int):
-    from .graphs import iter_bits
-
-    return iter_bits(mask)
 
 
 def tightness_scan(

@@ -66,6 +66,20 @@ class Graph:
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
+    @classmethod
+    def trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """Build without validation, for tables that are valid by construction.
+
+        The caller guarantees everything ``__post_init__`` checks: the
+        order cap, one row per vertex, no loops, no bits outside ``n``
+        and symmetry.  Used on hot paths that derive rows from a graph
+        already validated.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

@@ -1,12 +1,15 @@
 """Canonical forms, exhaustive class generation, and bound scans."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misbench import extremal
 from misbench.extremal import (
+    FILTERS,
     canonical_form,
     canonical_key,
     generate_all,
@@ -21,11 +24,14 @@ from misbench.extremal import (
     write_class_list,
 )
 from misbench.graphs import (
+    Graph,
+    complement,
     complete_graph,
     cycle_graph,
     degree_histogram,
     disjoint_union,
     empty_graph,
+    from_edges,
     path_graph,
     relabel,
 )
@@ -34,6 +40,98 @@ from test_graphs import random_graph_strategy
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def reference_key(g: Graph) -> tuple[int, ...]:
+    """Segments of the lexicographically minimal relabeling over all permutations.
+
+    Same segment layout as ``canonical_key``, found by a plain pruned
+    search over every vertex at every position, with no invariant and no
+    twin pruning.  Slow, but its minimum is taken over all n! placements,
+    so it is a canonical form for a simpler reason and serves as the
+    oracle for the fast key.
+    """
+    n = g.n
+    adj = g.adj
+    best: list[int | None] = [None] * n
+    chosen: list[int] = []
+
+    def place(level: int, used: int) -> None:
+        if level == n:
+            return
+        cands = []
+        for v in range(n):
+            if used >> v & 1:
+                continue
+            seg = 0
+            row = adj[v]
+            for u in chosen:
+                seg = (seg << 1) | (row >> u & 1)
+            cands.append((seg, v))
+        cands.sort()
+        for seg, v in cands:
+            b = best[level]
+            if b is not None and seg > b:
+                break
+            if b is None or seg < b:
+                best[level] = seg
+                for i in range(level + 1, n):
+                    best[i] = None
+            chosen.append(v)
+            place(level + 1, used | (1 << v))
+            chosen.pop()
+
+    place(0, 0)
+    return tuple(0 if b is None else b for b in best)
+
+
+def reference_classes(max_n: int, filter_name: str) -> dict[int, set[tuple[int, ...]]]:
+    """Classes per order by one-vertex augmentation, every candidate keyed by ``reference_key``."""
+    predicate = FILTERS[filter_name]
+    classes = {1: {reference_key(Graph(1, (0,)))}}
+    for n in range(2, max_n + 1):
+        keys = set()
+        new_bit = 1 << (n - 1)
+        for parent in classes[n - 1]:
+            padj = graph_from_key(n - 1, parent).adj
+            for mask in range(1 << (n - 1)):
+                rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
+                g = Graph(n, tuple(rows) + (mask,))
+                if predicate(g):
+                    keys.add(reference_key(g))
+        classes[n] = keys
+    return classes
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return from_edges(10, outer + inner + spokes)
+
+
+def cube() -> Graph:
+    return from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    g = empty_graph(0)
+    for size in parts:
+        g = disjoint_union(g, complete_graph(size))
+    return complement(g)
+
+
+# Highly symmetric graphs: the invariant splits little (nothing on the
+# regular ones) and twins (K3,3, K2,2,2, K1,5, 2K4) do most of the pruning.
+SYMMETRIC = {
+    "petersen": petersen(),
+    "q3": cube(),
+    "k33": complete_multipartite(3, 3),
+    "k222": complete_multipartite(2, 2, 2),
+    "c8": cycle_graph(8),
+    "k15": complete_multipartite(1, 5),
+    "2k4": disjoint_union(complete_graph(4), complete_graph(4)),
+}
 
 
 class TestCanonicalForm:
@@ -57,6 +155,30 @@ class TestCanonicalForm:
         g = disjoint_union(cycle_graph(5), path_graph(3))
         c = canonical_form(g)
         assert canonical_form(c) == c
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_relabel_invariance_on_symmetric_graphs(self, name):
+        g = SYMMETRIC[name]
+        key = canonical_key(g)
+        rnd = random.Random(name)
+        for _ in range(20):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            assert canonical_key(relabel(g, perm)) == key
+        assert reference_key(graph_from_key(g.n, key)) == reference_key(g)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_partition_of_labeled_graphs_matches_reference(self, n):
+        # Every labeled graph of order n: equal keys iff equal reference keys.
+        pairs = list(itertools.combinations(range(n), 2))
+        key_to_ref = {}
+        ref_to_key = {}
+        for bits in range(1 << len(pairs)):
+            g = from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            key, ref = canonical_key(g), reference_key(g)
+            assert key_to_ref.setdefault(key, ref) == ref
+            assert ref_to_key.setdefault(ref, key) == key
+        assert len(key_to_ref) == CLASS_COUNTS.get(n, 1)
 
     def test_distinguishes_nonisomorphic(self):
         assert canonical_key(path_graph(4)) != canonical_key(cycle_graph(4))
@@ -89,6 +211,34 @@ class TestGeneration:
             from misbench.graphs import is_k4_free, max_degree
 
             assert is_k4_free(g) and max_degree(g) <= 3
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_class_sets_match_reference_augmentation(self, filter_name):
+        expected = reference_classes(6, filter_name)
+        for n in range(1, 7):
+            reps = generate_all(n, filter_name)
+            assert len(reps) == len(expected[n])
+            assert {reference_key(g) for g in reps} == expected[n]
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_trusted_graphs_equal_validated_ones(self, monkeypatch, filter_name):
+        built = []
+        trusted = Graph.trusted
+
+        def recording(n, adj):
+            g = trusted(n, adj)
+            built.append(g)
+            return g
+
+        monkeypatch.setattr(Graph, "trusted", staticmethod(recording))
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        generate_all(6, filter_name)
+        # Every augmented candidate of orders 2..6 goes through the trusted path.
+        assert len(built) == sum(
+            (1 << (n - 1)) * len(generate_all(n - 1, filter_name)) for n in range(2, 7)
+        )
+        for g in built:
+            assert Graph(g.n, g.adj) == g  # full validation raises on a bad table
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
