@@ -203,7 +203,7 @@ def cmd_pipeline(args) -> int:
         i0 = mask_of(i0_list) if i0_list is not None else None
         reports.append(analyze_instance(g, i0, s_list))
     _emit(_single_or_array(reports))
-    return 0
+    return 1 if any(report["violations"] for report in reports) else 0
 
 
 def cmd_search(args) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, from_edges, is_k4_free
-from .misenum import enumerate_mis
+from .misenum import enumerate_mis, min_mis
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -50,18 +50,6 @@ def random_cubic_k4free(n: int, seed: int, max_tries: int = 2000) -> Graph:
     raise RuntimeError(f"no K4-free cubic graph found for n={n}, seed={seed}")
 
 
-def min_mis(g: Graph) -> int:
-    """Minimum-size maximal independent set, first by sorted vertex tuple."""
-    from .graphs import iter_bits
-
-    best = None
-    for mask in enumerate_mis(g).sets:
-        key = (mask.bit_count(), tuple(iter_bits(mask)))
-        if best is None or key < best[0]:
-            best = (key, mask)
-    return best[1]
-
-
 def pipeline_instances(count: int, seed0: int = 7000) -> list[tuple[Graph, int]]:
     """Deterministic cubic K4-free corpus with default root sets.
 
@@ -73,7 +61,7 @@ def pipeline_instances(count: int, seed0: int = 7000) -> list[tuple[Graph, int]]
     for i in range(count):
         n = orders[i % len(orders)]
         g = random_cubic_k4free(n, seed0 + i)
-        out.append((g, min_mis(g)))
+        out.append((g, min_mis(enumerate_mis(g))))
     return out
 
 

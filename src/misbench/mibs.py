@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from .graphs import (
     Graph,
     GuardError,
+    components,
     induced_subgraph,
     is_bipartite_induced,
+    is_clique,
     iter_bits,
 )
 from .misenum import BRUTE_FORCE_CAP, enumerate_mis
@@ -146,8 +148,6 @@ def k4_component_identity_check(g: Graph) -> dict:
     enumeration that mibs(g) = 6 * mibs(g - K) and that every maximal
     induced bipartite subgraph meets K in exactly 2 vertices.
     """
-    from .graphs import components, is_clique
-
     k4 = None
     for comp in components(g):
         if comp.bit_count() == 4 and is_clique(g, comp):

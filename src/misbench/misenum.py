@@ -166,3 +166,12 @@ def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
 def mis_profile(g: Graph) -> SizeProfile:
     """Exact per-size counts of maximal independent sets."""
     return enumerate_mis(g).profile
+
+
+def min_mis(family: MisFamily) -> int:
+    """Minimum-size maximal independent set, first by sorted vertex tuple."""
+    size = next(k for k, count in enumerate(family.profile.counts) if count)
+    return min(
+        (mask for mask in family.sets if mask.bit_count() == size),
+        key=lambda mask: tuple(iter_bits(mask)),
+    )

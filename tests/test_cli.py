@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from misbench import pipeline
 from misbench.cli import main
 
 
@@ -139,6 +140,27 @@ class TestPipeline:
         path.write_text("4 5\n0 1\n0 2\n0 3\n1 3\n2 3\n")
         code, _, err = run(capsys, "pipeline", str(path), "--i0", "1")
         assert code == 1 and "maximal" in err
+
+    def test_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        # One failed layer inequality on the second graph: that report
+        # lists it, and the command exits 1.
+        real = pipeline.decomposition_inequalities
+        calls = []
+
+        def fail_second_graph(dec):
+            recs = real(dec)
+            calls.append(dec)
+            if len(calls) == 2:
+                recs[-1] = {**recs[-1], "holds": False}
+            return recs
+
+        monkeypatch.setattr(pipeline, "decomposition_inequalities", fail_second_graph)
+        path = tmp_path / "two.g6"
+        path.write_text("Cv\nCv\n")  # the diamond, twice
+        code, out, _ = run(capsys, "pipeline", str(path))
+        reports = json.loads(out)
+        assert code == 1
+        assert [r["violations"] for r in reports] == [[], ["ell_lower"]]
 
 
 class TestSearch:

@@ -18,6 +18,7 @@ from misbench.graphs import (
     empty_graph,
     from_edges,
     is_maximal_independent,
+    iter_bits,
     path_graph,
 )
 from misbench.misenum import (
@@ -25,6 +26,7 @@ from misbench.misenum import (
     enumerate_mis,
     enumerate_mis_branching,
     enumerate_mis_bruteforce,
+    min_mis,
     mis_profile,
 )
 
@@ -130,6 +132,20 @@ class TestProfileAlgebra:
     def test_getitem(self):
         p = SizeProfile((0, 2, 1))
         assert p[1] == 2 and p.total == 3 and p.at_most(1) == 2
+
+
+class TestMinMis:
+    def test_smallest_size_then_smallest_vertex_tuple(self):
+        for g in [empty_graph(0), empty_graph(3), *oracle_graphs(120, max_n=10)]:
+            family = enumerate_mis(g)
+            expected = min(family.sets, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
+            assert min_mis(family) == expected
+
+    def test_tie_break_reads_vertices_not_mask_value(self):
+        # The 4-cycle 0-1-3-2 has two maximal independent sets: {0, 3}
+        # (mask 9) and {1, 2} (mask 6).  (0, 3) < (1, 2) as vertex tuples.
+        g = from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
+        assert min_mis(enumerate_mis(g)) == 0b1001
 
 
 class TestGuards:

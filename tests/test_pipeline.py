@@ -2,25 +2,33 @@
 
 Fixture numbers below (good counts, bad-event probabilities, product
 bounds) were derived by hand from the definitions and are asserted
-exactly as rationals.
+exactly as rationals.  The factorized census is checked against the flat
+scan over all 4^{|I4|} transversals (``reference_census``).
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from misbench.corpus import diamond, diamond_union, min_mis, pipeline_instances
+from misbench import pipeline
+from misbench.corpus import diamond, diamond_union, pipeline_instances, random_cubic_k4free
 from misbench.graphs import (
     GuardError,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     from_edges,
     is_maximal_independent,
+    iter_bits,
     mask_of,
 )
+from misbench.misenum import enumerate_mis, min_mis
 from misbench.pipeline import (
     CellConflictError,
     DecompositionError,
+    _is_good,
     analyze_instance,
     bad_event_probability,
     decompose,
@@ -51,6 +59,15 @@ def claw_two_diamonds(split_targets):
     return from_edges(12, edges)
 
 
+def diamond_chain(t):
+    """t diamond cells chained by the edges y_i - x_{i+1}: one t-cell component."""
+    edges = []
+    for i in range(t):
+        edges.extend(diamond(4 * i))
+    edges += [(4 * i + 2, 4 * i + 5) for i in range(t - 1)]
+    return from_edges(4 * t, edges)
+
+
 def pendant_tail():
     """Two diamonds plus a pendant path hanging off one x vertex.
 
@@ -59,6 +76,81 @@ def pendant_tail():
     """
     edges = diamond(0) + diamond(4) + [(5, 8), (8, 9)]
     return from_edges(10, edges)
+
+
+def reference_census(g, cells, state):
+    """Flat census: (total, good) over every transversal of the I4 cells."""
+    slots = [tuple(iter_bits(cells[i].mask)) for i in state.I4]
+    total = 0
+    good = 0
+    for choice in itertools.product(*slots):
+        total += 1
+        if _is_good(g, cells, state.I5, mask_of(choice)):
+            good += 1
+    return total, good
+
+
+def assert_census_matches_reference(g, cells, state):
+    stats = transversal_census(g, cells, state)
+    total, good = reference_census(g, cells, state)
+    assert (stats.total, stats.good_count) == (total, good), state.S
+    assert stats.p_good == Fraction(good, total)
+
+
+def cells_of(g, i0):
+    dec = decompose(g, i0)
+    return dec, label_cells(g, dec)
+
+
+FIXTURES = (
+    (diamond_union(1), mask_of((0,))),
+    (diamond_union(2), mask_of((0, 4))),
+    (diamond_union(3), mask_of((0, 4, 8))),
+    (linked_diamonds(), mask_of((0, 4))),
+    (claw_two_diamonds((5, 9)), mask_of((0, 4, 8))),
+    (claw_two_diamonds((5, 6)), mask_of((0, 4, 8))),
+    (pendant_tail(), mask_of((0, 4, 9))),
+    (diamond_chain(4), mask_of((0, 4, 8, 12))),
+    (cycle_graph(5), mask_of((0, 2))),
+)
+
+
+def irregular_instances(count, min_cells=2, max_cells=8, seed=9100):
+    """Seeded K4-free instances of maximum degree 3 with their cells.
+
+    Each graph is a cubic K4-free graph on 16, 20 or 24 vertices with one
+    or two edges removed, rooted at its minimum maximal independent set;
+    every third instance is the disjoint union of two such graphs, so its
+    cell graph has several components.  Draws whose cells conflict, or
+    whose cell count lies outside min_cells..max_cells, are skipped; the
+    number of draws is bounded, so a generator gone wrong fails the test.
+    """
+    rng = random.Random(seed)
+
+    def draw():
+        n = rng.choice((16, 20, 24))
+        edges = random_cubic_k4free(n, rng.randrange(1 << 30)).edges()
+        for _ in range(rng.randint(1, 2)):
+            edges.pop(rng.randrange(len(edges)))
+        g = from_edges(n, edges)
+        return g, min_mis(enumerate_mis(g))
+
+    out = []
+    for _ in range(20 * count):
+        g, i0 = draw()
+        if len(out) % 3 == 2:
+            h, j0 = draw()
+            g, i0 = disjoint_union(g, h), i0 | j0 << g.n
+        dec = decompose(g, i0)
+        try:
+            cells = label_cells(g, dec)
+        except CellConflictError:
+            continue
+        if min_cells <= dec.ell <= max_cells:
+            out.append((g, dec, cells))
+            if len(out) == count:
+                return out
+    pytest.fail(f"{len(out)} of {count} instances drawn")
 
 
 class TestDecompose:
@@ -308,12 +400,66 @@ class TestCensus:
         assert lo <= 0.25 <= hi
 
     def test_census_guard(self):
-        g = diamond_union(12)
-        dec = decompose(g, mask_of(tuple(4 * i for i in range(12))))
-        cells = label_cells(g, dec)
+        # One connected 12-cell component: 4^12 states trip the guard.
+        g = diamond_chain(12)
+        dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(12))))
         state = select(g, dec, cells, ())
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match="component of 12 cells"):
             transversal_census(g, cells, state)
+
+    def test_guard_bounds_largest_component(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "CENSUS_CELL_CAP", 3)
+        for t, tripped in ((3, False), (4, True)):
+            g = disjoint_union(diamond_chain(t), diamond_union(3))
+            dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(t + 3))))
+            state = select(g, dec, cells, ())
+            if tripped:
+                with pytest.raises(GuardError):
+                    transversal_census(g, cells, state)
+            else:
+                assert_census_matches_reference(g, cells, state)
+
+    @pytest.mark.parametrize("t", [12, 16])
+    def test_diamond_union_beyond_flat_cap(self, t):
+        # t one-cell components: exact at any t up to the order cap.
+        g = diamond_union(t)
+        dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(t))))
+        stats = transversal_census(g, cells, select(g, dec, cells, ()))
+        assert stats.good_count == 2**t
+        assert stats.total == 4**t
+        assert stats.p_good == Fraction(1, 2**t)
+
+
+class TestCensusOracle:
+    """The factorized census equals the flat scan over all transversals."""
+
+    def test_fixtures_every_selection(self):
+        for g, i0 in FIXTURES:
+            dec, cells = cells_of(g, i0)
+            for r in range(dec.ell + 1):
+                for s_key in itertools.combinations(range(dec.ell), r):
+                    assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
+
+    def test_corpus_empty_and_capture_families(self):
+        for g, i0 in pipeline_instances(30):
+            dec, cells = cells_of(g, i0)
+            report = verify_is_capture(g, dec, cells, dec.k, enumerate_mis(g))
+            selections = {(), *(tuple(fam["S"]) for fam in report["families"])}
+            for s_key in selections:
+                assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
+
+    def test_irregular_with_and_without_selections(self):
+        rng = random.Random(9200)
+        multi_component = 0
+        for g, dec, cells in irregular_instances(60):
+            selections = {()}
+            for _ in range(3):
+                selections.add(tuple(i for i in range(dec.ell) if rng.random() < 0.3))
+            for s_key in selections:
+                state = select(g, dec, cells, s_key)
+                multi_component += len(pipeline._cell_components(state)) > 1
+                assert_census_matches_reference(g, cells, state)
+        assert multi_component > 0
 
 
 class TestProductBound:
@@ -349,7 +495,7 @@ class TestCapture:
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, k=1)
+        report = verify_is_capture(g, dec, cells, 1, enumerate_mis(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 2
@@ -360,7 +506,7 @@ class TestCapture:
             g = diamond_union(t)
             dec = decompose(g, mask_of(tuple(4 * i for i in range(t))))
             cells = label_cells(g, dec)
-            report = verify_is_capture(g, dec, cells, k=t)
+            report = verify_is_capture(g, dec, cells, t, enumerate_mis(g))
             assert report["holds"]
             (family,) = report["families"]
             assert family["family_size"] == 2**t == family["good_count"]
@@ -369,7 +515,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, k=2)
+        report = verify_is_capture(g, dec, cells, 2, enumerate_mis(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 4
@@ -381,7 +527,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, k=3)
+        report = verify_is_capture(g, dec, cells, 3, enumerate_mis(g))
         assert report["holds"]
         assert any(fam["S"] for fam in report["families"])
 
@@ -415,12 +561,10 @@ class TestAnalyzeInstance:
 class TestCorpusHelpers:
     def test_min_mis_is_maximal_and_minimum(self):
         g = linked_diamonds()
-        i0 = min_mis(g)
+        family = enumerate_mis(g)
+        i0 = min_mis(family)
         assert is_maximal_independent(g, i0)
-        from misbench.misenum import enumerate_mis
-
-        sizes = [m.bit_count() for m in enumerate_mis(g).sets]
-        assert i0.bit_count() == min(sizes)
+        assert i0.bit_count() == min(m.bit_count() for m in family.sets)
 
     def test_pipeline_instances_are_cubic_k4free(self):
         from misbench.graphs import is_k4_free
