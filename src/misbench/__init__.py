@@ -18,7 +18,7 @@ from .bounds import (
 )
 from .graphio import FormatError, load_graphs, parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .graphs import Graph, GuardError, complement, disjoint_union, from_edges, induced_subgraph
-from .mibs import MibsCensus, enumerate_mibs, enumerate_mibs_bruteforce
+from .mibs import MibsCensus, MibsCounts, enumerate_mibs, enumerate_mibs_bruteforce, mibs_counts
 from .misenum import (
     MisFamily,
     SizeProfile,
@@ -53,6 +53,7 @@ __all__ = [
     "Graph",
     "GuardError",
     "MibsCensus",
+    "MibsCounts",
     "MisFamily",
     "SizeProfile",
     "analyze_instance",
@@ -71,6 +72,7 @@ __all__ = [
     "interpolated",
     "label_cells",
     "load_graphs",
+    "mibs_counts",
     "mis_profile",
     "moon_moser",
     "nielsen",

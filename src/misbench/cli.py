@@ -20,6 +20,7 @@ edge-list format, autodetected by default.  Results are JSON on stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -27,8 +28,8 @@ from fractions import Fraction
 from . import bounds, extremal
 from .graphio import FormatError, load_graphs
 from .graphs import Graph, GuardError, mask_of
-from .mibs import enumerate_mibs
-from .misenum import enumerate_mis, enumerate_mis_branching, enumerate_mis_bruteforce
+from .mibs import mibs_counts
+from .misenum import enumerate_mis_branching, enumerate_mis_bruteforce, mis_profile
 from .pipeline import analyze_instance
 
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
@@ -82,13 +83,14 @@ def cmd_mis(args) -> int:
     reports = []
     for g in _read_graphs(args):
         if args.method == "brute":
-            fam = enumerate_mis_bruteforce(g)
+            profile = enumerate_mis_bruteforce(g).profile
         elif args.method == "branch":
             cap = g.n if args.k_cap is None else args.k_cap
             fam, nodes = enumerate_mis_branching(g, cap)
+            profile = fam.profile
         else:
-            fam = enumerate_mis(g)
-        report = {"mis": fam.count, "profile": list(fam.profile.counts)}
+            profile = mis_profile(g)
+        report = {"mis": profile.total, "profile": list(profile.counts)}
         if args.method == "branch":
             report["branch_nodes"] = nodes
             report["k_cap"] = cap
@@ -100,15 +102,14 @@ def cmd_mis(args) -> int:
 def cmd_mibs(args) -> int:
     reports = []
     for g in _read_graphs(args):
-        census = enumerate_mibs(g)
+        counts = mibs_counts(g)
         reports.append(
             {
-                "mibs": census.distinct_count,
-                "ordered_pairs": census.ordered_pair_count,
-                "nonmaximal_pairs": census.nonmaximal_candidates,
+                "mibs": counts.mibs,
+                "ordered_pairs": counts.ordered_pairs,
+                "nonmaximal_pairs": counts.nonmaximal_pairs,
                 "a_size_histogram": [
-                    {"a_size": size, "records": cnt}
-                    for size, cnt in sorted(census.a_size_histogram().items())
+                    {"a_size": size, "records": cnt} for size, cnt in counts.a_size_histogram
                 ],
             }
         )
@@ -261,7 +262,9 @@ def _add_graph_input(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="misbench",
         description="Exact enumeration and bound verification for maximal independent sets",

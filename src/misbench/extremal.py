@@ -31,8 +31,8 @@ from .graphs import (
     iter_bits,
     max_degree,
 )
-from .mibs import enumerate_mibs
-from .misenum import enumerate_mis
+from .mibs import mibs_counts
+from .misenum import mis_profile
 
 GENERATION_CAP = 8
 
@@ -230,7 +230,7 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
     """
     rows = []
     reps = generate_all(n, "none", workers)
-    profiles = [(g, enumerate_mis(g).profile) for g in reps]
+    profiles = [(g, mis_profile(g)) for g in reps]
     for k in range(n + 1):
         bound = bounds.eppstein(n, k).exact
         attainers = []
@@ -255,7 +255,7 @@ def nielsen_violations(n: int, workers: int = 1) -> list[tuple[str, int, int]]:
     """Classes with mis_k above 4^{5k-n} 5^{n-4k}; reported, expected empty."""
     out = []
     for g in generate_all(n, "none", workers):
-        profile = enumerate_mis(g).profile
+        profile = mis_profile(g)
         for k in range(n + 1):
             if profile[k] > 0 and profile[k] > bounds.nielsen(n, k).exact:
                 out.append((to_graph6(g), k, profile[k]))
@@ -296,7 +296,7 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
     for g in generate_all(n, "none", workers):
         if max_degree(g) > 2:
             continue
-        profile = enumerate_mis(g).profile
+        profile = mis_profile(g)
         applicable = [(name, f) for name, f, pred in factors if pred(g)]
         if not applicable:
             continue
@@ -330,7 +330,7 @@ def tightness_scan(
         raise ValueError(f"unknown bound selector {selector!r}; options: {sorted(evaluators)}")
     if reps is None:
         reps = generate_all(n, filter_name, workers)
-    profiles = [(g, enumerate_mis(g).profile) for g in reps]
+    profiles = [(g, mis_profile(g)) for g in reps]
     rows = []
     for k in range(n + 1):
         best_count = 0
@@ -357,9 +357,9 @@ def mibs_extremes(n: int, filter_name: str, workers: int = 1) -> dict:
     best = -1
     argmax = None
     for g in generate_all(n, filter_name, workers):
-        census = enumerate_mibs(g)
-        if census.distinct_count > best:
-            best = census.distinct_count
+        count = mibs_counts(g).mibs
+        if count > best:
+            best = count
             argmax = g
     return {
         "n": n,

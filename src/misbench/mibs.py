@@ -6,12 +6,16 @@ with A a maximal independent set of G and B a maximal independent set of
 G - A; every maximal induced bipartite subgraph arises as such a union,
 but distinct pairs can produce the same vertex set and some unions are
 not maximal, so the census keeps both the distinct records and the
-ordered-pair count that overcounts them.
+ordered-pair count that overcounts them.  ``mibs_counts`` gives the same
+census numbers without the records, as products over the connected
+components.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .graphs import (
     Graph,
@@ -104,6 +108,25 @@ def _normalize_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _generator_pairs(g: Graph) -> Iterator[tuple[int, int, bool]]:
+    """Every ordered pair (A, B), A in MIS(G) and B in MIS(G - A), in g's labels.
+
+    Each pair comes with whether A | B is a maximal induced bipartite
+    subgraph of G; the test runs once per distinct union.
+    """
+    maximal: dict[int, bool] = {}
+    for a in enumerate_mis(g).sets:
+        rest_graph, rest_map = induced_subgraph(g, g.full_mask & ~a)
+        for b_local in enumerate_mis(rest_graph).sets:
+            b = 0
+            for v in iter_bits(b_local):
+                b |= 1 << rest_map[v]
+            union = a | b
+            if union not in maximal:
+                maximal[union] = is_maximal_induced_bipartite(g, union)
+            yield a, b, maximal[union]
+
+
 def enumerate_mibs(g: Graph) -> MibsCensus:
     """Generator enumerator via maximal-independent-set pairs.
 
@@ -111,34 +134,80 @@ def enumerate_mibs(g: Graph) -> MibsCensus:
     counted; the candidate A | B is kept iff it is a maximal induced
     bipartite subgraph of G, deduplicated by vertex mask.
     """
-    mis_a = enumerate_mis(g).sets
     by_mask: dict[int, set[tuple[int, int]]] = {}
-    rejected: set[int] = set()
     ordered = 0
     nonmaximal = 0
-    for a in mis_a:
-        rest_graph, rest_map = induced_subgraph(g, g.full_mask & ~a)
-        for b_local in enumerate_mis(rest_graph).sets:
-            b = 0
-            for v in iter_bits(b_local):
-                b |= 1 << rest_map[v]
-            ordered += 1
-            union = a | b
-            if union in by_mask:
-                by_mask[union].add(_normalize_pair(a, b))
-                continue
-            if union in rejected:
-                nonmaximal += 1
-                continue
-            if is_maximal_induced_bipartite(g, union):
-                by_mask[union] = {_normalize_pair(a, b)}
-            else:
-                rejected.add(union)
-                nonmaximal += 1
+    for a, b, maximal in _generator_pairs(g):
+        ordered += 1
+        if maximal:
+            by_mask.setdefault(a | b, set()).add(_normalize_pair(a, b))
+        else:
+            nonmaximal += 1
     records = tuple(
         MibsRecord(mask, tuple(sorted(by_mask[mask]))) for mask in sorted(by_mask)
     )
     return MibsCensus(g.n, records, ordered, nonmaximal)
+
+
+@dataclass(frozen=True)
+class MibsCounts:
+    """The numbers of a ``MibsCensus``, without its records.
+
+    ``a_size_histogram`` lists (k, records) pairs in increasing k, the
+    nonzero entries of ``MibsCensus.a_size_histogram``.
+    """
+
+    mibs: int
+    ordered_pairs: int
+    nonmaximal_pairs: int
+    a_size_histogram: tuple[tuple[int, int], ...]
+
+
+def _convolve_sizes(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int]) -> Counter:
+    out: Counter = Counter()
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            out[a1 + a2, b1 + b2] += c1 * c2
+    return out
+
+
+def mibs_counts(g: Graph) -> MibsCounts:
+    """Census numbers of ``enumerate_mibs`` as products over components.
+
+    A generator pair of a disjoint union is one generator pair per
+    component, and its union is maximal iff every component's part is.
+    So the distinct, ordered and maximal pair counts multiply, and the
+    maximal pairs tabulated by (|A|, |B|) (F) combine by 2-D convolution,
+    as do those whose swap (B, A) is also a maximal pair (S).  A witness
+    is an unordered pair {A, B} from either order, so the records with
+    |A| = a >= |B| = b number D(a, b) = F(a, b) + F(b, a) - S(a, b), halved
+    when a = b.  The swap fixes no pair except (∅, ∅) of the empty graph,
+    which is its one record.
+    """
+    if g.n == 0:
+        return MibsCounts(1, 1, 0, ((0, 1),))
+    distinct = ordered = 1
+    full: dict[tuple[int, int], int] = {(0, 0): 1}
+    swap: dict[tuple[int, int], int] = {(0, 0): 1}
+    for part in components(g):
+        maximal = set()
+        part_ordered = 0
+        for a, b, is_maximal in _generator_pairs(induced_subgraph(g, part)[0]):
+            part_ordered += 1
+            if is_maximal:
+                maximal.add((a, b))
+        distinct *= len({a | b for a, b in maximal})
+        ordered *= part_ordered
+        full = _convolve_sizes(full, Counter((a.bit_count(), b.bit_count()) for a, b in maximal))
+        swap = _convolve_sizes(
+            swap,
+            Counter((a.bit_count(), b.bit_count()) for a, b in maximal if (b, a) in maximal),
+        )
+    hist: Counter = Counter()
+    for a, b in {(max(key), min(key)) for key in full}:
+        pairs = full.get((a, b), 0) + full.get((b, a), 0) - swap.get((a, b), 0)
+        hist[a] += pairs if a > b else pairs // 2
+    return MibsCounts(distinct, ordered, ordered - sum(full.values()), tuple(sorted(hist.items())))
 
 
 def k4_component_identity_check(g: Graph) -> dict:

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GuardError, is_maximal_independent, iter_bits, lowest_bit
+from .graphs import (
+    Graph,
+    GuardError,
+    components,
+    induced_subgraph,
+    is_maximal_independent,
+    iter_bits,
+    lowest_bit,
+)
 
 BRUTE_FORCE_CAP = 20
 
@@ -164,8 +172,22 @@ def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
 
 
 def mis_profile(g: Graph) -> SizeProfile:
-    """Exact per-size counts of maximal independent sets."""
-    return enumerate_mis(g).profile
+    """Exact per-size counts of maximal independent sets, without the sets.
+
+    A maximal independent set of a disjoint union is one per component,
+    so the profile is the convolution of the component profiles; only
+    one component's sets are held at a time.  A connected graph is
+    enumerated directly: copying it as its own induced subgraph costs
+    about as much as enumerating a small graph, and most graphs the
+    extremal scans profile are connected.
+    """
+    parts = components(g)
+    if len(parts) <= 1:
+        return enumerate_mis(g).profile
+    profile = SizeProfile((1,))
+    for part in parts:
+        profile = profile.convolve(enumerate_mis(induced_subgraph(g, part)[0]).profile)
+    return profile
 
 
 def min_mis(family: MisFamily) -> int:

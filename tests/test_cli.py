@@ -5,7 +5,9 @@ import json
 import pytest
 
 from misbench import pipeline
-from misbench.cli import main
+from misbench.cli import build_parser, main
+from misbench.graphio import to_graph6
+from misbench.graphs import complete_graph, disjoint_union, empty_graph
 
 
 def run(capsys, *argv):
@@ -24,6 +26,15 @@ def run_json(capsys, *argv):
 def k4_file(tmp_path):
     path = tmp_path / "k4.g6"
     path.write_text("C~\n")
+    return str(path)
+
+
+def clique_union(tmp_path, size, copies):
+    g = empty_graph(0)
+    for _ in range(copies):
+        g = disjoint_union(g, complete_graph(size))
+    path = tmp_path / f"{copies}k{size}.g6"
+    path.write_text(to_graph6(g) + "\n")
     return str(path)
 
 
@@ -60,11 +71,41 @@ class TestMis:
         assert payload["mis"] == 4
 
 
+    def test_union_of_21_triangles(self, capsys, tmp_path):
+        # 3^21 maximal independent sets, all of size 21: counted per
+        # component, never listed.
+        payload = run_json(capsys, "mis", clique_union(tmp_path, 3, 21))
+        assert payload["mis"] == 3**21
+        assert payload["profile"] == [0] * 21 + [3**21] + [0] * 42
+
+
 class TestMibs:
     def test_k4(self, capsys, k4_file):
         payload = run_json(capsys, "mibs", k4_file)
         assert payload["mibs"] == 6
         assert payload["ordered_pairs"] == 12
+
+    def test_union_of_16_k4(self, capsys, tmp_path):
+        # Each K4 contributes one of its 6 edges, split in 2 orders; the
+        # unordered witnesses all have |A| = |B| = 16.
+        payload = run_json(capsys, "mibs", clique_union(tmp_path, 4, 16))
+        assert payload == {
+            "mibs": 6**16,
+            "ordered_pairs": 12**16,
+            "nonmaximal_pairs": 0,
+            "a_size_histogram": [{"a_size": 16, "records": 12**16 // 2}],
+        }
+
+    def test_order_zero(self, capsys, tmp_path):
+        path = tmp_path / "k0.g6"
+        path.write_text("?\n")
+        payload = run_json(capsys, "mibs", str(path))
+        assert payload == {
+            "mibs": 1,
+            "ordered_pairs": 1,
+            "nonmaximal_pairs": 0,
+            "a_size_histogram": [{"a_size": 0, "records": 1}],
+        }
 
 
 class TestBounds:
@@ -220,3 +261,38 @@ class TestExitCodes:
         path.write_text("")
         code, _, _ = run(capsys, "mis", str(path))
         assert code == 2
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ("mis", "--method", "branch", "--k-cap", "1"),
+        ("bounds", "12", "3", "--eta", "0.5"),
+        ("mibs",),
+        ("mis",),
+        ("curves", "--points", "6"),
+        ("mis", "--method", "brute"),
+        ("bounds", "12", "3"),
+    )
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_consecutive_commands_match_fresh_parsers(self, capsys, k4_file):
+        # Options and defaults of one command must not leak into the next.
+        def argv(command):
+            return [*command, k4_file] if command[0] in ("mis", "mibs") else list(command)
+
+        reused = [run(capsys, *argv(c)) for c in self.COMMANDS]
+        fresh = []
+        for command in self.COMMANDS:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv(command)))
+        assert reused == fresh
+
+    def test_parse_errors_still_exit_two(self, capsys, k4_file):
+        run_json(capsys, "mis", k4_file)
+        for bad in (["mis", k4_file, "--method", "bogus"], ["bounds", "12"], ["frobnicate"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        assert run_json(capsys, "mis", k4_file) == {"mis": 4, "profile": [0, 4, 0, 0, 0]}

@@ -47,6 +47,28 @@ def random_graph_strategy(max_n=9):
     return build()
 
 
+def random_union(rng, max_n=14, max_parts=4):
+    """Seeded disjoint union of 1..max_parts parts, relabeled at random.
+
+    A part is an isolated vertex, an edge, a 4-clique or a random graph
+    on 2..6 vertices (itself possibly disconnected); a part that would
+    take the order above max_n is skipped.
+    """
+    g = empty_graph(0)
+    for _ in range(rng.randint(1, max_parts)):
+        kind = rng.randrange(4)
+        if kind < 3:
+            part = complete_graph((1, 2, 4)[kind])
+        else:
+            n, p = rng.randint(2, 6), rng.random()
+            part = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if g.n + part.n <= max_n:
+            g = disjoint_union(g, part)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
 class TestConstruction:
     def test_empty(self):
         g = empty_graph(5)

@@ -1,5 +1,7 @@
 """Maximal induced bipartite subgraphs: oracle agreement and identities."""
 
+import random
+
 from hypothesis import given, settings
 
 from misbench.corpus import oracle_graphs
@@ -9,17 +11,31 @@ from misbench.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     is_bipartite_induced,
     path_graph,
 )
 from misbench.mibs import (
+    MibsCounts,
     enumerate_mibs,
     enumerate_mibs_bruteforce,
     is_maximal_induced_bipartite,
     k4_component_identity_check,
+    mibs_counts,
 )
+from misbench.misenum import enumerate_mis_bruteforce
 
-from test_graphs import random_graph_strategy
+from test_graphs import random_graph_strategy, random_union
+
+
+def census_counts(census):
+    """The four numbers ``mibs_counts`` computes, read off a full census."""
+    return MibsCounts(
+        census.distinct_count,
+        census.ordered_pair_count,
+        census.nonmaximal_candidates,
+        tuple(sorted(census.a_size_histogram().items())),
+    )
 
 
 class TestKnownCounts:
@@ -121,3 +137,29 @@ class TestComponentIdentity:
         report = k4_component_identity_check(g)
         assert report["identity_holds"]
         assert report["meet_counts_all_two"]
+
+
+class TestFactorizedCounts:
+    def test_unions_match_census(self):
+        # Unions of 1..4 parts (isolated vertices, edges, K4s, random graphs)
+        # on at most 14 vertices, relabeled: every field of the product over
+        # components equals the flat census, histogram included; the
+        # distinct and ordered counts also equal the subset scans.
+        rng = random.Random(47)
+        for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
+            counts = mibs_counts(g)
+            assert counts == census_counts(enumerate_mibs(g))
+            assert counts.mibs == enumerate_mibs_bruteforce(g).distinct_count
+            pairs = 0
+            for a in enumerate_mis_bruteforce(g).sets:
+                rest, _ = induced_subgraph(g, g.full_mask & ~a)
+                pairs += enumerate_mis_bruteforce(rest).count
+            assert counts.ordered_pairs == pairs
+
+    def test_unequal_sides_and_nonmaximal_pairs(self):
+        # P3 splits 2 + 1 either way round, K1 splits 1 + 0 only, and P4 has
+        # pairs whose union is not maximal: their union has witnesses with
+        # |A| = 4 and |A| = 5, and nonmaximal pairs.
+        g = disjoint_union(disjoint_union(path_graph(3), empty_graph(1)), path_graph(4))
+        assert mibs_counts(g) == MibsCounts(1, 8, 4, ((4, 2), (5, 2)))
+        assert mibs_counts(g) == census_counts(enumerate_mibs(g))

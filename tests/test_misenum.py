@@ -5,6 +5,8 @@ branching enumerator must agree with it exactly (same masks, not just
 counts) on every corpus graph.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from misbench.misenum import (
     mis_profile,
 )
 
-from test_graphs import random_graph_strategy
+from test_graphs import random_graph_strategy, random_union
 
 
 class TestKnownProfiles:
@@ -122,6 +124,24 @@ class TestProfileAlgebra:
         pa, pb = mis_profile(a), mis_profile(b)
         direct = mis_profile(disjoint_union(a, b))
         assert pa.convolve(pb).counts == direct.counts
+
+    def test_factorized_profile_matches_enumeration(self):
+        # Unions of 1..4 parts on at most 14 vertices, and the empty graph:
+        # the product over components equals the flat enumeration and the
+        # subset scan.
+        rng = random.Random(41)
+        for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
+            profile = mis_profile(g)
+            assert profile == enumerate_mis(g).profile
+            assert profile == enumerate_mis_bruteforce(g).profile
+
+    def test_factorized_profile_up_to_twenty_vertices(self):
+        rng = random.Random(43)
+        for _ in range(3):
+            g = empty_graph(0)
+            while g.n < 16:
+                g = random_union(rng, max_n=20, max_parts=8)
+            assert mis_profile(g) == enumerate_mis_bruteforce(g).profile
 
     def test_at_most_monotone(self):
         p = mis_profile(cycle_graph(7))
