@@ -6,11 +6,14 @@ in the order of an isomorphism invariant, found by a pruned search that
 also skips interchangeable twins.  The invariant does not depend on
 labels, so the form stays canonical although it is not the minimum over
 all permutations (see ``canonical_key``).  Generation augments the order
-n-1 class list with one new vertex per possible neighborhood and
-deduplicates by canonical key; this covers every class of any hereditary
-filter.  On top of that sit the exhaustive bound checks: the size-capped
-count bound with its exact equality characterization, the max-degree-2
-slack factors, and empirical tightness tables.
+n-1 class list with one new vertex per possible neighborhood and keys an
+extension only when its new vertex has the maximum of a vertex invariant
+(canonical deletion, after McKay's canonical construction path); a dict
+on the canonical key removes the classes still reached more than once,
+so no automorphism groups are needed.  This covers every class of any
+hereditary filter.  On top of that sit the exhaustive bound checks: the
+size-capped count bound with its exact equality characterization, the
+max-degree-2 slack factors, and empirical tightness tables.
 """
 
 from __future__ import annotations
@@ -44,6 +47,21 @@ FILTERS = {
 }
 
 
+def vertex_invariants(adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
+    """Per-vertex isomorphism invariant: degree, then neighbors of each degree.
+
+    The counts follow the graph's own distinct degrees in increasing
+    order, so entries compare only within one graph.  Relabeling the
+    graph permutes the list without changing any entry.
+    """
+    by_degree: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_masks = [by_degree[d] for d in sorted(by_degree)]
+    return [(row.bit_count(), *[(row & m).bit_count() for m in degree_masks]) for row in adj]
+
+
 def canonical_key(g: Graph) -> tuple[int, ...]:
     """Canonical per-position adjacency segments of ``g``.
 
@@ -52,11 +70,11 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     the most significant), so the tuple concatenates to the graph6 bit
     order of the relabeled graph and ``graph_from_key`` rebuilds it.
 
-    Vertices are sorted by the invariant (degree, number of neighbors of
-    each degree), and position j may only take a vertex whose invariant
-    is the j-th in that order.  The key is the lexicographic minimum over
-    these invariant-respecting placements only, not over all
-    permutations.  It is still a canonical form: the invariant does not
+    Vertices are sorted by ``vertex_invariants`` (degree, number of
+    neighbors of each degree), and position j may only take a vertex
+    whose invariant is the j-th in that order.  The key is the
+    lexicographic minimum over these invariant-respecting placements
+    only, not over all permutations.  It is still a canonical form: the invariant does not
     depend on labels, so relabeling ``g`` permutes the set of allowed
     placements without changing the set of keys they produce, and since
     the key rebuilds a copy of ``g``, graphs with equal keys are
@@ -74,14 +92,7 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     if n == 0:
         return ()
     adj = g.adj
-    by_degree: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        d = row.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    degree_masks = [by_degree[d] for d in sorted(by_degree)]
-    invariant = [
-        (row.bit_count(), *[(row & m).bit_count() for m in degree_masks]) for row in adj
-    ]
+    invariant = vertex_invariants(adj)
     cell_of: dict[tuple[int, ...], int] = {}
     for v, inv in enumerate(invariant):
         cell_of[inv] = cell_of.get(inv, 0) | 1 << v
@@ -145,17 +156,45 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
+    """Canonical keys of the filtered one-vertex extensions of each parent.
+
+    Canonical deletion: an extension is keyed only if its new vertex has
+    the maximum ``vertex_invariants`` entry, compared first on degree
+    straight from the mask and then, among the vertices of that degree,
+    on the full invariant.  Every class of order n keeps at least one
+    extension: deleting a vertex of maximum invariant leaves a graph of
+    the hereditary class, isomorphic to a parent, and adding the vertex
+    back is one of that parent's masks.  A class can still arise from
+    several parents or masks, so the returned dict deduplicates.
+    """
     parent_adjs, n, filter_name = args
     predicate = FILTERS[filter_name]
     seen: dict[tuple[int, ...], None] = {}
     new_bit = 1 << (n - 1)
     for padj in parent_adjs:
+        # geq[d]: parent vertices of degree >= d (geq[n] stays 0).
+        geq = [0] * (n + 1)
+        for v, row in enumerate(padj):
+            for d in range(row.bit_count() + 1):
+                geq[d] |= 1 << v
         for mask in range(1 << (n - 1)):
+            # The new vertex has degree d; a parent vertex ends above d if
+            # it has degree > d, or degree >= d and gains the new edge.
+            d = mask.bit_count()
+            if geq[d + 1] or mask & geq[d]:
+                continue
             rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
             rows.append(mask)
             g = Graph.trusted(n, tuple(rows))
-            if predicate(g):
-                seen.setdefault(canonical_key(g))
+            if not predicate(g):
+                continue
+            # Parent vertices that end at degree d tie with the new vertex
+            # (mask is 0 when d is 0, so geq[-1] never counts).
+            if geq[d] | mask & geq[d - 1]:
+                invariant = vertex_invariants(rows)
+                if invariant[-1] < max(invariant):
+                    continue
+            seen.setdefault(canonical_key(g))
     return seen
 
 
@@ -166,9 +205,13 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     """One canonical representative per isomorphism class of order n.
 
     ``filter_name`` must be a hereditary filter from FILTERS ("none",
-    "k4free", "maxdeg3", "both").  Results are memoized per process;
-    ``workers`` > 1 splits the augmentation of the parent list across a
-    process pool (deterministic output either way).
+    "k4free", "maxdeg3", "both").  Each order extends the order n-1
+    classes by one vertex; ``_augment_chunk`` keys only the extensions
+    whose new vertex has the maximum invariant, and the keys are merged
+    in a dict and sorted, so the representatives and their order do not
+    depend on which extension reached a class.  Results are memoized per
+    process; ``workers`` > 1 splits the augmentation of the parent list
+    across a process pool (deterministic output either way).
     """
     if n > GENERATION_CAP:
         raise GuardError(f"exhaustive generation capped at {GENERATION_CAP} vertices")
@@ -230,16 +273,15 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
     """
     rows = []
     reps = generate_all(n, "none", workers)
-    profiles = [(g, mis_profile(g)) for g in reps]
+    profiles = [(g, mis_profile(g), is_clique_union(g)) for g in reps]
     for k in range(n + 1):
         bound = bounds.eppstein(n, k).exact
         attainers = []
         violations = []
         max_count = 0
-        for g, profile in profiles:
+        for g, profile, (structural, ncomp) in profiles:
             count = profile.at_most(k)
             max_count = max(max_count, count)
-            structural, ncomp = is_clique_union(g)
             is_extremal = structural and ncomp == k
             if count > bound:
                 violations.append(to_graph6(g))

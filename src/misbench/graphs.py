@@ -186,7 +186,7 @@ def degree_histogram(g: Graph) -> list[int]:
 
 
 def max_degree(g: Graph) -> int:
-    return max((g.degree(v) for v in range(g.n)), default=0)
+    return max((row.bit_count() for row in g.adj), default=0)
 
 
 def components(g: Graph) -> list[int]:

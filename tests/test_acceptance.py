@@ -84,7 +84,7 @@ def test_size_capped_bound_exhaustive_to_seven():
 
 
 def test_size_capped_bound_exhaustive_eight():
-    with Budget("size-capped-bound-n8", 120.0):
+    with Budget("size-capped-bound-n8", 30.0):
         for row in verify_equality_scan(8):
             assert row.violations == (), f"k={row.k}: violations {row.violations}"
 

@@ -233,12 +233,52 @@ class TestGeneration:
         monkeypatch.setattr(Graph, "trusted", staticmethod(recording))
         monkeypatch.setattr(extremal, "_class_cache", {})
         generate_all(6, filter_name)
-        # Every augmented candidate of orders 2..6 goes through the trusted path.
-        assert len(built) == sum(
-            (1 << (n - 1)) * len(generate_all(n - 1, filter_name)) for n in range(2, 7)
-        )
+        # Every augmented candidate of orders 2..6 whose new vertex has the
+        # maximum degree goes through the trusted path, and no other.
+        expected = 0
+        for n in range(2, 7):
+            for parent in generate_all(n - 1, filter_name):
+                for mask in range(1 << (n - 1)):
+                    degrees = [parent.degree(v) + (mask >> v & 1) for v in range(n - 1)]
+                    expected += max(degrees) <= mask.bit_count()
+        assert len(built) == expected
         for g in built:
             assert Graph(g.n, g.adj) == g  # full validation raises on a bad table
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_class_sets_match_exhaustive_augmentation_at_seven(self, filter_name):
+        # Oracle without canonical deletion: every filtered extension of
+        # every order-6 class, keyed by canonical_key.
+        expected = set()
+        for parent in generate_all(6, filter_name):
+            for mask in range(1 << 6):
+                rows = [row | 1 << 6 if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
+                g = Graph(7, tuple(rows) + (mask,))
+                if FILTERS[filter_name](g):
+                    expected.add(canonical_key(g))
+        assert {canonical_key(g) for g in generate_all(7, filter_name)} == expected
+
+    @pytest.mark.parametrize(
+        "filter_name, count",
+        # 12,346 is A000088(8), the number of graphs on 8 vertices.
+        [("none", 12346), ("k4free", 6431), ("maxdeg3", 424), ("both", 413)],
+    )
+    def test_class_counts_at_eight(self, filter_name, count):
+        assert len(generate_all(8, filter_name)) == count
+
+    def test_keys_only_max_invariant_extensions(self, monkeypatch):
+        calls = [0]
+        key = extremal.canonical_key
+
+        def counting(g):
+            calls[0] += 1
+            return key(g)
+
+        monkeypatch.setattr(extremal, "canonical_key", counting)
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        assert len(generate_all(7, "none")) == 1044
+        # Keying every extension of orders 2..7 took 11,290 calls.
+        assert calls[0] <= 2700
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
