@@ -25,6 +25,7 @@ from .misenum import (
     enumerate_mis,
     enumerate_mis_branching,
     enumerate_mis_bruteforce,
+    mis_of_size,
     mis_profile,
 )
 from .pipeline import (
@@ -73,6 +74,7 @@ __all__ = [
     "label_cells",
     "load_graphs",
     "mibs_counts",
+    "mis_of_size",
     "mis_profile",
     "moon_moser",
     "nielsen",

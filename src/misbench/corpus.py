@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .graphs import Graph, from_edges, is_k4_free
-from .misenum import enumerate_mis, min_mis
+from .misenum import min_mis, mis_of_size
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -61,7 +61,7 @@ def pipeline_instances(count: int, seed0: int = 7000) -> list[tuple[Graph, int]]
     for i in range(count):
         n = orders[i % len(orders)]
         g = random_cubic_k4free(n, seed0 + i)
-        out.append((g, min_mis(enumerate_mis(g))))
+        out.append((g, min_mis(mis_of_size(g)[1])))
     return out
 
 

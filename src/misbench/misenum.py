@@ -4,7 +4,10 @@ Three independent methods are provided and cross-validated in the test
 suite: a subset scan (oracle, small orders), pivoting enumeration on the
 complement graph, and a budgeted branching recursion that mirrors the
 inclusion/exclusion recurrence mis_{<=k}(G) <= mis_{<=k}(G-u) +
-mis_{<=k-1}(G-N[u]) on a maximum-degree vertex u.
+mis_{<=k-1}(G-N[u]) on a maximum-degree vertex u.  ``mis_of_size`` lists
+only the sets of one size, with a domination bound that prunes every
+branch unable to end at that size; the pipeline reads its root-size sets
+from it, and the tests check it against the pivoting enumeration.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .graphs import (
 )
 
 BRUTE_FORCE_CAP = 20
+MIS_OF_SIZE_CAP = 1 << 17  # sets of one size held by mis_of_size; see its docstring
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,78 @@ def enumerate_mis(g: Graph) -> MisFamily:
     return _family(n, out)
 
 
+def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
+    """The maximal independent sets of size exactly k, as sorted masks.
+
+    With k None, k is the minimum size of a maximal independent set,
+    found as the search goes.  Returns (k, sets).
+
+    The recursion is the pivoting one of ``enumerate_mis`` written on g
+    itself: R is the set so far, P the candidates and X the excluded
+    vertices that a later choice must still dominate.  A completion adds
+    vertices of P only and must dominate U = P | X, so a node needs at
+    least ceil(|U| / max_{v in P} |N[v] & U|) more vertices and is pruned
+    when that passes the size bound (k, or the smallest size found so
+    far).  The pivot is the vertex of U whose closed neighborhood meets P
+    least; when it meets none, U cannot be dominated and the node is a
+    dead end.
+
+    Raises GuardError once more than MIS_OF_SIZE_CAP (2^17) sets of one
+    size are held, so the list stays within a few MiB: 21 disjoint
+    triangles (3^21 sets of size 21) trip it in under a second.  The
+    largest list the pipeline benchmark and the test corpora produce is
+    1,024 sets (diamond_union(10)).  The cap bounds memory, not time: a
+    search that holds few sets can still visit as many nodes as
+    ``enumerate_mis``.
+    """
+    n = g.n
+    closed = [g.adj[v] | 1 << v for v in range(n)]
+    bound = n if k is None else k
+    out: list[int] = []
+
+    def expand(r: int, size: int, p: int, x: int) -> None:
+        nonlocal bound
+        u = p | x
+        if not u:
+            if k is None and size < bound:
+                bound = size
+                out.clear()
+            if size == bound:
+                out.append(r)
+                if len(out) > MIS_OF_SIZE_CAP:
+                    raise GuardError(
+                        f"more than {MIS_OF_SIZE_CAP} maximal independent sets of size {bound}"
+                    )
+            return
+        reach = 0
+        fewest = n + 1
+        pivot = -1
+        rest = u
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            row = closed[v]
+            hits = (row & p).bit_count()
+            if hits < fewest:
+                fewest = hits
+                pivot = v
+            if low & p:
+                cover = (row & u).bit_count()
+                if cover > reach:
+                    reach = cover
+        if not fewest or size - (-u.bit_count() // reach) > bound:
+            return
+        for v in iter_bits(p & closed[pivot]):
+            row = closed[v]
+            expand(r | 1 << v, size + 1, p & ~row, x & ~row)
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    expand(0, 0, g.full_mask, 0)
+    return bound, sorted(out)
+
+
 def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
     """Budgeted branching enumerator for maximal independent sets of size <= k_cap.
 
@@ -190,10 +266,10 @@ def mis_profile(g: Graph) -> SizeProfile:
     return profile
 
 
-def min_mis(family: MisFamily) -> int:
-    """Minimum-size maximal independent set, first by sorted vertex tuple."""
-    size = next(k for k, count in enumerate(family.profile.counts) if count)
-    return min(
-        (mask for mask in family.sets if mask.bit_count() == size),
-        key=lambda mask: tuple(iter_bits(mask)),
-    )
+def min_mis(sets) -> int:
+    """The smallest of the given sets, first by size, then by sorted vertex tuple.
+
+    Given ``mis_of_size(g)[1]``, or all of ``enumerate_mis(g).sets``, this
+    is the minimum-size maximal independent set the pipeline roots at.
+    """
+    return min(sets, key=lambda mask: (mask.bit_count(), tuple(iter_bits(mask))))

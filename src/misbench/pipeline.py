@@ -29,7 +29,7 @@ from .graphs import (
     lowest_bit,
     mask_of,
 )
-from .misenum import MisFamily, enumerate_mis, min_mis
+from .misenum import min_mis, mis_of_size
 
 CENSUS_CELL_CAP = 11  # cells per census component: 4^11 = 2^22 product states
 
@@ -93,6 +93,20 @@ class Cell:
     mask: int
 
 
+def _check_preconditions(g: Graph, i0: int | None = None) -> None:
+    """Raise DecompositionError, naming a witness, when g has a vertex of
+    degree above 3 or a 4-clique, or when a given I0 is not a maximal
+    independent set of g.  The checks run in that order."""
+    for v in range(g.n):
+        if g.degree(v) > 3:
+            raise DecompositionError(f"vertex {v} has degree {g.degree(v)} > 3")
+    clique = k4_witness(g)
+    if clique is not None:
+        raise DecompositionError(f"4-clique on vertices {sorted(iter_bits(clique))}")
+    if i0 is not None and not is_maximal_independent(g, i0):
+        raise DecompositionError(f"root set {sorted(iter_bits(i0))} is not a maximal independent set")
+
+
 def decompose(g: Graph, i0: int) -> Decomposition:
     """Layer the graph around a maximal independent set I0.
 
@@ -103,14 +117,7 @@ def decompose(g: Graph, i0: int) -> Decomposition:
     of degree above 3, contains a 4-clique, or I0 is not a maximal
     independent set; the message names the witness.
     """
-    for v in range(g.n):
-        if g.degree(v) > 3:
-            raise DecompositionError(f"vertex {v} has degree {g.degree(v)} > 3")
-    clique = k4_witness(g)
-    if clique is not None:
-        raise DecompositionError(f"4-clique on vertices {sorted(iter_bits(clique))}")
-    if not is_maximal_independent(g, i0):
-        raise DecompositionError(f"root set {sorted(iter_bits(i0))} is not a maximal independent set")
+    _check_preconditions(g, i0)
     j0 = g.full_mask & ~i0
     i1 = 0
     for v in iter_bits(i0):
@@ -473,20 +480,28 @@ def verify_product_bound(
 
 
 def verify_is_capture(
-    g: Graph, dec: Decomposition, cells: list[Cell], k: int, family: MisFamily
+    g: Graph,
+    dec: Decomposition,
+    cells: list[Cell],
+    k: int,
+    sets,
+    known: tuple[SelectionState, TransversalStats] | None = None,
 ) -> dict:
-    """Partition the size-k sets of ``family``, the maximal independent
-    sets of g, by doubled cells and check each family against its
+    """Partition the size-k masks among ``sets``, maximal independent sets
+    of g, by doubled cells and check each family against its
     good-transversal envelope.
 
-    Family S collects the sets meeting cell i in >= 2 vertices exactly
-    for i in S.  Checks per nonempty family: (a) every set meets every
-    cell, (b) k >= ell + |S|, (c) each set's trace on U is a good
-    transversal of the S-reduced partition, (d) the family size is at
-    most good_count * 2^{n - |U|}.
+    ``sets`` must hold every maximal independent set of size k, such as
+    ``mis_of_size(g, k)[1]``; masks of other sizes are skipped.  Family S
+    collects the sets meeting cell i in >= 2 vertices exactly for i in S.
+    Checks per nonempty family: (a) every set meets every cell, (b) k >=
+    ell + |S|, (c) each set's trace on U is a good transversal of the
+    S-reduced partition, (d) the family size is at most good_count *
+    2^{n - |U|}.  ``known`` is a selection already made with its census;
+    the family with that S reuses it instead of selecting again.
     """
     families: dict[tuple[int, ...], list[int]] = {}
-    for mask in family.sets:
+    for mask in sets:
         if mask.bit_count() != k:
             continue
         s_key = tuple(
@@ -497,8 +512,11 @@ def verify_is_capture(
     all_ok = True
     for s_key in sorted(families):
         members = families[s_key]
-        state = select(g, dec, cells, s_key)
-        stats = transversal_census(g, cells, state)
+        if known is not None and known[0].S == s_key:
+            state, stats = known
+        else:
+            state = select(g, dec, cells, s_key)
+            stats = transversal_census(g, cells, state)
         checks = {
             "meets_every_cell": all(
                 mask & cells[i].mask for mask in members for i in range(dec.ell)
@@ -536,17 +554,20 @@ def analyze_instance(g: Graph, i0: int | None = None, s_indices=()) -> dict:
 
     When i0 is omitted the minimum-size maximal independent set is used
     (smallest sorted vertex tuple among minimum sizes), matching the
-    regime the counting argument targets.
+    regime the counting argument targets.  Only the maximal independent
+    sets of the root size are listed, after the preconditions of
+    ``decompose`` hold.
     """
-    family = enumerate_mis(g)
+    _check_preconditions(g, i0)
+    k, sets = mis_of_size(g, None if i0 is None else i0.bit_count())
     if i0 is None:
-        i0 = min_mis(family)
+        i0 = min_mis(sets)
     dec = decompose(g, i0)
     cells = label_cells(g, dec)
     state = select(g, dec, cells, s_indices)
     stats = transversal_census(g, cells, state)
     product = verify_product_bound(g, cells, state, stats)
-    capture = verify_is_capture(g, dec, cells, dec.k, family)
+    capture = verify_is_capture(g, dec, cells, k, sets, (state, stats))
     inequalities = decomposition_inequalities(dec)
     violations = [rec["name"] for rec in inequalities if not rec["holds"]]
     violations += product["violations"]

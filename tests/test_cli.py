@@ -1,13 +1,14 @@
 """Command-line interface: output contracts, formats, and exit codes."""
 
 import json
+import time
 
 import pytest
 
 from misbench import pipeline
 from misbench.cli import build_parser, main
 from misbench.graphio import to_graph6
-from misbench.graphs import complete_graph, disjoint_union, empty_graph
+from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
 
 
 def run(capsys, *argv):
@@ -181,6 +182,35 @@ class TestPipeline:
         path.write_text("4 5\n0 1\n0 2\n0 3\n1 3\n2 3\n")
         code, _, err = run(capsys, "pipeline", str(path), "--i0", "1")
         assert code == 1 and "maximal" in err
+
+    def test_precondition_refused_before_any_search(self, capsys, tmp_path, monkeypatch):
+        # 12 disjoint triangles (3^12 maximal independent sets) and a claw
+        # K_{1,4} centered at vertex 36: the degree check refuses it before
+        # any set is listed.
+        triangles = empty_graph(0)
+        for _ in range(12):
+            triangles = disjoint_union(triangles, complete_graph(3))
+        g = disjoint_union(triangles, from_edges(5, [(0, i) for i in range(1, 5)]))
+        path = tmp_path / "star.g6"
+        path.write_text(to_graph6(g) + "\n")
+
+        def no_search(*args):
+            raise AssertionError("searched before the precondition checks")
+
+        monkeypatch.setattr(pipeline, "mis_of_size", no_search)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pipeline", str(path))
+        assert (code, out, err) == (1, "", "error: vertex 36 has degree 4 > 3\n")
+        assert time.perf_counter() - start < 1.0
+
+    def test_root_size_guard_is_three(self, capsys, tmp_path):
+        # 21 disjoint triangles: 3^21 minimum maximal independent sets.
+        # The search stops at its set budget instead of filling memory.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pipeline", clique_union(tmp_path, 3, 21))
+        assert code == 3 and out == ""
+        assert "maximal independent sets of size 21" in err
+        assert time.perf_counter() - start < 30
 
     def test_violation_exits_one(self, capsys, tmp_path, monkeypatch):
         # One failed layer inequality on the second graph: that report

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misbench.corpus import oracle_graphs
+from misbench import misenum
+from misbench.corpus import diamond_union, oracle_graphs, pipeline_instances
 from misbench.graphs import (
     GuardError,
     complete_graph,
@@ -29,6 +30,7 @@ from misbench.misenum import (
     enumerate_mis_branching,
     enumerate_mis_bruteforce,
     min_mis,
+    mis_of_size,
     mis_profile,
 )
 
@@ -154,18 +156,75 @@ class TestProfileAlgebra:
         assert p[1] == 2 and p.total == 3 and p.at_most(1) == 2
 
 
+def assert_size_search_matches(g):
+    """mis_of_size equals the size-k slice of the pivoting enumeration for
+    every k in 0..n, and with k None gives the minimum size's slice."""
+    sets = enumerate_mis(g).sets
+    for k in range(g.n + 1):
+        assert mis_of_size(g, k) == (k, [m for m in sets if m.bit_count() == k])
+    k_min = min(m.bit_count() for m in sets)
+    assert mis_of_size(g) == (k_min, [m for m in sets if m.bit_count() == k_min])
+
+
+class TestMisOfSize:
+    def test_empty_graphs(self):
+        for n in (0, 1, 6):
+            assert_size_search_matches(empty_graph(n))
+        assert mis_of_size(empty_graph(0)) == (0, [0])
+
+    def test_oracle_corpus_to_twenty_vertices(self):
+        for g in oracle_graphs(200, max_n=20):
+            assert_size_search_matches(g)
+
+    def test_random_unions(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            assert_size_search_matches(random_union(rng, max_n=20, max_parts=6))
+
+    def test_diamond_unions(self):
+        for t in range(1, 6):
+            g = diamond_union(t)
+            assert_size_search_matches(g)
+            assert len(mis_of_size(g)[1]) == 2**t
+
+    def test_acceptance_corpus(self):
+        # The 100 cubic instances of the pipeline acceptance test; their
+        # roots are the enumeration's minimum sets.
+        for g, i0 in pipeline_instances(100):
+            assert_size_search_matches(g)
+            assert i0 == min_mis(enumerate_mis(g).sets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=9))
+    def test_arbitrary_graphs(self, g):
+        assert_size_search_matches(g)
+
+    def test_guard_counts_sets_of_one_size(self, monkeypatch):
+        g = empty_graph(0)
+        for _ in range(3):
+            g = disjoint_union(g, complete_graph(3))
+        monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", 27)
+        assert len(mis_of_size(g)[1]) == 27
+        monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", 26)
+        with pytest.raises(GuardError, match="more than 26 maximal independent sets of size 3"):
+            mis_of_size(g)
+        with pytest.raises(GuardError):
+            mis_of_size(g, 3)
+        assert mis_of_size(g, 2) == (2, [])
+
+
 class TestMinMis:
     def test_smallest_size_then_smallest_vertex_tuple(self):
         for g in [empty_graph(0), empty_graph(3), *oracle_graphs(120, max_n=10)]:
             family = enumerate_mis(g)
             expected = min(family.sets, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
-            assert min_mis(family) == expected
+            assert min_mis(family.sets) == expected
 
     def test_tie_break_reads_vertices_not_mask_value(self):
         # The 4-cycle 0-1-3-2 has two maximal independent sets: {0, 3}
         # (mask 9) and {1, 2} (mask 6).  (0, 3) < (1, 2) as vertex tuples.
         g = from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
-        assert min_mis(enumerate_mis(g)) == 0b1001
+        assert min_mis(enumerate_mis(g).sets) == 0b1001
 
 
 class TestGuards:

@@ -24,7 +24,7 @@ from misbench.graphs import (
     iter_bits,
     mask_of,
 )
-from misbench.misenum import enumerate_mis, min_mis
+from misbench.misenum import enumerate_mis, min_mis, mis_of_size
 from misbench.pipeline import (
     CellConflictError,
     DecompositionError,
@@ -133,7 +133,7 @@ def irregular_instances(count, min_cells=2, max_cells=8, seed=9100):
         for _ in range(rng.randint(1, 2)):
             edges.pop(rng.randrange(len(edges)))
         g = from_edges(n, edges)
-        return g, min_mis(enumerate_mis(g))
+        return g, min_mis(mis_of_size(g)[1])
 
     out = []
     for _ in range(20 * count):
@@ -443,7 +443,7 @@ class TestCensusOracle:
     def test_corpus_empty_and_capture_families(self):
         for g, i0 in pipeline_instances(30):
             dec, cells = cells_of(g, i0)
-            report = verify_is_capture(g, dec, cells, dec.k, enumerate_mis(g))
+            report = verify_is_capture(g, dec, cells, dec.k, enumerate_mis(g).sets)
             selections = {(), *(tuple(fam["S"]) for fam in report["families"])}
             for s_key in selections:
                 assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
@@ -495,7 +495,7 @@ class TestCapture:
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 1, enumerate_mis(g))
+        report = verify_is_capture(g, dec, cells, 1, enumerate_mis(g).sets)
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 2
@@ -506,7 +506,7 @@ class TestCapture:
             g = diamond_union(t)
             dec = decompose(g, mask_of(tuple(4 * i for i in range(t))))
             cells = label_cells(g, dec)
-            report = verify_is_capture(g, dec, cells, t, enumerate_mis(g))
+            report = verify_is_capture(g, dec, cells, t, enumerate_mis(g).sets)
             assert report["holds"]
             (family,) = report["families"]
             assert family["family_size"] == 2**t == family["good_count"]
@@ -515,7 +515,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 2, enumerate_mis(g))
+        report = verify_is_capture(g, dec, cells, 2, enumerate_mis(g).sets)
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 4
@@ -527,9 +527,35 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 3, enumerate_mis(g))
+        report = verify_is_capture(g, dec, cells, 3, enumerate_mis(g).sets)
         assert report["holds"]
         assert any(fam["S"] for fam in report["families"])
+
+    def test_size_search_gives_the_enumeration_report(self):
+        # Each instance is rooted at its minimum set and at a maximum one;
+        # the capture report must not depend on which list of sets it reads,
+        # nor on reusing the census of the empty selection.  The unions of
+        # two irregular graphs are left out: a maximum root there lists
+        # about 4*10^5 sets.
+        instances = [*FIXTURES, *pipeline_instances(20)]
+        instances += [(g, dec.I0) for g, dec, _ in irregular_instances(20) if g.n <= 24]
+        non_minimum = 0
+        for g, i0 in instances:
+            all_sets = enumerate_mis(g).sets
+            for root in (i0, max(all_sets, key=lambda m: m.bit_count())):
+                try:
+                    dec, cells = cells_of(g, root)
+                except CellConflictError:
+                    continue
+                k = dec.k
+                non_minimum += k > i0.bit_count()
+                report = verify_is_capture(g, dec, cells, k, mis_of_size(g, k)[1])
+                assert report == verify_is_capture(g, dec, cells, k, all_sets)
+                state = select(g, dec, cells, ())
+                known = (state, transversal_census(g, cells, state))
+                assert report == verify_is_capture(g, dec, cells, k, all_sets, known)
+                assert report == analyze_instance(g, root)["capture"]
+        assert non_minimum >= 20
 
 
 class TestAnalyzeInstance:
@@ -551,6 +577,37 @@ class TestAnalyzeInstance:
             report = analyze_instance(g, i0)
             assert report["violations"] == [], report["violations"]
 
+    def test_each_selection_is_censused_once(self, monkeypatch):
+        # The capture check reuses the report's own selection and census
+        # when a family has the same S.
+        real_select, real_census = pipeline.select, pipeline.transversal_census
+        calls = []
+
+        def counted_select(g, dec, cells, s_indices):
+            state = real_select(g, dec, cells, s_indices)
+            calls.append(("select", state.S))
+            return state
+
+        def counted_census(g, cells, state):
+            calls.append(("census", state.S))
+            return real_census(g, cells, state)
+
+        monkeypatch.setattr(pipeline, "select", counted_select)
+        monkeypatch.setattr(pipeline, "transversal_census", counted_census)
+        reused = 0
+        for g, i0 in [*FIXTURES, *pipeline_instances(8)]:
+            for s_indices in ((), (0,)):
+                if s_indices and not decompose(g, i0).ell:
+                    continue
+                calls.clear()
+                report = analyze_instance(g, i0, s_indices)
+                own = tuple(report["selection"]["S"])
+                families = {tuple(fam["S"]) for fam in report["capture"]["families"]}
+                expected = [(name, s) for name in ("select", "census") for s in families | {own}]
+                assert sorted(calls) == sorted(expected)
+                reused += own in families
+        assert reused > 0
+
     def test_explicit_root_respected(self):
         g = diamond_union(1)
         report = analyze_instance(g, mask_of((3,)))
@@ -562,7 +619,7 @@ class TestCorpusHelpers:
     def test_min_mis_is_maximal_and_minimum(self):
         g = linked_diamonds()
         family = enumerate_mis(g)
-        i0 = min_mis(family)
+        i0 = min_mis(family.sets)
         assert is_maximal_independent(g, i0)
         assert i0.bit_count() == min(m.bit_count() for m in family.sets)
 
