@@ -320,6 +320,8 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
     A degree-1 vertex caps mis_{<=k} at 8/9 of the bound, an isolated
     vertex at 16/27, and a cycle component of length >= 4 at 11/12.
     Returns (checked rows, violations); the rows include tight cases.
+    The classes come from the "maxdeg3" list (424 at n = 8, not the
+    12,346 of "none"), less those with a degree-3 vertex.
     """
     factors = (
         ("degree1", Fraction(8, 9), lambda g: any(g.degree(v) == 1 for v in range(g.n))),
@@ -335,7 +337,7 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
     )
     rows: list[SlackRow] = []
     bad: list[SlackRow] = []
-    for g in generate_all(n, "none", workers):
+    for g in generate_all(n, "maxdeg3", workers):
         if max_degree(g) > 2:
             continue
         profile = mis_profile(g)

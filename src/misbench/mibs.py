@@ -63,10 +63,15 @@ class MibsCensus:
         return hist
 
 
-def is_maximal_induced_bipartite(g: Graph, mask: int) -> bool:
+def is_maximal_induced_bipartite(g: Graph, mask: int, within: int | None = None) -> bool:
+    """Whether mask is a maximal induced bipartite subgraph of g[within].
+
+    ``within`` defaults to all of g; only its vertices are tried as
+    extensions.
+    """
     if not is_bipartite_induced(g, mask):
         return False
-    outside = g.full_mask & ~mask
+    outside = (g.full_mask if within is None else within) & ~mask
     for w in iter_bits(outside):
         if is_bipartite_induced(g, mask | (1 << w)):
             return False
@@ -108,22 +113,20 @@ def _normalize_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _generator_pairs(g: Graph) -> Iterator[tuple[int, int, bool]]:
-    """Every ordered pair (A, B), A in MIS(G) and B in MIS(G - A), in g's labels.
+def _generator_pairs(g: Graph, within: int) -> Iterator[tuple[int, int, bool]]:
+    """Every ordered pair (A, B), A in MIS(G) and B in MIS(G - A), for G = g[within].
 
-    Each pair comes with whether A | B is a maximal induced bipartite
-    subgraph of G; the test runs once per distinct union.
+    The pairs are masks in g's labels: B comes from the enumeration of g
+    restricted to within - A.  Each pair comes with whether A | B is a
+    maximal induced bipartite subgraph of G; the test runs once per
+    distinct union.
     """
     maximal: dict[int, bool] = {}
-    for a in enumerate_mis(g).sets:
-        rest_graph, rest_map = induced_subgraph(g, g.full_mask & ~a)
-        for b_local in enumerate_mis(rest_graph).sets:
-            b = 0
-            for v in iter_bits(b_local):
-                b |= 1 << rest_map[v]
+    for a in enumerate_mis(g, within).sets:
+        for b in enumerate_mis(g, within & ~a).sets:
             union = a | b
             if union not in maximal:
-                maximal[union] = is_maximal_induced_bipartite(g, union)
+                maximal[union] = is_maximal_induced_bipartite(g, union, within)
             yield a, b, maximal[union]
 
 
@@ -137,7 +140,7 @@ def enumerate_mibs(g: Graph) -> MibsCensus:
     by_mask: dict[int, set[tuple[int, int]]] = {}
     ordered = 0
     nonmaximal = 0
-    for a, b, maximal in _generator_pairs(g):
+    for a, b, maximal in _generator_pairs(g, g.full_mask):
         ordered += 1
         if maximal:
             by_mask.setdefault(a | b, set()).add(_normalize_pair(a, b))
@@ -192,7 +195,7 @@ def mibs_counts(g: Graph) -> MibsCounts:
     for part in components(g):
         maximal = set()
         part_ordered = 0
-        for a, b, is_maximal in _generator_pairs(induced_subgraph(g, part)[0]):
+        for a, b, is_maximal in _generator_pairs(g, part):
             part_ordered += 1
             if is_maximal:
                 maximal.add((a, b))

@@ -8,6 +8,9 @@ mis_{<=k-1}(G-N[u]) on a maximum-degree vertex u.  ``mis_of_size`` lists
 only the sets of one size, with a domination bound that prunes every
 branch unable to end at that size; the pipeline reads its root-size sets
 from it, and the tests check it against the pivoting enumeration.
+The pivoting enumeration also runs on the subgraph induced by a vertex
+mask, in the input graph's own labels; ``mis_profile`` convolves it over
+the connected components without copying any of them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .graphs import (
     Graph,
     GuardError,
     components,
-    induced_subgraph,
     is_maximal_independent,
     iter_bits,
     lowest_bit,
@@ -95,16 +97,24 @@ def enumerate_mis_bruteforce(g: Graph) -> MisFamily:
     return _family(g.n, out)
 
 
-def enumerate_mis(g: Graph) -> MisFamily:
+def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
     """Pivoting enumeration: maximal cliques of the complement graph.
 
-    Classic recursive scheme with the pivot chosen to maximize coverage of
-    the candidate set, which prunes all branches through the pivot's
-    non-neighbors.  Practical well beyond the subset-scan cap.
+    Lists the maximal independent sets of the subgraph induced by
+    ``within`` (all of g by default) as masks in g's own labels, with a
+    profile over sizes 0..|within|.  The recursion keeps candidates P and
+    excluded vertices X as masks of g and starts at P = ``within``,
+    X = 0, so a sub-problem needs no relabeled copy.  The pivot is chosen
+    to maximize coverage of the candidate set, which prunes all branches
+    through the pivot's non-neighbors.  Practical well beyond the
+    subset-scan cap.
     """
     n = g.n
     full = g.full_mask
+    if within is None:
+        within = full
     # Complement adjacency: non-neighbors excluding the vertex itself.
+    # P and X stay inside within, so the rows need no restriction.
     cadj = [(full ^ g.adj[v]) & ~(1 << v) for v in range(n)]
     out: list[int] = []
 
@@ -125,8 +135,8 @@ def enumerate_mis(g: Graph) -> MisFamily:
             p &= ~bit
             x |= bit
 
-    expand(0, full, 0)
-    return _family(n, out)
+    expand(0, within, 0)
+    return _family(within.bit_count(), out)
 
 
 def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
@@ -252,17 +262,11 @@ def mis_profile(g: Graph) -> SizeProfile:
 
     A maximal independent set of a disjoint union is one per component,
     so the profile is the convolution of the component profiles; only
-    one component's sets are held at a time.  A connected graph is
-    enumerated directly: copying it as its own induced subgraph costs
-    about as much as enumerating a small graph, and most graphs the
-    extremal scans profile are connected.
+    one component's sets are held at a time.
     """
-    parts = components(g)
-    if len(parts) <= 1:
-        return enumerate_mis(g).profile
     profile = SizeProfile((1,))
-    for part in parts:
-        profile = profile.convolve(enumerate_mis(induced_subgraph(g, part)[0]).profile)
+    for part in components(g):
+        profile = profile.convolve(enumerate_mis(g, part).profile)
     return profile
 
 

@@ -15,7 +15,6 @@ All probability arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,10 +213,10 @@ class SelectionState:
     keeps the I4-cells whose x and y have all neighbors inside U; only
     those support the bad-event analysis, and the goodness condition is
     evaluated over them.  cell_adj is the adjacency over all I4 cells
-    (an edge when any graph edge joins the two cells; degree at most 6);
-    H is its restriction to I5.  I6 is a greedy independent set in the
-    distance-2 sense over the full I4 cell graph, so distinct I6 cells
-    have disjoint dependency neighborhoods.
+    (an edge when any graph edge joins the two cells; degree at most 6).
+    I6 is a greedy independent set in the distance-2 sense over the full
+    I4 cell graph, so distinct I6 cells have disjoint dependency
+    neighborhoods.
     """
 
     S: tuple[int, ...]
@@ -226,8 +225,6 @@ class SelectionState:
     I6: tuple[int, ...]
     U: int
     cell_adj: dict[int, tuple[int, ...]]
-    H: Graph
-    h_index: tuple[int, ...]
 
 
 def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> SelectionState:
@@ -255,15 +252,6 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
     for i in i4:
         if len(cell_adj[i]) > 6:
             raise AssertionError(f"cell {i} has {len(cell_adj[i])} neighbor cells, expected <= 6")
-    i5_set = set(i5)
-    h_rows = []
-    for i in i5:
-        row = 0
-        for j in cell_adj[i]:
-            if j in i5_set:
-                row |= 1 << i5.index(j)
-        h_rows.append(row)
-    h = Graph(len(i5), tuple(h_rows))
     alive = set(i5)
     i6 = []
     for i in i5:
@@ -281,8 +269,6 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
         I6=tuple(i6),
         U=u_mask,
         cell_adj=cell_adj,
-        H=h,
-        h_index=i5,
     )
     need = -(-len(i5) // 37)
     if len(i6) < need:
@@ -337,7 +323,6 @@ class TransversalStats:
     per_cell: tuple[dict, ...]
     bad_probability: dict[int, Fraction]
     product_bound: Fraction
-    exhaustive: bool
 
 
 def _is_good(g: Graph, cells: list[Cell], i5: tuple[int, ...], t_mask: int) -> bool:
@@ -351,7 +336,7 @@ def _is_good(g: Graph, cells: list[Cell], i5: tuple[int, ...], t_mask: int) -> b
 
 
 def _cell_stats(
-    g: Graph, cells: list[Cell], state: SelectionState, total: int, good: int, exhaustive: bool
+    g: Graph, cells: list[Cell], state: SelectionState, total: int, good: int
 ) -> TransversalStats:
     per_cell = []
     bad_prob: dict[int, Fraction] = {}
@@ -371,7 +356,6 @@ def _cell_stats(
         per_cell=tuple(per_cell),
         bad_probability=bad_prob,
         product_bound=product,
-        exhaustive=exhaustive,
     )
 
 
@@ -392,15 +376,13 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
     and at the cells of cell_adj[i], so the good count is the product over
     the connected components of cell_adj of each component's count, found
     by scanning that component's transversals.  Guarded to components of
-    at most CENSUS_CELL_CAP cells (4^11 states each); beyond that use the
-    labeled Monte-Carlo estimator.
+    at most CENSUS_CELL_CAP cells (4^11 states each).
     """
     comps = _cell_components(state)
     largest = max(map(len, comps), default=0)
     if largest > CENSUS_CELL_CAP:
         raise GuardError(
-            f"census component of {largest} cells exceeds the 4^{CENSUS_CELL_CAP} cap; "
-            "use transversal_census_mc"
+            f"census component of {largest} cells exceeds the 4^{CENSUS_CELL_CAP} cap"
         )
     i5 = set(state.I5)
     good = 1
@@ -410,33 +392,7 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
         good *= sum(
             1 for choice in itertools.product(*slots) if _is_good(g, cells, checked, sum(choice))
         )
-    return _cell_stats(g, cells, state, 4 ** len(state.I4), good, True)
-
-
-def transversal_census_mc(
-    g: Graph, cells: list[Cell], state: SelectionState, samples: int, seed: int
-) -> dict:
-    """Monte-Carlo estimate of the good-transversal fraction.
-
-    Clearly approximate: returned as a plain report and never used inside
-    exact assertions.
-    """
-    rng = random.Random(seed)
-    slots = [tuple(iter_bits(cells[i].mask)) for i in state.I4]
-    good = 0
-    for _ in range(samples):
-        t_mask = mask_of(rng.choice(slot) for slot in slots)
-        if _is_good(g, cells, state.I5, t_mask):
-            good += 1
-    p_hat = good / samples
-    half_width = 1.96 * (p_hat * (1 - p_hat) / samples) ** 0.5
-    return {
-        "approximate": True,
-        "samples": samples,
-        "seed": seed,
-        "p_good_estimate": p_hat,
-        "confidence_95": (max(0.0, p_hat - half_width), min(1.0, p_hat + half_width)),
-    }
+    return _cell_stats(g, cells, state, 4 ** len(state.I4), good)
 
 
 def verify_product_bound(

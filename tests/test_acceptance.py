@@ -90,7 +90,7 @@ def test_size_capped_bound_exhaustive_eight():
 
 
 def test_low_degree_slack_constants():
-    with Budget("low-degree-slack", 60.0):
+    with Budget("low-degree-slack", 5.0):
         tight_seen = set()
         for n in range(1, 9):
             rows, bad = verify_degree2_constants(n)

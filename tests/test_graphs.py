@@ -47,6 +47,19 @@ def random_graph_strategy(max_n=9):
     return build()
 
 
+def record_graph_builds(monkeypatch):
+    """A list that gets the order of every validated Graph built from now on."""
+    built = []
+    check = Graph.__post_init__
+
+    def counted(self):
+        built.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    return built
+
+
 def random_union(rng, max_n=14, max_parts=4):
     """Seeded disjoint union of 1..max_parts parts, relabeled at random.
 

@@ -13,6 +13,7 @@ from misbench.graphs import (
     from_edges,
     induced_subgraph,
     is_bipartite_induced,
+    mask_of,
     path_graph,
 )
 from misbench.mibs import (
@@ -25,7 +26,7 @@ from misbench.mibs import (
 )
 from misbench.misenum import enumerate_mis_bruteforce
 
-from test_graphs import random_graph_strategy, random_union
+from test_graphs import random_graph_strategy, random_union, record_graph_builds
 
 
 def census_counts(census):
@@ -108,6 +109,29 @@ class TestOracleAgreement:
     def test_records_are_maximal(self, g):
         for rec in enumerate_mibs(g).records:
             assert is_maximal_induced_bipartite(g, rec.vertices)
+
+
+class TestWithinMask:
+    def test_maximality_inside_one_component(self):
+        # K3 on 0..2 beside P3 on 3..5.  An edge of the triangle is maximal
+        # in the triangle but not in the whole graph, where P3 can join it.
+        g = disjoint_union(complete_graph(3), path_graph(3))
+        k3, p3 = mask_of((0, 1, 2)), mask_of((3, 4, 5))
+        edge = mask_of((0, 1))
+        assert is_maximal_induced_bipartite(g, edge, k3)
+        assert not is_maximal_induced_bipartite(g, edge)
+        assert not is_maximal_induced_bipartite(g, edge, g.full_mask)
+        assert is_maximal_induced_bipartite(g, edge | p3)
+        assert is_maximal_induced_bipartite(g, p3, p3)
+        assert not is_maximal_induced_bipartite(g, mask_of((3, 4)), p3)
+        assert not is_maximal_induced_bipartite(g, k3, k3)
+
+    def test_counts_build_no_graph(self, monkeypatch):
+        g = disjoint_union(disjoint_union(complete_graph(4), cycle_graph(5)), path_graph(4))
+        expected = census_counts(enumerate_mibs(g))
+        built = record_graph_builds(monkeypatch)
+        assert mibs_counts(g) == expected
+        assert built == []
 
 
 class TestComponentIdentity:

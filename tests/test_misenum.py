@@ -20,6 +20,7 @@ from misbench.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    induced_subgraph,
     is_maximal_independent,
     iter_bits,
     path_graph,
@@ -34,7 +35,7 @@ from misbench.misenum import (
     mis_profile,
 )
 
-from test_graphs import random_graph_strategy, random_union
+from test_graphs import random_graph_strategy, random_union, record_graph_builds
 
 
 class TestKnownProfiles:
@@ -120,6 +121,25 @@ class TestAgreement:
         assert len(set(fam.sets)) == len(fam.sets)
 
 
+class TestWithinMask:
+    """enumerate_mis(g, within) is the enumeration of the induced copy, in g's labels."""
+
+    def test_matches_induced_copy(self):
+        rng = random.Random(53)
+        graphs = oracle_graphs(80, max_n=14) + [random_union(rng) for _ in range(80)]
+        for g in graphs:
+            for within in (0, g.full_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+                fam = enumerate_mis(g, within)
+                copy, labels = induced_subgraph(g, within)
+                local = enumerate_mis(copy)
+                mapped = tuple(
+                    sum(1 << labels[v] for v in iter_bits(mask)) for mask in local.sets
+                )
+                assert fam.sets == mapped
+                assert fam.profile == local.profile
+                assert len(fam.profile.counts) == within.bit_count() + 1
+
+
 class TestProfileAlgebra:
     def test_disjoint_union_convolution(self):
         a, b = cycle_graph(5), path_graph(4)
@@ -144,6 +164,14 @@ class TestProfileAlgebra:
             while g.n < 16:
                 g = random_union(rng, max_n=20, max_parts=8)
             assert mis_profile(g) == enumerate_mis_bruteforce(g).profile
+
+    def test_profile_builds_no_graph(self, monkeypatch):
+        # The components are enumerated as masks of the union itself.
+        g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(4)), path_graph(3))
+        expected = enumerate_mis_bruteforce(g).profile
+        built = record_graph_builds(monkeypatch)
+        assert mis_profile(g) == expected
+        assert built == []
 
     def test_at_most_monotone(self):
         p = mis_profile(cycle_graph(7))

@@ -36,7 +36,6 @@ from misbench.pipeline import (
     label_cells,
     select,
     transversal_census,
-    transversal_census_mc,
     verify_is_capture,
     verify_product_bound,
 )
@@ -388,16 +387,6 @@ class TestCensus:
         state = select(g, dec, cells, ())
         stats = transversal_census(g, cells, state)
         assert stats.total == 1 and stats.p_good == 1
-
-    def test_monte_carlo_tracks_exact(self):
-        g = linked_diamonds()
-        dec = decompose(g, mask_of((0, 4)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        mc = transversal_census_mc(g, cells, state, samples=4000, seed=11)
-        assert mc["approximate"] is True
-        lo, hi = mc["confidence_95"]
-        assert lo <= 0.25 <= hi
 
     def test_census_guard(self):
         # One connected 12-cell component: 4^12 states trip the guard.
