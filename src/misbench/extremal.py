@@ -6,9 +6,12 @@ in the order of an isomorphism invariant, found by a pruned search that
 also skips interchangeable twins.  The invariant does not depend on
 labels, so the form stays canonical although it is not the minimum over
 all permutations (see ``canonical_key``).  Generation augments the order
-n-1 class list with one new vertex per possible neighborhood and keys an
-extension only when its new vertex has the maximum of a vertex invariant
-(canonical deletion, after McKay's canonical construction path); a dict
+n-1 class list with one new vertex per possible neighborhood mask.  The
+mask is tested before any graph is built: the filter becomes a test on
+the mask, masks that differ only by swapping twins of the parent are
+tried once (the cheap, exact part of orbit pruning), and an extension is
+keyed only when its new vertex has the maximum of a vertex invariant
+(canonical deletion, after McKay's canonical construction path).  A dict
 on the canonical key removes the classes still reached more than once,
 so no automorphism groups are needed.  This covers every class of any
 hereditary filter.  On top of that sit the exhaustive bound checks: the
@@ -30,7 +33,6 @@ from .graphs import (
     GuardError,
     components,
     is_clique,
-    is_k4_free,
     iter_bits,
     max_degree,
 )
@@ -39,11 +41,27 @@ from .misenum import mis_profile
 
 GENERATION_CAP = 8
 
+
+def _triangle_free_within(padj: tuple[int, ...], mask: int) -> bool:
+    """Whether no triangle of the parent lies inside ``mask``."""
+    for a in iter_bits(mask):
+        inside = padj[a] & mask
+        for b in iter_bits(inside):
+            if padj[b] & inside:
+                return False
+    return True
+
+
+# Hereditary filters as tests on a one-vertex extension, given the parent's
+# rows, the new vertex's neighborhood mask and its degree d.  The parent
+# passes the filter and, past the degree gate of ``_augment_chunk``, d is
+# the maximum degree, so "maxdeg3" reads d alone and "k4free" asks that
+# the new vertex close no triangle of the parent into a K4.
 FILTERS = {
-    "none": lambda g: True,
-    "k4free": is_k4_free,
-    "maxdeg3": lambda g: max_degree(g) <= 3,
-    "both": lambda g: max_degree(g) <= 3 and is_k4_free(g),
+    "none": lambda padj, mask, d: True,
+    "k4free": lambda padj, mask, d: _triangle_free_within(padj, mask),
+    "maxdeg3": lambda padj, mask, d: d <= 3,
+    "both": lambda padj, mask, d: d <= 3 and _triangle_free_within(padj, mask),
 }
 
 
@@ -62,7 +80,26 @@ def vertex_invariants(adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]
     return [(row.bit_count(), *[(row & m).bit_count() for m in degree_masks]) for row in adj]
 
 
-def canonical_key(g: Graph) -> tuple[int, ...]:
+def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
+    """Per vertex v, the mask of its twins w < v: N(w) minus v equals N(v) minus w.
+
+    Nonadjacent twins (false twins) have equal rows; adjacent ones (true
+    twins) have equal closed rows.  The relation is an equivalence, each
+    class all false or all true twins, and swapping two twins is an
+    automorphism.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    out = []
+    for v, row in enumerate(adj):
+        closed = row | 1 << v
+        out.append(by_open.get(row, 0) | by_closed.get(closed, 0))
+        by_open[row] = by_open.get(row, 0) | 1 << v
+        by_closed[closed] = by_closed.get(closed, 0) | 1 << v
+    return out
+
+
+def canonical_key(g: Graph, invariant: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
     """Canonical per-position adjacency segments of ``g``.
 
     Position j's segment holds the adjacency bits between the vertex
@@ -79,29 +116,28 @@ def canonical_key(g: Graph) -> tuple[int, ...]:
     placements without changing the set of keys they produce, and since
     the key rebuilds a copy of ``g``, graphs with equal keys are
     isomorphic.  Two graphs of equal order are isomorphic iff their keys
-    are equal.
+    are equal.  ``invariant``, when given, must be
+    ``vertex_invariants(g.adj)``; the generator passes the list its
+    deletion gate already computed.
 
     The search only ever descends along placements that realize the best
     known prefix exactly; a placement whose segment beats the best prefix
     rewrites it and invalidates the deeper levels.  A vertex is skipped
-    while a lower-numbered twin (N(w) minus v equal to N(v) minus w) is
-    still unused: swapping the two is an automorphism fixing every placed
-    vertex, so both subtrees yield the same segments.
+    while one of its ``lower_twins`` is still unused: swapping the two is
+    an automorphism fixing every placed vertex, so both subtrees yield the
+    same segments.
     """
     n = g.n
     if n == 0:
         return ()
     adj = g.adj
-    invariant = vertex_invariants(adj)
+    if invariant is None:
+        invariant = vertex_invariants(adj)
     cell_of: dict[tuple[int, ...], int] = {}
     for v, inv in enumerate(invariant):
         cell_of[inv] = cell_of.get(inv, 0) | 1 << v
     cells = [cell_of[inv] for inv in sorted(invariant)]
-    twins = [0] * n
-    for v in range(n):
-        for w in iter_bits(cell_of[invariant[v]] & ((1 << v) - 1)):
-            if adj[v] & ~(1 << w) == adj[w] & ~(1 << v):
-                twins[v] |= 1 << w
+    twins = lower_twins(adj)
 
     # Segments are kept top-aligned (position i weighs 1 << (n-1-i)) and
     # shifted down at the end; segs[v] is v's segment against the placed
@@ -158,17 +194,38 @@ def canonical_form(g: Graph) -> Graph:
 def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
     """Canonical keys of the filtered one-vertex extensions of each parent.
 
-    Canonical deletion: an extension is keyed only if its new vertex has
-    the maximum ``vertex_invariants`` entry, compared first on degree
-    straight from the mask and then, among the vertices of that degree,
-    on the full invariant.  Every class of order n keeps at least one
-    extension: deleting a vertex of maximum invariant leaves a graph of
-    the hereditary class, isomorphic to a parent, and adding the vertex
-    back is one of that parent's masks.  A class can still arise from
-    several parents or masks, so the returned dict deduplicates.
+    Each mask is a candidate neighborhood of the new vertex, and it is
+    tested on the mask and the parent's rows before any ``Graph`` exists:
+
+    - Degree gate: the new vertex, of degree d, must reach the maximum
+      degree.
+    - Twin gate: the mask takes, of each class of the parent's twins, a
+      prefix in label order (it holds no vertex without all of its
+      ``lower_twins``).  This is exact.  A twin class holds only false
+      twins or only true twins: if u, v are false twins and v, w true
+      twins, w lies in N(v) = N(u), so u lies in N(w), which is inside
+      N[v], against u, v nonadjacent.  So any permutation inside a class
+      is an automorphism of the parent, and every mask is carried by one
+      onto a mask that takes prefixes; fixing the new vertex, it extends
+      to an isomorphism of the two extensions.  Every gate here depends
+      on the graph and the new vertex only, not on labels, so the
+      prefix mask passes exactly when the skipped one would.
+    - Filter: the mask test ``FILTERS[filter_name]``.
+    - Canonical deletion: the new vertex must have the maximum
+      ``vertex_invariants`` entry, compared first on degree (the degree
+      gate) and then, among the vertices of that degree, on the full
+      invariant.  Every class of order n keeps at least one extension:
+      deleting a vertex of maximum invariant leaves a graph of the
+      hereditary class, isomorphic to a parent, and adding the vertex
+      back is one of that parent's masks, or a twin-prefix image of one.
+
+    A survivor is built with ``Graph.trusted`` and keyed, reusing the
+    invariant list of the deletion gate when it was computed.  A class
+    can still arise from several parents or masks, so the returned dict
+    deduplicates.
     """
     parent_adjs, n, filter_name = args
-    predicate = FILTERS[filter_name]
+    admits = FILTERS[filter_name]
     seen: dict[tuple[int, ...], None] = {}
     new_bit = 1 << (n - 1)
     for padj in parent_adjs:
@@ -177,24 +234,27 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
         for v, row in enumerate(padj):
             for d in range(row.bit_count() + 1):
                 geq[d] |= 1 << v
+        twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
         for mask in range(1 << (n - 1)):
             # The new vertex has degree d; a parent vertex ends above d if
             # it has degree > d, or degree >= d and gains the new edge.
             d = mask.bit_count()
             if geq[d + 1] or mask & geq[d]:
                 continue
+            if any(mask & v and low & ~mask for v, low in twins):
+                continue
+            if not admits(padj, mask, d):
+                continue
             rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
             rows.append(mask)
-            g = Graph.trusted(n, tuple(rows))
-            if not predicate(g):
-                continue
+            invariant = None
             # Parent vertices that end at degree d tie with the new vertex
             # (mask is 0 when d is 0, so geq[-1] never counts).
             if geq[d] | mask & geq[d - 1]:
                 invariant = vertex_invariants(rows)
                 if invariant[-1] < max(invariant):
                     continue
-            seen.setdefault(canonical_key(g))
+            seen.setdefault(canonical_key(Graph.trusted(n, tuple(rows)), invariant))
     return seen
 
 

@@ -151,9 +151,10 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
     vertices of P only and must dominate U = P | X, so a node needs at
     least ceil(|U| / max_{v in P} |N[v] & U|) more vertices and is pruned
     when that passes the size bound (k, or the smallest size found so
-    far).  The pivot is the vertex of U whose closed neighborhood meets P
-    least; when it meets none, U cannot be dominated and the node is a
-    dead end.
+    far).  With k given, a node is also pruned when |R| + |P| < k, as a
+    completion cannot end above that.  The pivot is the vertex of U whose
+    closed neighborhood meets P least; when it meets none, U cannot be
+    dominated and the node is a dead end.
 
     Raises GuardError once more than MIS_OF_SIZE_CAP (2^17) sets of one
     size are held, so the list stays within a few MiB: 21 disjoint
@@ -170,6 +171,8 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
 
     def expand(r: int, size: int, p: int, x: int) -> None:
         nonlocal bound
+        if k is not None and size + p.bit_count() < k:
+            return
         u = p | x
         if not u:
             if k is None and size < bound:

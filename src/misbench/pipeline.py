@@ -21,7 +21,6 @@ from fractions import Fraction
 from .graphs import (
     Graph,
     GuardError,
-    components,
     is_maximal_independent,
     iter_bits,
     k4_witness,
@@ -360,11 +359,26 @@ def _cell_stats(
 
 
 def _cell_components(state: SelectionState) -> list[tuple[int, ...]]:
-    """Connected components of the I4 cell graph ``cell_adj``."""
+    """Connected components of the I4 cell graph ``cell_adj``.
+
+    Each component lists its cells in I4 order, and the components are
+    ordered by their first cell in I4.
+    """
     pos = {i: p for p, i in enumerate(state.I4)}
-    rows = tuple(mask_of(pos[j] for j in state.cell_adj[i]) for i in state.I4)
-    cell_graph = Graph(len(rows), rows)
-    return [tuple(state.I4[p] for p in iter_bits(comp)) for comp in components(cell_graph)]
+    seen: set[int] = set()
+    out = []
+    for i in state.I4:
+        if i in seen:
+            continue
+        seen.add(i)
+        comp = [i]
+        for j in comp:
+            for nbr in state.cell_adj[j]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    comp.append(nbr)
+        out.append(tuple(sorted(comp, key=pos.__getitem__)))
+    return out
 
 
 def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> TransversalStats:

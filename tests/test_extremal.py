@@ -16,6 +16,7 @@ from misbench.extremal import (
     graph_from_key,
     is_clique_union,
     load_class_list,
+    lower_twins,
     mibs_extremes,
     nielsen_violations,
     tightness_scan,
@@ -32,6 +33,8 @@ from misbench.graphs import (
     disjoint_union,
     empty_graph,
     from_edges,
+    is_k4_free,
+    max_degree,
     path_graph,
     relabel,
 )
@@ -40,6 +43,33 @@ from test_graphs import random_graph_strategy
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+# The hereditary filters as predicates on whole graphs: the oracle of the
+# mask tests in FILTERS.
+GRAPH_FILTERS = {
+    "none": lambda g: True,
+    "k4free": is_k4_free,
+    "maxdeg3": lambda g: max_degree(g) <= 3,
+    "both": lambda g: max_degree(g) <= 3 and is_k4_free(g),
+}
+
+
+def extensions(parent: Graph):
+    """Every one-vertex extension of ``parent`` as (mask, validated graph)."""
+    n = parent.n + 1
+    for mask in range(1 << parent.n):
+        rows = [row | 1 << parent.n if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
+        yield mask, Graph(n, tuple(rows) + (mask,))
+
+
+def transposition(n: int, v: int, w: int) -> list[int]:
+    perm = list(range(n))
+    perm[v], perm[w] = w, v
+    return perm
+
+
+def is_automorphism(g: Graph, perm: list[int]) -> bool:
+    return relabel(g, perm) == g
 
 
 def reference_key(g: Graph) -> tuple[int, ...]:
@@ -87,16 +117,12 @@ def reference_key(g: Graph) -> tuple[int, ...]:
 
 def reference_classes(max_n: int, filter_name: str) -> dict[int, set[tuple[int, ...]]]:
     """Classes per order by one-vertex augmentation, every candidate keyed by ``reference_key``."""
-    predicate = FILTERS[filter_name]
+    predicate = GRAPH_FILTERS[filter_name]
     classes = {1: {reference_key(Graph(1, (0,)))}}
     for n in range(2, max_n + 1):
         keys = set()
-        new_bit = 1 << (n - 1)
         for parent in classes[n - 1]:
-            padj = graph_from_key(n - 1, parent).adj
-            for mask in range(1 << (n - 1)):
-                rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
-                g = Graph(n, tuple(rows) + (mask,))
+            for _, g in extensions(graph_from_key(n - 1, parent)):
                 if predicate(g):
                     keys.add(reference_key(g))
         classes[n] = keys
@@ -223,40 +249,133 @@ class TestGeneration:
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
     def test_trusted_graphs_equal_validated_ones(self, monkeypatch, filter_name):
         built = []
+        keyed = []
+        invariant_calls = [0]
         trusted = Graph.trusted
+        key = extremal.canonical_key
+        invariants = extremal.vertex_invariants
 
         def recording(n, adj):
             g = trusted(n, adj)
             built.append(g)
             return g
 
+        def keying(g, invariant=None):
+            keyed.append(g)
+            if invariant is not None:
+                assert invariant == invariants(g.adj)
+            return key(g, invariant)
+
+        def counting(adj):
+            invariant_calls[0] += 1
+            return invariants(adj)
+
         monkeypatch.setattr(Graph, "trusted", staticmethod(recording))
+        monkeypatch.setattr(extremal, "canonical_key", keying)
+        monkeypatch.setattr(extremal, "vertex_invariants", counting)
         monkeypatch.setattr(extremal, "_class_cache", {})
         generate_all(6, filter_name)
-        # Every augmented candidate of orders 2..6 whose new vertex has the
-        # maximum degree goes through the trusted path, and no other.
+        monkeypatch.undo()
+        # Oracle on validated graphs: an extension survives when its new
+        # vertex has the maximum degree, its mask takes a prefix of each
+        # class of the parent's twins (found as transpositions that are
+        # automorphisms) and it passes the graph filter; it is keyed when
+        # its new vertex also has the maximum invariant.
+        survivors = 0
         expected = 0
         for n in range(2, 7):
             for parent in generate_all(n - 1, filter_name):
-                for mask in range(1 << (n - 1)):
-                    degrees = [parent.degree(v) + (mask >> v & 1) for v in range(n - 1)]
-                    expected += max(degrees) <= mask.bit_count()
-        assert len(built) == expected
+                twin_pairs = [
+                    (v, w)
+                    for v in range(n - 1)
+                    for w in range(v)
+                    if is_automorphism(parent, transposition(n - 1, v, w))
+                ]
+                for mask, g in extensions(parent):
+                    if max_degree(g) > mask.bit_count():
+                        continue
+                    if any(mask >> v & 1 and not mask >> w & 1 for v, w in twin_pairs):
+                        continue
+                    if not GRAPH_FILTERS[filter_name](g):
+                        continue
+                    survivors += 1
+                    invariant = extremal.vertex_invariants(g.adj)
+                    expected += invariant[-1] == max(invariant)
+        # One trusted build per key and none for a rejected candidate, and
+        # at most one invariant pass per candidate, keyed or not.
+        assert len(built) == len(keyed) == expected
+        assert [g.adj for g in built] == [g.adj for g in keyed]
+        assert expected <= invariant_calls[0] <= survivors
         for g in built:
             assert Graph(g.n, g.adj) == g  # full validation raises on a bad table
 
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_mask_filters_match_graph_predicates(self, filter_name):
+        # Every extension past the degree gate of every filtered class of
+        # orders 2..7: the mask test agrees with the filter on the graph.
+        admits = FILTERS[filter_name]
+        predicate = GRAPH_FILTERS[filter_name]
+        checked = 0
+        for order in range(2, 8):
+            for parent in generate_all(order, filter_name):
+                for mask in range(1 << order):
+                    d = mask.bit_count()
+                    if any(parent.degree(v) + (mask >> v & 1) > d for v in range(order)):
+                        continue
+                    rows = [row | (mask >> v & 1) << order for v, row in enumerate(parent.adj)]
+                    g = Graph(order + 1, tuple(rows) + (mask,))
+                    assert admits(parent.adj, mask, d) == predicate(g), (parent.adj, mask)
+                    checked += 1
+        assert checked > 1000
+
+    def test_lower_twins_are_transposition_automorphisms(self):
+        rnd = random.Random(8)
+        graphs = [complete_multipartite(3, 3), complete_multipartite(1, 5), empty_graph(4)]
+        graphs += [disjoint_union(complete_graph(4), complete_graph(4)), complete_graph(5)]
+        for _ in range(300):
+            n = rnd.randint(1, 9)
+            p = rnd.choice((0.2, 0.5, 0.8))
+            pairs = [e for e in itertools.combinations(range(n), 2) if rnd.random() < p]
+            graphs.append(from_edges(n, pairs))
+        twin_count = 0
+        for g in graphs:
+            twins = lower_twins(g.adj)
+            for v in range(g.n):
+                expected = sum(
+                    1 << w for w in range(v) if is_automorphism(g, transposition(g.n, v, w))
+                )
+                assert twins[v] == expected, (g.adj, v)
+                twin_count += twins[v].bit_count()
+            # An equivalence: each class is a vertex with its lower twins,
+            # and those twins are lower twins of one another.
+            for v in range(g.n):
+                for w in range(v):
+                    if twins[v] >> w & 1:
+                        assert twins[v] & ((1 << w) - 1) == twins[w]
+        assert twin_count > 100
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
     def test_class_sets_match_exhaustive_augmentation_at_seven(self, filter_name):
-        # Oracle without canonical deletion: every filtered extension of
-        # every order-6 class, keyed by canonical_key.
-        expected = set()
-        for parent in generate_all(6, filter_name):
-            for mask in range(1 << 6):
-                rows = [row | 1 << 6 if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
-                g = Graph(7, tuple(rows) + (mask,))
-                if FILTERS[filter_name](g):
-                    expected.add(canonical_key(g))
+        # Oracle without canonical deletion or twin pruning: every filtered
+        # extension of every order-6 class, keyed by canonical_key.
+        expected = {
+            canonical_key(g)
+            for parent in generate_all(6, filter_name)
+            for _, g in extensions(parent)
+            if GRAPH_FILTERS[filter_name](g)
+        }
         assert {canonical_key(g) for g in generate_all(7, filter_name)} == expected
+
+    @pytest.mark.parametrize("filter_name, count", [("maxdeg3", 424), ("both", 413)])
+    def test_class_sets_match_exhaustive_augmentation_at_eight(self, filter_name, count):
+        expected = {
+            canonical_key(g)
+            for parent in generate_all(7, filter_name)
+            for _, g in extensions(parent)
+            if GRAPH_FILTERS[filter_name](g)
+        }
+        assert len(expected) == count
+        assert {canonical_key(g) for g in generate_all(8, filter_name)} == expected
 
     @pytest.mark.parametrize(
         "filter_name, count",
@@ -270,15 +389,16 @@ class TestGeneration:
         calls = [0]
         key = extremal.canonical_key
 
-        def counting(g):
+        def counting(g, invariant=None):
             calls[0] += 1
-            return key(g)
+            return key(g, invariant)
 
         monkeypatch.setattr(extremal, "canonical_key", counting)
         monkeypatch.setattr(extremal, "_class_cache", {})
         assert len(generate_all(7, "none")) == 1044
-        # Keying every extension of orders 2..7 took 11,290 calls.
-        assert calls[0] <= 2700
+        # Keying every extension of orders 2..7 took 11,290 calls, and
+        # every max-invariant extension 2,377.
+        assert calls[0] <= 1564
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misbench import misenum
-from misbench.corpus import diamond_union, oracle_graphs, pipeline_instances
+from misbench.corpus import (
+    diamond_union,
+    oracle_graphs,
+    pipeline_instances,
+    random_cubic_k4free,
+)
 from misbench.graphs import (
     GuardError,
     complete_graph,
@@ -226,6 +231,27 @@ class TestMisOfSize:
     @given(random_graph_strategy(max_n=9))
     def test_arbitrary_graphs(self, g):
         assert_size_search_matches(g)
+
+    def test_largest_size_on_a_union_of_irregular_graphs(self):
+        # Two cubic K4-free graphs on 24 vertices, each less a tenth of its
+        # edges.  The union has about 4*10^5 maximal independent sets, so
+        # the oracle pairs the sets of the two parts.  At the largest size
+        # the search is cut by the upper bound |R| + |P| on a completion.
+        rng = random.Random(3)
+        parts = []
+        for _ in range(2):
+            edges = random_cubic_k4free(24, rng.randrange(1 << 30)).edges()
+            for _ in range(4):
+                edges.pop(rng.randrange(len(edges)))
+            parts.append(from_edges(24, edges))
+        g = disjoint_union(*parts)
+        first, second = (enumerate_mis(part).sets for part in parts)
+        k = max(first, key=int.bit_count).bit_count() + max(second, key=int.bit_count).bit_count()
+        expected = sorted(
+            a | b << 24 for a in first for b in second if a.bit_count() + b.bit_count() == k
+        )
+        assert expected
+        assert mis_of_size(g, k) == (k, expected)
 
     def test_guard_counts_sets_of_one_size(self, monkeypatch):
         g = empty_graph(0)
