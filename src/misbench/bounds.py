@@ -304,7 +304,11 @@ def _sums_below_target(n: int, xi: float, eta: float) -> tuple[bool, TwoSumRepor
     return ok, report
 
 
-def find_two_sum_witness(eta: float = 0.4, n_cap: int = 1 << 17) -> TwoSumWitness:
+# Largest order the witness search tries before giving up.
+TWO_SUM_N_CAP = 1 << 17
+
+
+def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
     """Concrete (eta, xi, n) making both full sums beat the 12^{n/4} target.
 
     At any fixed n near the crossover the full sums exceed the target (the
@@ -328,13 +332,13 @@ def find_two_sum_witness(eta: float = 0.4, n_cap: int = 1 << 17) -> TwoSumWitnes
     # strictly inside the first sum's budget gap/c1.
     xi = gap * tail2 / (c1 * tail2 + (-c2) * tail1)
     n = 64
-    while n <= n_cap:
+    while n <= TWO_SUM_N_CAP:
         ok, _ = _sums_below_target(n, xi, eta)
         if ok:
             break
         n *= 2
     else:
-        raise ValueError(f"no witness n found below {n_cap}")
+        raise ValueError(f"no witness n found below {TWO_SUM_N_CAP}")
     lo, hi = n // 2, n
     while hi - lo > 1:
         mid = (lo + hi) // 2

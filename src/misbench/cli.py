@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bounds, extremal
@@ -165,34 +166,16 @@ def cmd_curves(args) -> int:
 def cmd_solve(args) -> int:
     if args.two_sum_eta is not None:
         witness = bounds.find_two_sum_witness(args.two_sum_eta)
-        r = witness.report
+        # The report carries the witness's eta, n and p_cut.
         _emit(
             {
-                "eta": witness.eta,
+                **asdict(witness.report),
                 "xi": witness.xi,
-                "n": witness.n,
-                "p_cut": witness.p_cut,
-                "ln_sum1": r.ln_sum1,
-                "ln_sum2": r.ln_sum2,
-                "ln_max1": r.ln_max1,
-                "argmax1": r.argmax1,
-                "ln_max2": r.ln_max2,
-                "argmax2": r.argmax2,
-                "ln_target": r.ln_target,
                 "both_below_target": witness.both_below_target,
             }
         )
         return 0
-    w = bounds.solve_eps_delta(args.margin)
-    _emit(
-        {
-            "margin": w.margin,
-            "eps_star": w.eps_star,
-            "f_value": w.f_value,
-            "base": w.base,
-            "delta_star": w.delta_star,
-        }
-    )
+    _emit(asdict(bounds.solve_eps_delta(args.margin)))
     return 0
 
 

@@ -11,6 +11,9 @@ import random
 from .graphs import Graph, from_edges, is_k4_free
 from .misenum import min_mis, mis_of_size
 
+# Stub matchings drawn before random_cubic_k4free gives up.
+CUBIC_MAX_TRIES = 2000
+
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     """Erdos-Renyi draw with edge probability p."""
@@ -20,7 +23,7 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return from_edges(n, edges)
 
 
-def random_cubic_k4free(n: int, seed: int, max_tries: int = 2000) -> Graph:
+def random_cubic_k4free(n: int, seed: int) -> Graph:
     """Seeded simple 3-regular K4-free graph on n vertices (n even, >= 8).
 
     Draws a uniform-ish stub matching, rejecting draws with loops or
@@ -31,7 +34,7 @@ def random_cubic_k4free(n: int, seed: int, max_tries: int = 2000) -> Graph:
     if n < 8 or n % 2:
         raise ValueError("need even n >= 8")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(CUBIC_MAX_TRIES):
         stubs = [v for v in range(n) for _ in range(3)]
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]

@@ -6,8 +6,9 @@ in the order of an isomorphism invariant, found by a pruned search that
 also skips interchangeable twins.  The invariant does not depend on
 labels, so the form stays canonical although it is not the minimum over
 all permutations (see ``canonical_key``).  Generation augments the order
-n-1 class list with one new vertex per possible neighborhood mask.  The
-mask is tested before any graph is built: the filter becomes a test on
+n-1 class list with one new vertex per possible neighborhood mask.  A
+candidate is only a list of adjacency rows, never a ``Graph``, and the
+mask is tested before those rows are built: the filter becomes a test on
 the mask, masks that differ only by swapping twins of the parent are
 tried once (the cheap, exact part of orbit pruning), and an extension is
 keyed only when its new vertex has the maximum of a vertex invariant
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import bounds
 from .graphio import parse_graph6, to_graph6
@@ -99,8 +99,10 @@ def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
     return out
 
 
-def canonical_key(g: Graph, invariant: list[tuple[int, ...]] | None = None) -> tuple[int, ...]:
-    """Canonical per-position adjacency segments of ``g``.
+def canonical_key(
+    adj: tuple[int, ...] | list[int], invariant: list[tuple[int, ...]] | None = None
+) -> tuple[int, ...]:
+    """Canonical per-position adjacency segments of the graph with rows ``adj``.
 
     Position j's segment holds the adjacency bits between the vertex
     placed at j and the vertices placed at 0..j-1 (bit for position 0 is
@@ -112,13 +114,14 @@ def canonical_key(g: Graph, invariant: list[tuple[int, ...]] | None = None) -> t
     whose invariant is the j-th in that order.  The key is the
     lexicographic minimum over these invariant-respecting placements
     only, not over all permutations.  It is still a canonical form: the invariant does not
-    depend on labels, so relabeling ``g`` permutes the set of allowed
+    depend on labels, so relabeling the graph permutes the set of allowed
     placements without changing the set of keys they produce, and since
-    the key rebuilds a copy of ``g``, graphs with equal keys are
+    the key rebuilds a copy of the graph, graphs with equal keys are
     isomorphic.  Two graphs of equal order are isomorphic iff their keys
-    are equal.  ``invariant``, when given, must be
-    ``vertex_invariants(g.adj)``; the generator passes the list its
-    deletion gate already computed.
+    are equal.  ``adj`` must be a valid table (a ``Graph``'s ``adj``, or
+    rows derived from one); it is read, never validated.  ``invariant``,
+    when given, must be ``vertex_invariants(adj)``; the generator passes
+    the list its deletion gate already computed.
 
     The search only ever descends along placements that realize the best
     known prefix exactly; a placement whose segment beats the best prefix
@@ -127,10 +130,9 @@ def canonical_key(g: Graph, invariant: list[tuple[int, ...]] | None = None) -> t
     an automorphism fixing every placed vertex, so both subtrees yield the
     same segments.
     """
-    n = g.n
+    n = len(adj)
     if n == 0:
         return ()
-    adj = g.adj
     if invariant is None:
         invariant = vertex_invariants(adj)
     cell_of: dict[tuple[int, ...], int] = {}
@@ -188,14 +190,14 @@ def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
 
 
 def canonical_form(g: Graph) -> Graph:
-    return graph_from_key(g.n, canonical_key(g))
+    return graph_from_key(g.n, canonical_key(g.adj))
 
 
 def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
     """Canonical keys of the filtered one-vertex extensions of each parent.
 
     Each mask is a candidate neighborhood of the new vertex, and it is
-    tested on the mask and the parent's rows before any ``Graph`` exists:
+    tested on the mask and the parent's rows; no ``Graph`` is built:
 
     - Degree gate: the new vertex, of degree d, must reach the maximum
       degree.
@@ -219,8 +221,8 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
       hereditary class, isomorphic to a parent, and adding the vertex
       back is one of that parent's masks, or a twin-prefix image of one.
 
-    A survivor is built with ``Graph.trusted`` and keyed, reusing the
-    invariant list of the deletion gate when it was computed.  A class
+    A survivor's rows are keyed as they are, reusing the invariant list
+    of the deletion gate when it was computed.  A class
     can still arise from several parents or masks, so the returned dict
     deduplicates.
     """
@@ -254,7 +256,7 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
                 invariant = vertex_invariants(rows)
                 if invariant[-1] < max(invariant):
                     continue
-            seen.setdefault(canonical_key(Graph.trusted(n, tuple(rows)), invariant))
+            seen.setdefault(canonical_key(rows, invariant))
     return seen
 
 
@@ -292,6 +294,9 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
                 (parents[i : i + chunk], n, filter_name)
                 for i in range(0, len(parents), chunk)
             ]
+            # Imported here so that serial runs do not pay for loading it.
+            from multiprocessing import Pool
+
             keys: dict[tuple[int, ...], None] = {}
             with Pool(workers) as pool:
                 for part in pool.map(_augment_chunk, jobs):

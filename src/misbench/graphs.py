@@ -44,7 +44,9 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     ``adj[v]`` is the open neighborhood of ``v`` as a bitmask.  The
-    constructor validates symmetry, absence of loops, and the order cap.
+    constructor validates symmetry, absence of loops, and the order cap,
+    and no path builds a ``Graph`` without it: code that works on tables
+    valid by construction passes the rows, not a ``Graph``.
     """
 
     n: int
@@ -65,20 +67,6 @@ class Graph:
             for u in iter_bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-
-    @classmethod
-    def trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
-        """Build without validation, for tables that are valid by construction.
-
-        The caller guarantees everything ``__post_init__`` checks: the
-        order cap, one row per vertex, no loops, no bits outside ``n``
-        and symmetry.  Used on hot paths that derive rows from a graph
-        already validated.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
 
     @property
     def full_mask(self) -> int:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from misbench import pipeline
+from misbench import extremal, pipeline
 from misbench.cli import build_parser, main
 from misbench.graphio import to_graph6
 from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
@@ -247,6 +247,11 @@ class TestSearch:
             capsys, "search", "-n", "4", "--filter", "k4free", "--classes", str(saved)
         )
         assert reloaded["rows"] == payload["rows"]
+
+    def test_worker_pool_prints_serial_output(self, capsys, monkeypatch):
+        serial = run(capsys, "search", "-n", "7", "--workers", "1")
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        assert run(capsys, "search", "-n", "7", "--workers", "2") == serial
 
     def test_class_order_mismatch(self, capsys, tmp_path):
         saved = tmp_path / "n4.g6"

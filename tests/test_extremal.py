@@ -39,7 +39,7 @@ from misbench.graphs import (
     relabel,
 )
 
-from test_graphs import random_graph_strategy
+from test_graphs import random_graph_strategy, record_graph_builds
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -166,14 +166,14 @@ class TestCanonicalForm:
     def test_relabel_invariance(self, g, rnd):
         perm = list(range(g.n))
         rnd.shuffle(perm)
-        assert canonical_key(relabel(g, perm)) == canonical_key(g)
+        assert canonical_key(relabel(g, perm).adj) == canonical_key(g.adj)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_reconstruction_roundtrip(self, g):
-        key = canonical_key(g)
+        key = canonical_key(g.adj)
         rebuilt = graph_from_key(g.n, key)
-        assert canonical_key(rebuilt) == key
+        assert canonical_key(rebuilt.adj) == key
         assert rebuilt.edge_count() == g.edge_count()
         assert degree_histogram(rebuilt) == degree_histogram(g)
 
@@ -185,12 +185,12 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_relabel_invariance_on_symmetric_graphs(self, name):
         g = SYMMETRIC[name]
-        key = canonical_key(g)
+        key = canonical_key(g.adj)
         rnd = random.Random(name)
         for _ in range(20):
             perm = list(range(g.n))
             rnd.shuffle(perm)
-            assert canonical_key(relabel(g, perm)) == key
+            assert canonical_key(relabel(g, perm).adj) == key
         assert reference_key(graph_from_key(g.n, key)) == reference_key(g)
 
     @pytest.mark.parametrize("n", range(6))
@@ -201,16 +201,16 @@ class TestCanonicalForm:
         ref_to_key = {}
         for bits in range(1 << len(pairs)):
             g = from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
-            key, ref = canonical_key(g), reference_key(g)
+            key, ref = canonical_key(g.adj), reference_key(g)
             assert key_to_ref.setdefault(key, ref) == ref
             assert ref_to_key.setdefault(ref, key) == key
         assert len(key_to_ref) == CLASS_COUNTS.get(n, 1)
 
     def test_distinguishes_nonisomorphic(self):
-        assert canonical_key(path_graph(4)) != canonical_key(cycle_graph(4))
+        assert canonical_key(path_graph(4).adj) != canonical_key(cycle_graph(4).adj)
         # Same degree sequence, different graphs: C6 vs two triangles.
-        assert canonical_key(cycle_graph(6)) != canonical_key(
-            disjoint_union(complete_graph(3), complete_graph(3))
+        assert canonical_key(cycle_graph(6).adj) != canonical_key(
+            disjoint_union(complete_graph(3), complete_graph(3)).adj
         )
 
 
@@ -221,7 +221,7 @@ class TestGeneration:
 
     def test_no_duplicate_classes(self):
         reps = generate_all(6, "none")
-        assert len({canonical_key(g) for g in reps}) == len(reps)
+        assert len({canonical_key(g.adj) for g in reps}) == len(reps)
 
     def test_k4free_counts(self):
         # All 11 classes on 4 vertices except K4 itself; on 5 vertices the
@@ -247,35 +247,31 @@ class TestGeneration:
             assert {reference_key(g) for g in reps} == expected[n]
 
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
-    def test_trusted_graphs_equal_validated_ones(self, monkeypatch, filter_name):
-        built = []
+    def test_keys_rows_of_max_invariant_survivors(self, monkeypatch, filter_name):
         keyed = []
         invariant_calls = [0]
-        trusted = Graph.trusted
         key = extremal.canonical_key
         invariants = extremal.vertex_invariants
 
-        def recording(n, adj):
-            g = trusted(n, adj)
-            built.append(g)
-            return g
-
-        def keying(g, invariant=None):
-            keyed.append(g)
+        def keying(adj, invariant=None):
+            keyed.append(tuple(adj))
             if invariant is not None:
-                assert invariant == invariants(g.adj)
-            return key(g, invariant)
+                assert invariant == invariants(adj)
+            return key(adj, invariant)
 
         def counting(adj):
             invariant_calls[0] += 1
             return invariants(adj)
 
-        monkeypatch.setattr(Graph, "trusted", staticmethod(recording))
         monkeypatch.setattr(extremal, "canonical_key", keying)
         monkeypatch.setattr(extremal, "vertex_invariants", counting)
         monkeypatch.setattr(extremal, "_class_cache", {})
+        built = record_graph_builds(monkeypatch)
         generate_all(6, filter_name)
         monkeypatch.undo()
+        # One validated Graph per class representative of orders 1..6 (the
+        # cache was empty) and none for any candidate: candidates are rows.
+        assert built == [n for n in range(1, 7) for _ in generate_all(n, filter_name)]
         # Oracle on validated graphs: an extension survives when its new
         # vertex has the maximum degree, its mask takes a prefix of each
         # class of the parent's twins (found as transpositions that are
@@ -301,13 +297,12 @@ class TestGeneration:
                     survivors += 1
                     invariant = extremal.vertex_invariants(g.adj)
                     expected += invariant[-1] == max(invariant)
-        # One trusted build per key and none for a rejected candidate, and
-        # at most one invariant pass per candidate, keyed or not.
-        assert len(built) == len(keyed) == expected
-        assert [g.adj for g in built] == [g.adj for g in keyed]
+        # One key per max-invariant survivor, and at most one invariant
+        # pass per candidate, keyed or not.
+        assert len(keyed) == expected
         assert expected <= invariant_calls[0] <= survivors
-        for g in built:
-            assert Graph(g.n, g.adj) == g  # full validation raises on a bad table
+        for adj in keyed:
+            Graph(len(adj), adj)  # full validation raises on a bad table
 
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
     def test_mask_filters_match_graph_predicates(self, filter_name):
@@ -359,23 +354,23 @@ class TestGeneration:
         # Oracle without canonical deletion or twin pruning: every filtered
         # extension of every order-6 class, keyed by canonical_key.
         expected = {
-            canonical_key(g)
+            canonical_key(g.adj)
             for parent in generate_all(6, filter_name)
             for _, g in extensions(parent)
             if GRAPH_FILTERS[filter_name](g)
         }
-        assert {canonical_key(g) for g in generate_all(7, filter_name)} == expected
+        assert {canonical_key(g.adj) for g in generate_all(7, filter_name)} == expected
 
     @pytest.mark.parametrize("filter_name, count", [("maxdeg3", 424), ("both", 413)])
     def test_class_sets_match_exhaustive_augmentation_at_eight(self, filter_name, count):
         expected = {
-            canonical_key(g)
+            canonical_key(g.adj)
             for parent in generate_all(7, filter_name)
             for _, g in extensions(parent)
             if GRAPH_FILTERS[filter_name](g)
         }
         assert len(expected) == count
-        assert {canonical_key(g) for g in generate_all(8, filter_name)} == expected
+        assert {canonical_key(g.adj) for g in generate_all(8, filter_name)} == expected
 
     @pytest.mark.parametrize(
         "filter_name, count",
@@ -385,13 +380,24 @@ class TestGeneration:
     def test_class_counts_at_eight(self, filter_name, count):
         assert len(generate_all(8, filter_name)) == count
 
+    @pytest.mark.parametrize(
+        "filter_name, count", [("none", 1044), ("k4free", 685), ("maxdeg3", 150), ("both", 146)]
+    )
+    def test_worker_pool_matches_serial(self, monkeypatch, filter_name, count):
+        serial = generate_all(7, filter_name)
+        # An empty cache makes every order from 2 to 7 run through the pool.
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        pooled = generate_all(7, filter_name, workers=2)
+        assert len(pooled) == count
+        assert pooled == serial
+
     def test_keys_only_max_invariant_extensions(self, monkeypatch):
         calls = [0]
         key = extremal.canonical_key
 
-        def counting(g, invariant=None):
+        def counting(adj, invariant=None):
             calls[0] += 1
-            return key(g, invariant)
+            return key(adj, invariant)
 
         monkeypatch.setattr(extremal, "canonical_key", counting)
         monkeypatch.setattr(extremal, "_class_cache", {})
@@ -415,7 +421,7 @@ class TestGeneration:
         path = tmp_path / "classes.g6"
         write_class_list(str(path), reps)
         loaded = load_class_list(str(path))
-        assert [canonical_key(g) for g in loaded] == [canonical_key(g) for g in reps]
+        assert [canonical_key(g.adj) for g in loaded] == [canonical_key(g.adj) for g in reps]
 
 
 class TestEqualityScan:
