@@ -75,9 +75,12 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
     if not text:
         return ()
     try:
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
+        values = tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise FormatError(f"expected comma-separated integers, got {text!r}") from exc
+    if any(v < 0 for v in values):
+        raise FormatError(f"expected nonnegative integers, got {text!r}")
+    return values
 
 
 def cmd_mis(args) -> int:

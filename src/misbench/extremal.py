@@ -275,6 +275,8 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     process; ``workers`` > 1 splits the augmentation of the parent list
     across a process pool (deterministic output either way).
     """
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
     if n > GENERATION_CAP:
         raise GuardError(f"exhaustive generation capped at {GENERATION_CAP} vertices")
     if filter_name not in FILTERS:

@@ -1,20 +1,21 @@
 """Enumeration of maximal independent sets, counted exactly by size.
 
 Three independent methods are provided and cross-validated in the test
-suite: a subset scan (oracle, small orders), pivoting enumeration on the
-complement graph, and a budgeted branching recursion that mirrors the
-inclusion/exclusion recurrence mis_{<=k}(G) <= mis_{<=k}(G-u) +
-mis_{<=k-1}(G-N[u]) on a maximum-degree vertex u.  ``mis_of_size`` lists
-only the sets of one size, with a domination bound that prunes every
-branch unable to end at that size; the pipeline reads its root-size sets
-from it, and the tests check it against the pivoting enumeration.
-The pivoting enumeration also runs on the subgraph induced by a vertex
-mask, in the input graph's own labels; ``mis_profile`` convolves it over
-the connected components without copying any of them.
+suite: a subset scan (oracle, small orders), a pivoting search, and a
+budgeted branching recursion that mirrors the inclusion/exclusion
+recurrence mis_{<=k}(G) <= mis_{<=k}(G-u) + mis_{<=k-1}(G-N[u]) on a
+maximum-degree vertex u.  The pivoting search, ``_sets_between``, lists
+the sets whose size lies in a window, on the subgraph induced by a
+vertex mask and in the input graph's own labels.  ``enumerate_mis`` runs
+it over every size; ``mis_of_size`` over one size, where its size bounds
+prune every branch unable to end there, and the pipeline reads its
+root-size sets from it.  ``mis_profile`` convolves ``enumerate_mis``
+over the connected components without copying any of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graphs import (
@@ -24,6 +25,7 @@ from .graphs import (
     is_maximal_independent,
     iter_bits,
     lowest_bit,
+    max_degree,
 )
 
 BRUTE_FORCE_CAP = 20
@@ -97,97 +99,34 @@ def enumerate_mis_bruteforce(g: Graph) -> MisFamily:
     return _family(g.n, out)
 
 
-def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
-    """Pivoting enumeration: maximal cliques of the complement graph.
+def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int], None]) -> None:
+    """Call emit(mask) for each maximal independent set of g[within] of size lo..hi.
 
-    Lists the maximal independent sets of the subgraph induced by
-    ``within`` (all of g by default) as masks in g's own labels, with a
-    profile over sizes 0..|within|.  The recursion keeps candidates P and
-    excluded vertices X as masks of g and starts at P = ``within``,
-    X = 0, so a sub-problem needs no relabeled copy.  The pivot is chosen
-    to maximize coverage of the candidate set, which prunes all branches
-    through the pivot's non-neighbors.  Practical well beyond the
-    subset-scan cap.
+    The pivoting search of Bron & Kerbosch with the pivot rule of Tomita,
+    Tanaka & Takahashi, on masks of g: R is the set so far, P the
+    candidates and X the excluded vertices that a later choice must still
+    dominate.  The pivot is the vertex of U = P | X whose closed
+    neighborhood meets P least, and the node branches on P & N[pivot];
+    when that is empty, U cannot be dominated and the node is a dead end.
+    A completion adds vertices of P only, so a node is pruned when
+    |R| + |P| < lo; it must dominate U, so it needs at least
+    ceil(|U| / max_{v in P} |N[v] & U|) more vertices, and the node is
+    pruned when that passes hi.  The second bound is computed only when
+    |R| + |U| > hi, which never holds in the full window 0..|within|.
     """
-    n = g.n
-    full = g.full_mask
-    if within is None:
-        within = full
-    # Complement adjacency: non-neighbors excluding the vertex itself.
-    # P and X stay inside within, so the rows need no restriction.
-    cadj = [(full ^ g.adj[v]) & ~(1 << v) for v in range(n)]
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = -1
-        best = -1
-        for u in iter_bits(p | x):
-            cover = (p & cadj[u]).bit_count()
-            if cover > best:
-                best = cover
-                pivot = u
-        for v in iter_bits(p & ~cadj[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & cadj[v], x & cadj[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, within, 0)
-    return _family(within.bit_count(), out)
-
-
-def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
-    """The maximal independent sets of size exactly k, as sorted masks.
-
-    With k None, k is the minimum size of a maximal independent set,
-    found as the search goes.  Returns (k, sets).
-
-    The recursion is the pivoting one of ``enumerate_mis`` written on g
-    itself: R is the set so far, P the candidates and X the excluded
-    vertices that a later choice must still dominate.  A completion adds
-    vertices of P only and must dominate U = P | X, so a node needs at
-    least ceil(|U| / max_{v in P} |N[v] & U|) more vertices and is pruned
-    when that passes the size bound (k, or the smallest size found so
-    far).  With k given, a node is also pruned when |R| + |P| < k, as a
-    completion cannot end above that.  The pivot is the vertex of U whose
-    closed neighborhood meets P least; when it meets none, U cannot be
-    dominated and the node is a dead end.
-
-    Raises GuardError once more than MIS_OF_SIZE_CAP (2^17) sets of one
-    size are held, so the list stays within a few MiB: 21 disjoint
-    triangles (3^21 sets of size 21) trip it in under a second.  The
-    largest list the pipeline benchmark and the test corpora produce is
-    1,024 sets (diamond_union(10)).  The cap bounds memory, not time: a
-    search that holds few sets can still visit as many nodes as
-    ``enumerate_mis``.
-    """
-    n = g.n
-    closed = [g.adj[v] | 1 << v for v in range(n)]
-    bound = n if k is None else k
-    out: list[int] = []
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
 
     def expand(r: int, size: int, p: int, x: int) -> None:
-        nonlocal bound
-        if k is not None and size + p.bit_count() < k:
+        if size + p.bit_count() < lo:
             return
         u = p | x
         if not u:
-            if k is None and size < bound:
-                bound = size
-                out.clear()
-            if size == bound:
-                out.append(r)
-                if len(out) > MIS_OF_SIZE_CAP:
-                    raise GuardError(
-                        f"more than {MIS_OF_SIZE_CAP} maximal independent sets of size {bound}"
-                    )
+            emit(r)
             return
+        width = u.bit_count()
+        check_hi = size + width > hi
+        fewest = len(closed) + 1
         reach = 0
-        fewest = n + 1
-        pivot = -1
         rest = u
         while rest:
             low = rest & -rest
@@ -198,11 +137,11 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
             if hits < fewest:
                 fewest = hits
                 pivot = v
-            if low & p:
+            if check_hi and low & p:
                 cover = (row & u).bit_count()
                 if cover > reach:
                     reach = cover
-        if not fewest or size - (-u.bit_count() // reach) > bound:
+        if not fewest or check_hi and size - (-width // reach) > hi:
             return
         for v in iter_bits(p & closed[pivot]):
             row = closed[v]
@@ -210,8 +149,58 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    expand(0, 0, g.full_mask, 0)
-    return bound, sorted(out)
+    expand(0, 0, within, 0)
+
+
+def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
+    """All maximal independent sets of g[within], by the pivoting search.
+
+    Lists the maximal independent sets of the subgraph induced by
+    ``within`` (all of g by default) as masks in g's own labels, with a
+    profile over sizes 0..|within|: ``_sets_between`` over the full size
+    window, so a sub-problem needs no relabeled copy and no node is
+    pruned by size.  Practical well beyond the subset-scan cap.
+    """
+    if within is None:
+        within = g.full_mask
+    out: list[int] = []
+    _sets_between(g, within, 0, within.bit_count(), out.append)
+    return _family(within.bit_count(), out)
+
+
+def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
+    """The maximal independent sets of size exactly k, as sorted masks.
+
+    ``_sets_between`` over the window k..k, which prunes every branch
+    unable to end at size k.  With k None, k is the minimum size of a
+    maximal independent set: a maximal independent set dominates g, so
+    it has at least ceil(n / (Delta + 1)) vertices, and the windows from
+    there up are tried in turn until one holds a set.  Returns (k, sets).
+
+    Raises GuardError once more than MIS_OF_SIZE_CAP (2^17) sets of one
+    size are held, so the list stays within a few MiB: 21 disjoint
+    triangles (3^21 sets of size 21) trip it in under a second.  The
+    largest list the pipeline benchmark and the test corpora produce is
+    1,024 sets (diamond_union(10)).  The cap bounds memory, not time: a
+    search that holds few sets can still visit as many nodes as
+    ``enumerate_mis``.
+    """
+    if k is None:
+        sizes = range(-(-g.n // (max_degree(g) + 1)), g.n + 1)
+    else:
+        sizes = (k,)
+    out: list[int] = []
+
+    def hold(mask: int) -> None:
+        out.append(mask)
+        if len(out) > MIS_OF_SIZE_CAP:
+            raise GuardError(f"more than {MIS_OF_SIZE_CAP} maximal independent sets of size {k}")
+
+    for k in sizes:
+        _sets_between(g, g.full_mask, k, k, hold)
+        if out:
+            break
+    return k, sorted(out)
 
 
 def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
@@ -229,20 +218,15 @@ def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
     """
     adj = g.adj
     out: list[int] = []
-    nodes = 0
 
-    def walk(alive: int, budget: int, chosen: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if not alive:
+    def walk(alive: int, budget: int, chosen: int) -> int:
+        """Branch below one node; return the number of nodes visited."""
+        if not alive or budget <= 0:
+            # With no budget, only the all-excluded continuation survives;
+            # take it directly.
             if is_maximal_independent(g, chosen):
                 out.append(chosen)
-            return
-        if budget <= 0:
-            # Only the all-excluded continuation survives; take it directly.
-            if is_maximal_independent(g, chosen):
-                out.append(chosen)
-            return
+            return 1
         u = -1
         best = -1
         rest = alive
@@ -253,10 +237,13 @@ def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
             if d > best:
                 best = d
                 u = v
-        walk(alive & ~(1 << u), budget, chosen)
-        walk(alive & ~(adj[u] | (1 << u)), budget - 1, chosen | (1 << u))
+        return (
+            1
+            + walk(alive & ~(1 << u), budget, chosen)
+            + walk(alive & ~(adj[u] | (1 << u)), budget - 1, chosen | (1 << u))
+        )
 
-    walk(g.full_mask, k_cap, 0)
+    nodes = walk(g.full_mask, k_cap, 0)
     return _family(g.n, out), nodes
 
 

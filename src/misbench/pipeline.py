@@ -93,14 +93,18 @@ class Cell:
 
 def _check_preconditions(g: Graph, i0: int | None = None) -> None:
     """Raise DecompositionError, naming a witness, when g has a vertex of
-    degree above 3 or a 4-clique, or when a given I0 is not a maximal
-    independent set of g.  The checks run in that order."""
+    degree above 3 or a 4-clique, or when a given I0 names a vertex
+    outside g or is not a maximal independent set of g.  The checks run
+    in that order."""
     for v in range(g.n):
         if g.degree(v) > 3:
             raise DecompositionError(f"vertex {v} has degree {g.degree(v)} > 3")
     clique = k4_witness(g)
     if clique is not None:
         raise DecompositionError(f"4-clique on vertices {sorted(iter_bits(clique))}")
+    if i0 is not None and i0 >> g.n:
+        v = lowest_bit(i0 >> g.n) + g.n
+        raise DecompositionError(f"root set vertex {v} is not a vertex of the {g.n}-vertex graph")
     if i0 is not None and not is_maximal_independent(g, i0):
         raise DecompositionError(f"root set {sorted(iter_bits(i0))} is not a maximal independent set")
 

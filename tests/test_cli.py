@@ -183,6 +183,19 @@ class TestPipeline:
         code, _, err = run(capsys, "pipeline", str(path), "--i0", "1")
         assert code == 1 and "maximal" in err
 
+    def test_root_vertex_outside_graph_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "p8.edges"
+        path.write_text("8 7\n" + "".join(f"{v} {v + 1}\n" for v in range(7)))
+        code, out, err = run(capsys, "pipeline", str(path), "--i0", "0,99")
+        assert (code, out) == (1, "")
+        assert err == "error: root set vertex 99 is not a vertex of the 8-vertex graph\n"
+
+    def test_negative_root_vertex_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "p8.edges"
+        path.write_text("8 7\n" + "".join(f"{v} {v + 1}\n" for v in range(7)))
+        code, out, err = run(capsys, "pipeline", str(path), "--i0", "-1")
+        assert (code, out, err) == (2, "", "error: expected nonnegative integers, got '-1'\n")
+
     def test_precondition_refused_before_any_search(self, capsys, tmp_path, monkeypatch):
         # 12 disjoint triangles (3^12 maximal independent sets) and a claw
         # K_{1,4} centered at vertex 36: the degree check refuses it before
@@ -252,6 +265,10 @@ class TestSearch:
         serial = run(capsys, "search", "-n", "7", "--workers", "1")
         monkeypatch.setattr(extremal, "_class_cache", {})
         assert run(capsys, "search", "-n", "7", "--workers", "2") == serial
+
+    def test_negative_order_exits_one(self, capsys):
+        code, out, err = run(capsys, "search", "-n", "-1")
+        assert (code, out, err) == (1, "", "error: order must be nonnegative, got -1\n")
 
     def test_class_order_mismatch(self, capsys, tmp_path):
         saved = tmp_path / "n4.g6"

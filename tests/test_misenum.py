@@ -267,6 +267,34 @@ class TestMisOfSize:
         assert mis_of_size(g, 2) == (2, [])
 
 
+def triangle_chain(t):
+    """t triangles, one edge joining each pair of neighboring triangles."""
+    edges = []
+    for a in range(0, 3 * t, 3):
+        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
+        if a:
+            edges.append((a - 1, a))
+    return from_edges(3 * t, edges)
+
+
+class TestTriangleChains:
+    """An oracle above the subset-scan cap: every maximal independent set of
+    a triangle chain takes one vertex per triangle, not both ends of a
+    joining edge, so there are F(2t + 2) of them, all of size t."""
+
+    def test_counts_are_fibonacci(self):
+        fib = [0, 1]
+        while len(fib) < 23:
+            fib.append(fib[-1] + fib[-2])
+        for t in range(1, 11):
+            g = triangle_chain(t)
+            sets = enumerate_mis(g).sets
+            assert len(sets) == fib[2 * t + 2]
+            assert {m.bit_count() for m in sets} == {t}
+            assert mis_of_size(g) == (t, list(sets))
+            assert mis_of_size(g, t - 1) == (t - 1, [])
+
+
 class TestMinMis:
     def test_smallest_size_then_smallest_vertex_tuple(self):
         for g in [empty_graph(0), empty_graph(3), *oracle_graphs(120, max_n=10)]:
