@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 
 from . import bounds, extremal
 from .graphio import FormatError, load_graphs
@@ -36,20 +37,70 @@ from .pipeline import analyze_instance
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _write(obj, out: list[str], indent: str) -> None:
+    """Append obj to out as the text ``json.dumps(..., indent=2)`` gives.
+
+    indent is the newline and spaces that begin a line at obj's depth.
+    Keys are sorted, strings escaped to ASCII, floats rounded to 12
+    significant digits (NaN and the infinities as ``json`` writes them),
+    Fractions written as strings and tuples as lists.  A key that is not
+    a str, or a value of any other type, raises TypeError.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")
+        elif obj == inf:
+            out.append("Infinity")
+        elif obj == -inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(float(f"{obj:.12g}")))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, Fraction):
+        out.append(encode_basestring_ascii(str(obj)))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
-    print(json.dumps(_round_floats(payload), sort_keys=True, indent=2))
+    out: list[str] = []
+    _write(payload, out, "\n")
+    print("".join(out))
 
 
 def _read_graphs(args) -> list[Graph]:

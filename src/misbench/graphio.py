@@ -64,10 +64,22 @@ def parse_graph6(line: str) -> Graph:
         raise FormatError("nonzero padding bits")
     bits >>= pad
     adj = [0] * n
-    for pos, (i, j) in enumerate(_triangle_pairs(n)):
-        if bits >> (nbits - 1 - pos) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    if n > 1:
+        # Column j, the pairs (0, j) .. (j - 1, j), is the j-bit slice at
+        # offset j(j - 1)/2 from the first bit.  In the reversed bit string
+        # it ends where column j - 1 begins, with row 0 last, so it reads
+        # as the mask of rows below j; each row gets bit j back.
+        rev = format(bits, f"0{nbits}b")[::-1]
+        end = nbits
+        for j in range(1, n):
+            col = int(rev[end - j:end], 2)
+            end -= j
+            adj[j] = col
+            bit = 1 << j
+            while col:
+                low = col & -col
+                col ^= low
+                adj[low.bit_length() - 1] |= bit
     return Graph(n, tuple(adj))
 
 

@@ -6,10 +6,13 @@ budgeted branching recursion that mirrors the inclusion/exclusion
 recurrence mis_{<=k}(G) <= mis_{<=k}(G-u) + mis_{<=k-1}(G-N[u]) on a
 maximum-degree vertex u.  The pivoting search, ``_sets_between``, lists
 the sets whose size lies in a window, on the subgraph induced by a
-vertex mask and in the input graph's own labels.  ``enumerate_mis`` runs
-it over every size; ``mis_of_size`` over one size, where its size bounds
-prune every branch unable to end there, and the pipeline reads its
-root-size sets from it.  ``mis_profile`` convolves ``enumerate_mis``
+vertex mask and in the input graph's own labels.  It drops a node as
+soon as its pivot scan meets a vertex that no candidate can dominate,
+and finishes a node one vertex short of the window's top by testing
+each possible last vertex, without a recursive call.  ``enumerate_mis``
+runs it over every size; ``mis_of_size`` over one size, where its size
+bounds prune every branch unable to end there, and the pipeline reads
+its root-size sets from it.  ``mis_profile`` convolves ``enumerate_mis``
 over the connected components without copying any of them.
 """
 
@@ -105,51 +108,77 @@ def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int],
     The pivoting search of Bron & Kerbosch with the pivot rule of Tomita,
     Tanaka & Takahashi, on masks of g: R is the set so far, P the
     candidates and X the excluded vertices that a later choice must still
-    dominate.  The pivot is the vertex of U = P | X whose closed
-    neighborhood meets P least, and the node branches on P & N[pivot];
-    when that is empty, U cannot be dominated and the node is a dead end.
+    dominate.  With P empty, R is emitted when X is empty too, and the
+    node is a dead end otherwise.  The pivot is the vertex of U = P | X
+    whose closed neighborhood meets P least, and the node branches on
+    P & N[pivot]; the scan stops at the first vertex of U with no
+    neighbor in P, since nothing can dominate it: a dead end.
     A completion adds vertices of P only, so a node is pruned when
     |R| + |P| < lo; it must dominate U, so it needs at least
     ceil(|U| / max_{v in P} |N[v] & U|) more vertices, and the node is
     pruned when that passes hi.  The second bound is computed only when
     |R| + |U| > hi, which never holds in the full window 0..|within|.
+
+    A node one vertex short of hi is finished without recursion: R is not
+    maximal while P is non-empty, so each completion is R | {v} for one
+    v in P with U inside N[v].  Such a v lies in N[w] for the lowest
+    vertex w of U, and each v in P & N[w] costs one test of U against
+    N[v].  Every v in P keeps R | {v} independent and outside X, so this
+    emits exactly the completions the recursion would.
     """
-    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    # closed[v + 1] = N[v], so the row of a one-bit mask is closed[bit.bit_length()].
+    closed = [0] + [row | 1 << v for v, row in enumerate(g.adj)]
 
     def expand(r: int, size: int, p: int, x: int) -> None:
-        if size + p.bit_count() < lo:
+        if not p:
+            if not x and size >= lo:
+                emit(r)
             return
         u = p | x
-        if not u:
-            emit(r)
+        if size + 1 == hi:
+            cand = p & closed[(u & -u).bit_length()]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if not u & ~closed[low.bit_length()]:
+                    emit(r | low)
+            return
+        if size + p.bit_count() < lo:
             return
         width = u.bit_count()
         check_hi = size + width > hi
-        fewest = len(closed) + 1
+        fewest = len(closed)
         reach = 0
         rest = u
         while rest:
             low = rest & -rest
             rest ^= low
-            v = low.bit_length() - 1
-            row = closed[v]
+            row = closed[low.bit_length()]
             hits = (row & p).bit_count()
             if hits < fewest:
+                if not hits:
+                    return
                 fewest = hits
-                pivot = v
+                pivot = row
             if check_hi and low & p:
                 cover = (row & u).bit_count()
                 if cover > reach:
                     reach = cover
-        if not fewest or check_hi and size - (-width // reach) > hi:
+        if check_hi and size - (-width // reach) > hi:
             return
-        for v in iter_bits(p & closed[pivot]):
-            row = closed[v]
-            expand(r | 1 << v, size + 1, p & ~row, x & ~row)
-            p &= ~(1 << v)
-            x |= 1 << v
+        branch = p & pivot
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            row = closed[low.bit_length()]
+            expand(r | low, size + 1, p & ~row, x & ~row)
+            p ^= low
+            x |= low
 
     expand(0, 0, within, 0)
+    # expand reaches itself through its closure; dropping the name frees it
+    # by reference counting, not in a later pass of the cycle collector.
+    del expand
 
 
 def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
@@ -265,5 +294,17 @@ def min_mis(sets) -> int:
 
     Given ``mis_of_size(g)[1]``, or all of ``enumerate_mis(g).sets``, this
     is the minimum-size maximal independent set the pipeline roots at.
+    Of two sets of one size, the one holding the lowest vertex of their
+    symmetric difference has the smaller sorted tuple: the tuples agree
+    below that vertex and differ at it.  So no tuple is built.
     """
-    return min(sets, key=lambda mask: (mask.bit_count(), tuple(iter_bits(mask))))
+    it = iter(sets)
+    best = next(it, None)
+    if best is None:
+        raise ValueError("min_mis() of no sets")
+    size = best.bit_count()
+    for mask in it:
+        count = mask.bit_count()
+        if count < size or count == size and (diff := mask ^ best) & -diff & mask:
+            best, size = mask, count
+    return best

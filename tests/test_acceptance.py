@@ -7,6 +7,7 @@ asserted, so a regression that blows a budget fails loudly.  Run with
 
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 from misbench.bounds import (
@@ -22,11 +23,23 @@ from misbench.bounds import (
     two_sum_estimate,
 )
 from misbench.corpus import oracle_graphs, pipeline_instances
-from misbench.extremal import verify_degree2_constants, verify_equality_scan
+from misbench.extremal import (
+    GENERATION_CAP,
+    generate_all,
+    verify_degree2_constants,
+    verify_equality_scan,
+)
 from misbench.graphs import complete_graph, disjoint_union
 from misbench.mibs import enumerate_mibs, enumerate_mibs_bruteforce, k4_component_identity_check
 from misbench.misenum import enumerate_mis, enumerate_mis_branching, enumerate_mis_bruteforce
-from misbench.pipeline import analyze_instance
+from misbench.pipeline import CellConflictError, analyze_instance
+
+from test_cli import emitted, reference_json
+
+# Classes of order 5..8, K4-free with maximum degree <= 3, whose default
+# root gives overlapping cells (ROADMAP item 5).  A count may fall as the
+# pipeline learns to report these graphs; it must not grow.
+CELL_CONFLICT_REFUSALS = {5: 3, 6: 10, 7: 17, 8: 89}
 
 
 class Budget:
@@ -127,6 +140,29 @@ def test_pipeline_corpus_zero_violations():
             assert report["violations"] == [], (
                 f"order {g.n}: {report['violations']}"
             )
+
+
+def test_pipeline_every_k4free_subcubic_class_to_eight():
+    # The whole input class of the pipeline up to the generation cap: 658
+    # classes.  Each gives a report with no violations, printed exactly as
+    # the json module prints it, or a cell conflict; nothing else.
+    with Budget("pipeline-both-classes", 5.0):
+        refused = Counter()
+        classes = 0
+        for n in range(1, GENERATION_CAP + 1):
+            for g in generate_all(n, "both"):
+                classes += 1
+                try:
+                    report = analyze_instance(g)
+                except CellConflictError:
+                    refused[n] += 1
+                    continue
+                assert report["violations"] == []
+                assert emitted(report) == reference_json(report)
+        assert classes == 658
+        assert set(refused) <= set(CELL_CONFLICT_REFUSALS)
+        for n, count in refused.items():
+            assert count <= CELL_CONFLICT_REFUSALS[n], (n, count)
 
 
 def test_analytic_anchors():

@@ -1,14 +1,44 @@
 """Command-line interface: output contracts, formats, and exit codes."""
 
+import io
 import json
+import math
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misbench import extremal, pipeline
-from misbench.cli import build_parser, main
+from misbench.cli import _emit, build_parser, main
 from misbench.graphio import to_graph6
 from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+def reference_json(payload) -> str:
+    """Oracle of the report writer: the json module's text, one line break added."""
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+
+
+def emitted(payload) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _emit(payload)
+    return out.getvalue()
 
 
 def run(capsys, *argv):
@@ -313,6 +343,56 @@ class TestExitCodes:
         path.write_text("")
         code, _, _ = run(capsys, "mis", str(path))
         assert code == 2
+
+
+json_text = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('[]{},":\\\x00\x1f\x7f\u2028\ud800\U0001f600'),
+    ),
+    max_size=8,
+)
+json_scalars = st.one_of(
+    json_text,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.1 + 0.2, 1 / 3, 1e22, 5e-324)),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+class TestWriter:
+    """The report writer prints what json.dumps printed for the rounded payload."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_matches_json_module(self, payload):
+        assert emitted(payload) == reference_json(payload)
+
+    def test_rounding_and_special_floats(self):
+        payload = {"b": [0.1 + 0.2, -0.0, math.nan, math.inf, -math.inf], "a": (Fraction(-3, 7), 2**70)}
+        assert emitted(payload) == reference_json(payload)
+        assert '"a": [\n    "-3/7",\n    1180591620717411303424\n  ]' in emitted(payload)
+        assert "0.3,\n    -0.0,\n    NaN,\n    Infinity,\n    -Infinity" in emitted(payload)
+
+    def test_non_string_key_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            emitted({"a": {1: "b"}})
+
+    def test_set_value_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            emitted({"a": [1, {2, 3}]})
 
 
 class TestParserReuse:

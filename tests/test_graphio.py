@@ -1,5 +1,7 @@
 """graph6 and edge-list round trips, format anchors, and input guards."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,16 @@ from misbench.graphio import (
     to_edge_list,
     to_graph6,
 )
-from misbench.graphs import GuardError, complete_graph, cycle_graph, empty_graph, from_edges, path_graph
+from misbench.graphs import (
+    MAX_VERTICES,
+    Graph,
+    GuardError,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    from_edges,
+    path_graph,
+)
 
 from test_graphs import random_graph_strategy
 
@@ -161,3 +172,107 @@ class TestRoundTripProperties:
         assert parse_graph6(to_graph6(g)) == g
         g64 = path_graph(64)
         assert parse_graph6(to_graph6(g64)) == g64
+
+
+def pair_order_graph6(line: str) -> Graph:
+    """Oracle decoder: the upper triangle read one pair at a time, in graph6
+    bit order (0,1), (0,2), (1,2), (0,3), ..., with the same checks and
+    messages as parse_graph6."""
+    s = line.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise FormatError("empty graph6 string")
+    data = []
+    for ch in s:
+        code = ord(ch) - 63
+        if not 0 <= code <= 63:
+            raise FormatError(f"byte {ord(ch)} outside the graph6 alphabet")
+        data.append(code)
+    if data[0] == 63:
+        if len(data) < 4:
+            raise FormatError("truncated extended order field")
+        if data[1] == 63:
+            raise GuardError(f"graph order exceeds the cap {MAX_VERTICES}")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    if n > MAX_VERTICES:
+        raise GuardError(f"graph order {n} exceeds the cap {MAX_VERTICES}")
+    nbits = n * (n - 1) // 2
+    if len(body) != (nbits + 5) // 6:
+        raise FormatError(f"expected {(nbits + 5) // 6} data bytes for order {n}, got {len(body)}")
+    bits = 0
+    for code in body:
+        bits = (bits << 6) | code
+    pad = len(body) * 6 - nbits
+    if bits & ((1 << pad) - 1):
+        raise FormatError("nonzero padding bits")
+    bits >>= pad
+    adj = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits >> (nbits - 1 - pos) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            pos += 1
+    return Graph(n, tuple(adj))
+
+
+def decode_outcome(decoder, line):
+    try:
+        return decoder(line)
+    except (FormatError, GuardError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def graph6_like(draw):
+    """Strings near graph6: an order in one of both forms, a body of about
+    the right length with random (often nonzero) padding, stray bytes."""
+    n = draw(st.integers(min_value=0, max_value=MAX_VERTICES + 2))
+    if n >= 63 or draw(st.booleans()):
+        head = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    else:
+        head = [n]
+    length = max((n * (n - 1) // 2 + 5) // 6 + draw(st.sampled_from((0, 0, 0, -1, 1))), 0)
+    bits = draw(st.integers(min_value=0, max_value=(1 << 6 * length) - 1))
+    body = [bits >> 6 * (length - 1 - i) & 63 for i in range(length)]
+    text = "".join(chr(c + 63) for c in head + body)
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from(("~", " ", "!", "\x7f", "~~"))) + text[cut:]
+    return draw(st.sampled_from(("", ">>graph6<<"))) + text
+
+
+class TestColumnDecoder:
+    """parse_graph6 decodes by column; the pair-order decoder is its oracle."""
+
+    def test_random_graphs_to_order_64(self):
+        rng = random.Random(61)
+        orders = list(range(MAX_VERTICES + 1)) + [63, 64] * 10
+        for n in orders:
+            for density in (0.0, rng.random(), 1.0):
+                edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+                text = to_graph6(from_edges(n, edges))
+                assert parse_graph6(text) == pair_order_graph6(text) == from_edges(n, edges)
+
+    def test_random_bodies_to_order_64(self):
+        # Bodies drawn as bits, not encoded from a graph.
+        rng = random.Random(67)
+        for n in list(range(MAX_VERTICES + 1)) * 3:
+            nbits = n * (n - 1) // 2
+            bits = rng.getrandbits(nbits) << (-nbits % 6) if nbits else 0
+            count = (nbits + 5) // 6
+            body = [bits >> 6 * (count - 1 - i) & 63 for i in range(count)]
+            head = [n] if n < 63 else [63, 0, n >> 6, n & 63]
+            text = "".join(chr(c + 63) for c in head + body)
+            assert parse_graph6(text) == pair_order_graph6(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph6_like())
+    def test_same_graph_or_same_error(self, text):
+        assert decode_outcome(parse_graph6, text) == decode_outcome(pair_order_graph6, text)

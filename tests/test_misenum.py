@@ -97,7 +97,9 @@ class TestAgreement:
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=9))
     def test_pivot_matches_bruteforce(self, g):
-        assert enumerate_mis(g).sets == enumerate_mis_bruteforce(g).sets
+        sets = enumerate_mis(g).sets
+        assert sets == enumerate_mis_bruteforce(g).sets
+        assert min_mis(sets) == tuple_key_min(sets)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
@@ -189,12 +191,22 @@ class TestProfileAlgebra:
         assert p[1] == 2 and p.total == 3 and p.at_most(1) == 2
 
 
+def tuple_key_min(sets):
+    """Oracle of min_mis: the smallest set by size, then by sorted vertex tuple."""
+    return min(sets, key=lambda mask: (mask.bit_count(), tuple(iter_bits(mask))))
+
+
 def assert_size_search_matches(g):
     """mis_of_size equals the size-k slice of the pivoting enumeration for
-    every k in 0..n, and with k None gives the minimum size's slice."""
+    every k in 0..n, and with k None gives the minimum size's slice;
+    min_mis picks the tuple-key minimum of the family and of each slice."""
     sets = enumerate_mis(g).sets
+    assert min_mis(sets) == tuple_key_min(sets)
     for k in range(g.n + 1):
-        assert mis_of_size(g, k) == (k, [m for m in sets if m.bit_count() == k])
+        expected = [m for m in sets if m.bit_count() == k]
+        assert mis_of_size(g, k) == (k, expected)
+        if expected:
+            assert min_mis(expected) == tuple_key_min(expected)
     k_min = min(m.bit_count() for m in sets)
     assert mis_of_size(g) == (k_min, [m for m in sets if m.bit_count() == k_min])
 
@@ -293,14 +305,78 @@ class TestTriangleChains:
             assert {m.bit_count() for m in sets} == {t}
             assert mis_of_size(g) == (t, list(sets))
             assert mis_of_size(g, t - 1) == (t - 1, [])
+            assert min_mis(sets) == tuple_key_min(sets)
+
+
+def window_slices(g, within, brute):
+    """Every window lo <= hi of g[within]: what _sets_between emits, and the
+    slice of the oracle's sets (masks of g, sorted)."""
+    for lo in range(within.bit_count() + 1):
+        for hi in range(lo, within.bit_count() + 1):
+            out = []
+            misenum._sets_between(g, within, lo, hi, out.append)
+            yield sorted(out), [m for m in brute if lo <= m.bit_count() <= hi]
+
+
+class TestWindows:
+    """_sets_between over each size window lo..hi emits exactly the subset
+    scan's sets of those sizes, each once.  Windows with lo < hi reach the
+    one-short completion at sizes above lo."""
+
+    def test_oracle_corpus_to_twelve_vertices(self):
+        for g in [empty_graph(0), empty_graph(5), *oracle_graphs(120, max_n=12)]:
+            brute = enumerate_mis_bruteforce(g).sets
+            for emitted, expected in window_slices(g, g.full_mask, brute):
+                assert emitted == expected
+
+    def test_triangle_chains(self):
+        for t in range(1, 6):
+            g = triangle_chain(t)
+            brute = enumerate_mis_bruteforce(g).sets
+            for emitted, expected in window_slices(g, g.full_mask, brute):
+                assert emitted == expected
+
+    def test_within_masks(self):
+        rng = random.Random(59)
+        for g in oracle_graphs(60, max_n=12):
+            within = rng.getrandbits(g.n)
+            copy, labels = induced_subgraph(g, within)
+            brute = sorted(
+                sum(1 << labels[v] for v in iter_bits(mask))
+                for mask in enumerate_mis_bruteforce(copy).sets
+            )
+            for emitted, expected in window_slices(g, within, brute):
+                assert emitted == expected
+
+    def test_guard_message_on_21_triangles(self):
+        g = empty_graph(0)
+        for _ in range(21):
+            g = disjoint_union(g, complete_graph(3))
+        message = "more than 131072 maximal independent sets of size 21"
+        with pytest.raises(GuardError) as err:
+            mis_of_size(g)
+        assert str(err.value) == message
+        with pytest.raises(GuardError) as err:
+            mis_of_size(g, 21)
+        assert str(err.value) == message
 
 
 class TestMinMis:
     def test_smallest_size_then_smallest_vertex_tuple(self):
         for g in [empty_graph(0), empty_graph(3), *oracle_graphs(120, max_n=10)]:
             family = enumerate_mis(g)
-            expected = min(family.sets, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
-            assert min_mis(family.sets) == expected
+            assert min_mis(family.sets) == tuple_key_min(family.sets)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=12))
+    def test_any_masks_in_any_order(self, masks):
+        # Not only families: any masks, with repeats and equal sizes.
+        assert min_mis(masks) == tuple_key_min(masks)
+        assert min_mis(reversed(masks)) == tuple_key_min(masks)
+
+    def test_no_sets(self):
+        with pytest.raises(ValueError):
+            min_mis([])
 
     def test_tie_break_reads_vertices_not_mask_value(self):
         # The 4-cycle 0-1-3-2 has two maximal independent sets: {0, 3}
