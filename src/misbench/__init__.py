@@ -23,7 +23,6 @@ from .misenum import (
     MisFamily,
     SizeProfile,
     enumerate_mis,
-    enumerate_mis_branching,
     enumerate_mis_bruteforce,
     mis_of_size,
     mis_profile,
@@ -64,7 +63,6 @@ __all__ = [
     "enumerate_mibs",
     "enumerate_mibs_bruteforce",
     "enumerate_mis",
-    "enumerate_mis_branching",
     "enumerate_mis_bruteforce",
     "eppstein",
     "find_two_sum_witness",

@@ -366,6 +366,8 @@ def curve_rows(eta: float, points: int = 28) -> list[dict]:
     """
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     lo, hi = 0.2, 1.0 / 3.0
     xs = {lo + (hi - lo) * i / (points - 1) for i in range(points)}
     xs.update((0.2, 0.25, 0.333, hi))

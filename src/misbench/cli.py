@@ -31,7 +31,7 @@ from . import bounds, extremal
 from .graphio import FormatError, load_graphs
 from .graphs import Graph, GuardError, mask_of
 from .mibs import mibs_counts
-from .misenum import enumerate_mis_branching, enumerate_mis_bruteforce, mis_profile
+from .misenum import mis_profile
 from .pipeline import analyze_instance
 
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
@@ -137,19 +137,8 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
 def cmd_mis(args) -> int:
     reports = []
     for g in _read_graphs(args):
-        if args.method == "brute":
-            profile = enumerate_mis_bruteforce(g).profile
-        elif args.method == "branch":
-            cap = g.n if args.k_cap is None else args.k_cap
-            fam, nodes = enumerate_mis_branching(g, cap)
-            profile = fam.profile
-        else:
-            profile = mis_profile(g)
-        report = {"mis": profile.total, "profile": list(profile.counts)}
-        if args.method == "branch":
-            report["branch_nodes"] = nodes
-            report["k_cap"] = cap
-        reports.append(report)
+        profile = mis_profile(g)
+        reports.append({"mis": profile.total, "profile": list(profile.counts)})
     _emit(_single_or_array(reports))
     return 0
 
@@ -310,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mis", help="count maximal independent sets by size")
     _add_graph_input(p)
-    p.add_argument("--method", choices=("pivot", "brute", "branch"), default="pivot")
-    p.add_argument("--k-cap", type=int, default=None, help="size budget for --method branch")
     p.set_defaults(func=cmd_mis)
 
     p = sub.add_parser("mibs", help="census of maximal induced bipartite subgraphs")

@@ -23,6 +23,7 @@ max-degree-2 slack factors, and empirical tightness tables.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,6 +176,9 @@ def canonical_key(
                     segs[u] ^= bit
 
     place(0, 0)
+    # place reaches itself through its closure; dropping the name frees it
+    # by reference counting, not in a later pass of the cycle collector.
+    del place
     return tuple(b >> (n - j) for j, b in enumerate(best))
 
 
@@ -273,7 +277,8 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     in a dict and sorted, so the representatives and their order do not
     depend on which extension reached a class.  Results are memoized per
     process; ``workers`` > 1 splits the augmentation of the parent list
-    across a process pool (deterministic output either way).
+    across a process pool of at most ``os.cpu_count()`` processes
+    (deterministic output either way).
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
@@ -290,8 +295,10 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
         reps = [Graph(1, (0,))]
     else:
         parents = [g.adj for g in generate_all(n - 1, filter_name, workers)]
-        if workers > 1 and len(parents) > 1:
-            chunk = max(1, len(parents) // (workers * 4))
+        # More processes than CPUs only add start-up cost and memory.
+        procs = min(workers, os.cpu_count() or 1)
+        if procs > 1 and len(parents) > 1:
+            chunk = max(1, len(parents) // (procs * 4))
             jobs = [
                 (parents[i : i + chunk], n, filter_name)
                 for i in range(0, len(parents), chunk)
@@ -300,7 +307,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
             from multiprocessing import Pool
 
             keys: dict[tuple[int, ...], None] = {}
-            with Pool(workers) as pool:
+            with Pool(min(procs, len(jobs))) as pool:
                 for part in pool.map(_augment_chunk, jobs):
                     keys.update(part)
         else:

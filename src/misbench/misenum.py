@@ -1,19 +1,17 @@
 """Enumeration of maximal independent sets, counted exactly by size.
 
-Three independent methods are provided and cross-validated in the test
-suite: a subset scan (oracle, small orders), a pivoting search, and a
-budgeted branching recursion that mirrors the inclusion/exclusion
-recurrence mis_{<=k}(G) <= mis_{<=k}(G-u) + mis_{<=k-1}(G-N[u]) on a
-maximum-degree vertex u.  The pivoting search, ``_sets_between``, lists
-the sets whose size lies in a window, on the subgraph induced by a
-vertex mask and in the input graph's own labels.  It drops a node as
+The only search is the pivoting search ``_sets_between``: it lists the
+sets whose size lies in a window, on the subgraph induced by a vertex
+mask and in the input graph's own labels.  It drops a node as
 soon as its pivot scan meets a vertex that no candidate can dominate,
 and finishes a node one vertex short of the window's top by testing
 each possible last vertex, without a recursive call.  ``enumerate_mis``
 runs it over every size; ``mis_of_size`` over one size, where its size
 bounds prune every branch unable to end there, and the pipeline reads
 its root-size sets from it.  ``mis_profile`` convolves ``enumerate_mis``
-over the connected components without copying any of them.
+over the connected components without copying any of them.  The subset
+scan ``enumerate_mis_bruteforce`` is the test suite's oracle for small
+orders.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ from .graphs import (
     Graph,
     GuardError,
     components,
-    is_maximal_independent,
     iter_bits,
-    lowest_bit,
     max_degree,
 )
 
@@ -230,50 +226,6 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
         if out:
             break
     return k, sorted(out)
-
-
-def enumerate_mis_branching(g: Graph, k_cap: int) -> tuple[MisFamily, int]:
-    """Budgeted branching enumerator for maximal independent sets of size <= k_cap.
-
-    Branches on a maximum-degree vertex u of the remaining graph (ties to
-    the lowest index): either u is excluded (recurse on G-u with the same
-    budget) or included (recurse on G-N[u] with budget-1).  The recurrence
-    overgenerates, so leaf candidates are post-filtered for maximality in
-    the original graph.  Returns the family and the branching-tree node
-    count.
-
-    No hard order guard; the tree is exponential, so this is practical for
-    roughly n <= 32.
-    """
-    adj = g.adj
-    out: list[int] = []
-
-    def walk(alive: int, budget: int, chosen: int) -> int:
-        """Branch below one node; return the number of nodes visited."""
-        if not alive or budget <= 0:
-            # With no budget, only the all-excluded continuation survives;
-            # take it directly.
-            if is_maximal_independent(g, chosen):
-                out.append(chosen)
-            return 1
-        u = -1
-        best = -1
-        rest = alive
-        while rest:
-            v = lowest_bit(rest)
-            rest &= rest - 1
-            d = (adj[v] & alive).bit_count()
-            if d > best:
-                best = d
-                u = v
-        return (
-            1
-            + walk(alive & ~(1 << u), budget, chosen)
-            + walk(alive & ~(adj[u] | (1 << u)), budget - 1, chosen | (1 << u))
-        )
-
-    nodes = walk(g.full_mask, k_cap, 0)
-    return _family(g.n, out), nodes
 
 
 def mis_profile(g: Graph) -> SizeProfile:

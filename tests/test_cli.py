@@ -3,14 +3,19 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import misbench
 from misbench import extremal, pipeline
 from misbench.cli import _emit, build_parser, main
 from misbench.graphio import to_graph6
@@ -92,22 +97,29 @@ class TestMis:
         payload = run_json(capsys, "mis", str(path))
         assert payload["mis"] == 5
 
-    def test_branch_method_reports_nodes(self, capsys, k4_file):
-        payload = run_json(capsys, "mis", k4_file, "--method", "branch")
-        assert payload["mis"] == 4
-        assert payload["branch_nodes"] >= 1
-
-    def test_brute_method(self, capsys, k4_file):
-        payload = run_json(capsys, "mis", k4_file, "--method", "brute")
-        assert payload["mis"] == 4
-
-
     def test_union_of_21_triangles(self, capsys, tmp_path):
         # 3^21 maximal independent sets, all of size 21: counted per
         # component, never listed.
         payload = run_json(capsys, "mis", clique_union(tmp_path, 3, 21))
         assert payload["mis"] == 3**21
         assert payload["profile"] == [0] * 21 + [3**21] + [0] * 42
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_reads_stdin(self):
+        # ``python -m misbench`` runs the console script's main().
+        src = str(Path(misbench.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "misbench", "mis", "-"],
+            input="C~\n",
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == '{\n  "mis": 4,\n  "profile": [\n    0,\n    4,\n    0,\n    0,\n    0\n  ]\n}\n'
 
 
 class TestMibs:
@@ -172,6 +184,12 @@ class TestCurves:
         code, out, _ = run(capsys, "curves", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("x,eppstein,nielsen,interp,corollary1_eta\n")
+
+    @pytest.mark.parametrize("eta", ["2", "-3", "nan"])
+    def test_eta_outside_unit_interval_exits_one(self, capsys, eta):
+        code, out, err = run(capsys, "curves", "--eta", eta)
+        assert (code, out) == (1, "")
+        assert err == f"error: eta must lie in [0, 1], got {float(eta)}\n"
 
 
 class TestSolve:
@@ -327,12 +345,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "mis", str(path))
         assert code == 3
 
-    def test_brute_guard_is_three(self, capsys, tmp_path):
-        path = tmp_path / "wide.edges"
-        path.write_text("25 0\n")
-        code, _, err = run(capsys, "mis", str(path), "--method", "brute")
-        assert code == 3
-
     def test_unknown_subcommand_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -397,12 +409,12 @@ class TestWriter:
 
 class TestParserReuse:
     COMMANDS = (
-        ("mis", "--method", "branch", "--k-cap", "1"),
+        ("curves", "--points", "6", "--eta", "0.3"),
         ("bounds", "12", "3", "--eta", "0.5"),
         ("mibs",),
         ("mis",),
         ("curves", "--points", "6"),
-        ("mis", "--method", "brute"),
+        ("solve", "--margin", "0.001"),
         ("bounds", "12", "3"),
     )
 
@@ -423,7 +435,8 @@ class TestParserReuse:
 
     def test_parse_errors_still_exit_two(self, capsys, k4_file):
         run_json(capsys, "mis", k4_file)
-        for bad in (["mis", k4_file, "--method", "bogus"], ["bounds", "12"], ["frobnicate"]):
+        # mis has no enumerator selector.
+        for bad in (["mis", k4_file, "--method", "pivot"], ["bounds", "12"], ["frobnicate"]):
             with pytest.raises(SystemExit) as exc:
                 main(bad)
             assert exc.value.code == 2

@@ -1,6 +1,8 @@
 """Canonical forms, exhaustive class generation, and bound scans."""
 
 import itertools
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -390,6 +392,32 @@ class TestGeneration:
         pooled = generate_all(7, filter_name, workers=2)
         assert len(pooled) == count
         assert pooled == serial
+
+    def test_worker_pool_is_bounded_by_cpu_count(self, monkeypatch):
+        # A stand-in pool records its size and maps serially, so no
+        # process is started whatever --workers asks for.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(job) for job in jobs]
+
+        serial = generate_all(6)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        assert generate_all(6, workers=10**6) == serial
+        # Orders 3..6 have more than one parent to split; order 3 has two.
+        assert sizes == [2, 3, 3, 3]
 
     def test_keys_only_max_invariant_extensions(self, monkeypatch):
         calls = [0]

@@ -1,8 +1,7 @@
-"""Maximal-independent-set enumeration: three methods cross-validated.
+"""Maximal-independent-set enumeration, cross-validated against an oracle.
 
-The subset scan is the oracle; the pivoting enumerator and the budgeted
-branching enumerator must agree with it exactly (same masks, not just
-counts) on every corpus graph.
+The subset scan is the oracle; the pivoting search must agree with it
+exactly (same masks, not just counts) on every corpus graph.
 """
 
 import random
@@ -33,7 +32,6 @@ from misbench.graphs import (
 from misbench.misenum import (
     SizeProfile,
     enumerate_mis,
-    enumerate_mis_branching,
     enumerate_mis_bruteforce,
     min_mis,
     mis_of_size,
@@ -103,20 +101,6 @@ class TestAgreement:
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
-    def test_branching_full_budget_matches(self, g):
-        fam, nodes = enumerate_mis_branching(g, g.n)
-        assert fam.sets == enumerate_mis(g).sets
-        assert nodes >= 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_graph_strategy(max_n=8), st.integers(min_value=0, max_value=8))
-    def test_branching_budget_truncates_by_size(self, g, k_cap):
-        fam, _ = enumerate_mis_branching(g, k_cap)
-        reference = [m for m in enumerate_mis(g).sets if m.bit_count() <= k_cap]
-        assert list(fam.sets) == sorted(reference)
-
-    @settings(max_examples=60, deadline=None)
-    @given(random_graph_strategy(max_n=8))
     def test_every_output_is_maximal_independent(self, g):
         for m in enumerate_mis(g).sets:
             assert is_maximal_independent(g, m)
@@ -124,7 +108,7 @@ class TestAgreement:
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_no_duplicates(self, g):
-        fam, _ = enumerate_mis_branching(g, g.n)
+        fam = enumerate_mis(g)
         assert len(set(fam.sets)) == len(fam.sets)
 
 
@@ -389,8 +373,3 @@ class TestGuards:
     def test_bruteforce_cap(self):
         with pytest.raises(GuardError):
             enumerate_mis_bruteforce(empty_graph(21))
-
-    def test_branching_node_count_grows(self):
-        _, small = enumerate_mis_branching(path_graph(4), 4)
-        _, large = enumerate_mis_branching(path_graph(12), 12)
-        assert large > small
