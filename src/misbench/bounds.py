@@ -34,8 +34,12 @@ class ExactBound:
     ln_value: float
     exact: Fraction | None = None
 
-    def as_float(self) -> float:
-        return math.exp(self.ln_value)
+    def as_float(self) -> float | None:
+        """The bound as a float, or None when it lies past float range."""
+        try:
+            return math.exp(self.ln_value)
+        except OverflowError:
+            return None
 
 
 def _rational_power_bound(bases_and_exps: list[tuple[int, int]]) -> ExactBound:
@@ -85,9 +89,14 @@ def interpolated(n: int, k: int, eta: float) -> ExactBound:
     (eta=1); log-domain only since the bases are irrational in between.
     """
     _check_nk(n, k)
+    check_eta(eta)
+    return ExactBound(_interp_ln(n, k, eta))
+
+
+def check_eta(eta: float) -> None:
+    """Raise ValueError unless eta lies in [0, 1]; NaN is refused too."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return ExactBound(_interp_ln(n, k, eta))
 
 
 def induction_identity_residual(n: int, k: int, eta: float) -> float:
@@ -191,6 +200,8 @@ def solve_eps_delta(margin: float = 0.0) -> EpsDeltaWitness:
     drives f(eps*) to 1 within machine precision and the deficit can round
     to 0.0.  These are admissible computed witnesses, not quoted constants.
     """
+    if not math.isfinite(margin):
+        raise ValueError(f"margin must be finite, got {margin}")
     target = 1.0 - margin
     if transversal_exponent(0.0) > target:
         raise ValueError(f"margin {margin} admits no positive eps")
@@ -262,8 +273,7 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     """
     if not 0 <= p_cut <= n:
         raise ValueError(f"need 0 <= p_cut <= n, got p_cut={p_cut}, n={n}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     ln_a, ln_c = math.log(4.0 - eta), math.log(5.0 - eta)
     terms1 = [_term1_ln(n, k, eta, ln_a, ln_c) for k in range(0, p_cut + 1)]
     terms2 = [_term2_ln(n, k) for k in range(p_cut + 1, n + 1)]
@@ -366,8 +376,7 @@ def curve_rows(eta: float, points: int = 28) -> list[dict]:
     """
     if points < 2:
         raise ValueError("need at least 2 grid points")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     lo, hi = 0.2, 1.0 / 3.0
     xs = {lo + (hi - lo) * i / (points - 1) for i in range(points)}
     xs.update((0.2, 0.25, 0.333, hi))

@@ -234,6 +234,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.selector == "corollary1":
+        bounds.check_eta(args.eta)
     if args.classes:
         reps = extremal.load_class_list(args.classes)
         if any(g.n != args.n for g in reps):
@@ -259,6 +261,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_theorem2(args) -> int:
+    extremal.check_order(args.max_n)
     all_rows = []
     ok = True
     for n in range(1, args.max_n + 1):

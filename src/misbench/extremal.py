@@ -267,6 +267,14 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
 _class_cache: dict[tuple[int, str], list[Graph]] = {}
 
 
+def check_order(n: int) -> None:
+    """Raise ValueError for a negative order, GuardError past GENERATION_CAP."""
+    if n < 0:
+        raise ValueError(f"order must be nonnegative, got {n}")
+    if n > GENERATION_CAP:
+        raise GuardError(f"exhaustive generation capped at {GENERATION_CAP} vertices")
+
+
 def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Graph]:
     """One canonical representative per isomorphism class of order n.
 
@@ -280,10 +288,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     across a process pool of at most ``os.cpu_count()`` processes
     (deterministic output either way).
     """
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
-    if n > GENERATION_CAP:
-        raise GuardError(f"exhaustive generation capped at {GENERATION_CAP} vertices")
+    check_order(n)
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; options: {sorted(FILTERS)}")
     cached = _class_cache.get((n, filter_name))
@@ -319,7 +324,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
 
 def is_clique_union(g: Graph, sizes: tuple[int, ...] = (3, 4)) -> tuple[bool, int]:
     """Whether every component is a clique with size in ``sizes``; returns count."""
-    comps = components(g)
+    comps = components(g.adj)
     for comp in comps:
         if comp.bit_count() not in sizes or not is_clique(g, comp):
             return False, len(comps)
@@ -405,7 +410,7 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
             Fraction(11, 12),
             lambda g: any(
                 c.bit_count() >= 4 and all(g.degree(v) == 2 for v in iter_bits(c))
-                for c in components(g)
+                for c in components(g.adj)
             ),
         ),
     )

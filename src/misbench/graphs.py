@@ -9,7 +9,7 @@ bitmasks, so set algebra is word arithmetic: union ``a | b``, intersection
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -177,23 +177,22 @@ def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as bitmasks, ordered by smallest member."""
-    seen = 0
+def components(adj: Sequence[int], within: int | None = None) -> list[int]:
+    """Connected components of the graph with adjacency rows ``adj``,
+    restricted to the vertex mask ``within`` (default: every vertex), as
+    bitmasks ordered by smallest member."""
+    todo = (1 << len(adj)) - 1 if within is None else within
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+    while todo:
+        comp = frontier = todo & -todo
         while frontier:
             nxt = 0
             for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
+                nxt |= adj[u]
+            frontier = nxt & todo & ~comp
             comp |= frontier
         out.append(comp)
-        seen |= comp
+        todo &= ~comp
     return out
 
 
@@ -242,36 +241,30 @@ def is_k4_free(g: Graph) -> bool:
 def bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
     """Two-color the subgraph induced by ``mask``.
 
-    Returns a pair of side masks partitioning ``mask`` (isolated vertices
-    land on the first side of their component), or None when some induced
-    component contains an odd cycle.
+    Each component is walked in breadth-first layers from its lowest
+    vertex, even layers on the first side.  Every edge joins one layer or
+    two consecutive ones, so the component has an odd cycle exactly when
+    an edge lies inside a layer.  Returns a pair of side masks
+    partitioning ``mask`` (isolated vertices land on the first side), or
+    None when some induced component contains an odd cycle.
     """
-    color = {}
-    side0 = side1 = 0
+    sides = [0, 0]
     todo = mask
     while todo:
-        root = lowest_bit(todo)
-        color[root] = 0
-        queue = [root]
-        comp_seen = 1 << root
-        while queue:
-            v = queue.pop()
-            cv = color[v]
-            for u in iter_bits(g.adj[v] & mask):
-                if u in color:
-                    if color[u] == cv:
-                        return None
-                else:
-                    color[u] = 1 - cv
-                    comp_seen |= 1 << u
-                    queue.append(u)
-        todo &= ~comp_seen
-    for v, c in color.items():
-        if c == 0:
-            side0 |= 1 << v
-        else:
-            side1 |= 1 << v
-    return side0, side1
+        layer = seen = todo & -todo
+        parity = 0
+        while layer:
+            nxt = 0
+            for v in iter_bits(layer):
+                nxt |= g.adj[v] & mask
+            if nxt & layer:
+                return None
+            sides[parity] |= layer
+            parity ^= 1
+            layer = nxt & ~seen
+            seen |= layer
+        todo &= ~seen
+    return sides[0], sides[1]
 
 
 def is_bipartite_induced(g: Graph, mask: int) -> bool:

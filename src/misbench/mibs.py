@@ -192,7 +192,7 @@ def mibs_counts(g: Graph) -> MibsCounts:
     distinct = ordered = 1
     full: dict[tuple[int, int], int] = {(0, 0): 1}
     swap: dict[tuple[int, int], int] = {(0, 0): 1}
-    for part in components(g):
+    for part in components(g.adj):
         maximal = set()
         part_ordered = 0
         for a, b, is_maximal in _generator_pairs(g, part):
@@ -221,7 +221,7 @@ def k4_component_identity_check(g: Graph) -> dict:
     induced bipartite subgraph meets K in exactly 2 vertices.
     """
     k4 = None
-    for comp in components(g):
+    for comp in components(g.adj):
         if comp.bit_count() == 4 and is_clique(g, comp):
             k4 = comp
             break

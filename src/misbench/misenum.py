@@ -236,7 +236,7 @@ def mis_profile(g: Graph) -> SizeProfile:
     one component's sets are held at a time.
     """
     profile = SizeProfile((1,))
-    for part in components(g):
+    for part in components(g.adj):
         profile = profile.convolve(enumerate_mis(g, part).profile)
     return profile
 

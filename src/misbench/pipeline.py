@@ -21,6 +21,7 @@ from fractions import Fraction
 from .graphs import (
     Graph,
     GuardError,
+    components,
     is_maximal_independent,
     iter_bits,
     k4_witness,
@@ -215,11 +216,11 @@ class SelectionState:
     I4 holds the remaining cell indices and U their vertex union.  I5
     keeps the I4-cells whose x and y have all neighbors inside U; only
     those support the bad-event analysis, and the goodness condition is
-    evaluated over them.  cell_adj is the adjacency over all I4 cells
-    (an edge when any graph edge joins the two cells; degree at most 6).
-    I6 is a greedy independent set in the distance-2 sense over the full
-    I4 cell graph, so distinct I6 cells have disjoint dependency
-    neighborhoods.
+    evaluated over them.  cell_adj is the adjacency over all I4 cells as
+    one mask of cell indices per cell, 0 for the cells outside I4 (an edge
+    when any graph edge joins the two cells; degree at most 6).  I6 is a
+    greedy independent set in the distance-2 sense over the full I4 cell
+    graph, so distinct I6 cells have disjoint dependency neighborhoods.
     """
 
     S: tuple[int, ...]
@@ -227,14 +228,15 @@ class SelectionState:
     I5: tuple[int, ...]
     I6: tuple[int, ...]
     U: int
-    cell_adj: dict[int, tuple[int, ...]]
+    cell_adj: tuple[int, ...]
 
 
 def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> SelectionState:
-    s_set = frozenset(s_indices)
-    if not s_set <= set(range(dec.ell)):
-        raise ValueError(f"selection {sorted(s_set)} outside 0..{dec.ell - 1}")
-    i4 = tuple(i for i in range(dec.ell) if i not in s_set)
+    s_key = tuple(s_indices)
+    if not all(0 <= i < dec.ell for i in s_key):
+        raise ValueError(f"selection {sorted(set(s_key))} outside 0..{dec.ell - 1}")
+    s_mask = mask_of(s_key)
+    i4 = tuple(i for i in range(dec.ell) if not s_mask >> i & 1)
     u_mask = 0
     for i in i4:
         u_mask |= cells[i].mask
@@ -243,35 +245,32 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
         for i in i4
         if not ((g.adj[cells[i].x] | g.adj[cells[i].y]) & ~u_mask)
     )
-    reach = {}
+    cell_adj = [0] * dec.ell
     for i in i4:
-        r = 0
+        reach = 0
         for v in iter_bits(cells[i].mask):
-            r |= g.adj[v]
-        reach[i] = r
-    cell_adj = {
-        i: tuple(j for j in i4 if j != i and reach[i] & cells[j].mask) for i in i4
-    }
-    for i in i4:
-        if len(cell_adj[i]) > 6:
-            raise AssertionError(f"cell {i} has {len(cell_adj[i])} neighbor cells, expected <= 6")
-    alive = set(i5)
+            reach |= g.adj[v]
+        row = mask_of(j for j in i4 if j != i and reach & cells[j].mask)
+        if row.bit_count() > 6:
+            raise AssertionError(f"cell {i} has {row.bit_count()} neighbor cells, expected <= 6")
+        cell_adj[i] = row
+    alive = mask_of(i5)
     i6 = []
     for i in i5:
-        if i not in alive:
+        if not alive >> i & 1:
             continue
         i6.append(i)
-        ball = {i, *cell_adj[i]}
-        for j in cell_adj[i]:
-            ball.update(cell_adj[j])
-        alive -= ball
+        ball = 1 << i | cell_adj[i]
+        for j in iter_bits(cell_adj[i]):
+            ball |= cell_adj[j]
+        alive &= ~ball
     state = SelectionState(
-        S=tuple(sorted(s_set)),
+        S=tuple(iter_bits(s_mask)),
         I4=i4,
         I5=i5,
         I6=tuple(i6),
         U=u_mask,
-        cell_adj=cell_adj,
+        cell_adj=tuple(cell_adj),
     )
     need = -(-len(i5) // 37)
     if len(i6) < need:
@@ -303,9 +302,7 @@ def bad_event_probability(
     outside = g.adj[opposite] & ~cell.mask
     q = Fraction(1, 4)
     pattern = ["1/4"]
-    for j in state.I4:
-        if j == cell_index:
-            continue
+    for j in iter_bits(state.cell_adj[cell_index]):
         hits = (outside & cells[j].mask).bit_count()
         if hits:
             q *= Fraction(4 - hits, 4)
@@ -362,29 +359,6 @@ def _cell_stats(
     )
 
 
-def _cell_components(state: SelectionState) -> list[tuple[int, ...]]:
-    """Connected components of the I4 cell graph ``cell_adj``.
-
-    Each component lists its cells in I4 order, and the components are
-    ordered by their first cell in I4.
-    """
-    pos = {i: p for p, i in enumerate(state.I4)}
-    seen: set[int] = set()
-    out = []
-    for i in state.I4:
-        if i in seen:
-            continue
-        seen.add(i)
-        comp = [i]
-        for j in comp:
-            for nbr in state.cell_adj[j]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.append(nbr)
-        out.append(tuple(sorted(comp, key=pos.__getitem__)))
-    return out
-
-
 def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> TransversalStats:
     """Exact census of the 4^{|I4|} transversals of the cell partition.
 
@@ -396,17 +370,17 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
     by scanning that component's transversals.  Guarded to components of
     at most CENSUS_CELL_CAP cells (4^11 states each).
     """
-    comps = _cell_components(state)
-    largest = max(map(len, comps), default=0)
+    comps = components(state.cell_adj, mask_of(state.I4))
+    largest = max(map(int.bit_count, comps), default=0)
     if largest > CENSUS_CELL_CAP:
         raise GuardError(
             f"census component of {largest} cells exceeds the 4^{CENSUS_CELL_CAP} cap"
         )
-    i5 = set(state.I5)
+    i5 = mask_of(state.I5)
     good = 1
     for comp in comps:
-        slots = [tuple(1 << v for v in iter_bits(cells[i].mask)) for i in comp]
-        checked = tuple(i for i in comp if i in i5)
+        slots = [tuple(1 << v for v in iter_bits(cells[i].mask)) for i in iter_bits(comp)]
+        checked = tuple(iter_bits(comp & i5))
         good *= sum(
             1 for choice in itertools.product(*slots) if _is_good(g, cells, checked, sum(choice))
         )
@@ -435,9 +409,10 @@ def verify_product_bound(
         violations.append(f"product {stats.product_bound} > (3/4)^{len(state.I6)}")
     for a_pos, i in enumerate(state.I6):
         for j in state.I6[a_pos + 1 :]:
-            shared_cells = ({i, *state.cell_adj[i]}) & ({j, *state.cell_adj[j]})
+            shared_cells = (1 << i | state.cell_adj[i]) & (1 << j | state.cell_adj[j])
             if shared_cells:
-                violations.append(f"I6 cells {i}, {j} share dependency cells {sorted(shared_cells)}")
+                shared = list(iter_bits(shared_cells))
+                violations.append(f"I6 cells {i}, {j} share dependency cells {shared}")
             for v in (cells[i].x, cells[i].y):
                 for w in (cells[j].x, cells[j].y):
                     if g.closed_adj(v) & g.closed_adj(w):

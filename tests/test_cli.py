@@ -166,6 +166,19 @@ class TestBounds:
         ln = payload["interpolated"]["ln"]
         assert ln == float(f"{3.632631691345650948222:.12g}")
 
+    @pytest.mark.parametrize("n, k", [(1938, 1), (1939, 1), (3745, 936)])
+    def test_value_past_float_range_is_null(self, capsys, n, k):
+        # 3^{n/3} passes the largest float between n = 1938 and 1939;
+        # ln and the exact value are printed either way.
+        payload = run_json(capsys, "bounds", str(n), str(k))
+        ln_max = math.log(sys.float_info.max)
+        for name in ("moon_moser", "eppstein", "nielsen", "interpolated"):
+            entry = payload[name]
+            assert (entry["value"] is None) == (entry["ln"] > ln_max)
+        assert (payload["moon_moser"]["value"] is None) == (n > 1938)
+        assert payload["moon_moser"]["exact"] == (str(3 ** (n // 3)) if n % 3 == 0 else None)
+        assert payload["eppstein"]["exact"] == str(Fraction(3) ** (4 * k - n) * 4 ** (n - 3 * k))
+
 
 class TestCurves:
     def test_header_and_shape(self, capsys):
@@ -201,6 +214,11 @@ class TestSolve:
     def test_impossible_margin_exits_one(self, capsys):
         code, _, err = run(capsys, "solve", "--margin", "0.5")
         assert code == 1 and "margin" in err
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+    def test_non_finite_margin_exits_one(self, capsys, margin):
+        code, out, err = run(capsys, "solve", f"--margin={margin}")
+        assert (code, out, err) == (1, "", f"error: margin must be finite, got {float(margin)}\n")
 
     def test_two_sum_witness(self, capsys):
         payload = run_json(capsys, "solve", "--two-sum-eta", "0.4")
@@ -333,6 +351,24 @@ class TestVerifyTheorem2:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("verify-theorem2", "--max-n", "9"), 3, "exhaustive generation capped at 8 vertices"),
+            (("verify-theorem2", "--max-n", "-3"), 1, "order must be nonnegative, got -3"),
+            (
+                ("search", "-n", "8", "--selector", "corollary1", "--eta", "1.5"),
+                1,
+                "eta must lie in [0, 1], got 1.5",
+            ),
+        ],
+    )
+    def test_option_values_refused_before_generation(self, capsys, monkeypatch, argv, code, err):
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (code, "", f"error: {err}\n")
+        assert time.perf_counter() - start < 0.5
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_text("this is not graph6 \x01\n")

@@ -24,6 +24,7 @@ from misbench.graphs import (
     is_maximal_independent,
     iter_bits,
     k4_witness,
+    lowest_bit,
     mask_of,
     max_degree,
     path_graph,
@@ -58,6 +59,40 @@ def record_graph_builds(monkeypatch):
 
     monkeypatch.setattr(Graph, "__post_init__", counted)
     return built
+
+
+def reference_bipartition(g, mask):
+    """Oracle of ``bipartition``: the colour-dict walk it replaced.
+
+    Each component is coloured from its lowest vertex, which gets colour
+    0; an edge between equal colours means an odd cycle.
+    """
+    color = {}
+    side0 = side1 = 0
+    todo = mask
+    while todo:
+        root = lowest_bit(todo)
+        color[root] = 0
+        queue = [root]
+        comp_seen = 1 << root
+        while queue:
+            v = queue.pop()
+            cv = color[v]
+            for u in iter_bits(g.adj[v] & mask):
+                if u in color:
+                    if color[u] == cv:
+                        return None
+                else:
+                    color[u] = 1 - cv
+                    comp_seen |= 1 << u
+                    queue.append(u)
+        todo &= ~comp_seen
+    for v, c in color.items():
+        if c == 0:
+            side0 |= 1 << v
+        else:
+            side1 |= 1 << v
+    return side0, side1
 
 
 def random_union(rng, max_n=14, max_parts=4):
@@ -126,7 +161,7 @@ class TestConstruction:
 class TestStructure:
     def test_components(self):
         g = disjoint_union(complete_graph(3), path_graph(2))
-        comps = components(g)
+        comps = components(g.adj)
         assert sorted(c.bit_count() for c in comps) == [2, 3]
 
     def test_degree_histogram(self):
@@ -184,12 +219,26 @@ class TestProperties:
     @settings(max_examples=80, deadline=None)
     @given(random_graph_strategy())
     def test_components_partition(self, g):
-        comps = components(g)
+        comps = components(g.adj)
         union = 0
         for c in comps:
             assert union & c == 0
             union |= c
         assert union == g.full_mask
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=14), st.integers(min_value=0, max_value=(1 << 14) - 1))
+    def test_bipartition_matches_colour_walk(self, g, raw_mask):
+        mask = raw_mask & g.full_mask
+        assert bipartition(g, mask) == reference_bipartition(g, mask)
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_graph_strategy(), st.integers(min_value=0, max_value=511))
+    def test_components_within_match_the_induced_copy(self, g, raw_mask):
+        mask = raw_mask & g.full_mask
+        sub, keep = induced_subgraph(g, mask)
+        expected = [mask_of(keep[v] for v in iter_bits(c)) for c in components(sub.adj)]
+        assert components(g.adj, mask) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(), st.integers(min_value=0, max_value=511))
