@@ -18,7 +18,7 @@ from .bounds import (
 )
 from .graphio import FormatError, load_graphs, parse_edge_list, parse_graph6, to_edge_list, to_graph6
 from .graphs import Graph, GuardError, complement, disjoint_union, from_edges, induced_subgraph
-from .mibs import MibsCensus, MibsCounts, enumerate_mibs, enumerate_mibs_bruteforce, mibs_counts
+from .mibs import MibsCounts, enumerate_mibs_bruteforce, mibs_counts
 from .misenum import (
     MisFamily,
     SizeProfile,
@@ -52,7 +52,6 @@ __all__ = [
     "FormatError",
     "Graph",
     "GuardError",
-    "MibsCensus",
     "MibsCounts",
     "MisFamily",
     "SizeProfile",
@@ -60,7 +59,6 @@ __all__ = [
     "complement",
     "decompose",
     "disjoint_union",
-    "enumerate_mibs",
     "enumerate_mibs_bruteforce",
     "enumerate_mis",
     "enumerate_mis_bruteforce",

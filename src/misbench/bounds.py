@@ -17,18 +17,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graphs import GuardError
+
 LN3 = math.log(3)
 LN4 = math.log(4)
 LN5 = math.log(5)
 LN12 = math.log(12)
+
+EXACT_DIGITS_CAP = 4300  # Python's default digit limit for str() of an int
+_EXACT_LIMIT = 10**EXACT_DIGITS_CAP
+CURVE_POINTS_CAP = 100_000  # grid points of ``curve_rows``, about 0.7 KB each
 
 
 @dataclass(frozen=True)
 class ExactBound:
     """A bound value: exact rational when exponents are integral, plus ln.
 
-    ``exact`` is None on the irrational-base path; ``ln_value`` is always
-    populated and is the natural log of the bound.
+    ``exact`` is None on the irrational-base path and past
+    ``EXACT_DIGITS_CAP`` digits; ``ln_value`` is always populated and is
+    the natural log of the bound.
     """
 
     ln_value: float
@@ -43,12 +50,18 @@ class ExactBound:
 
 
 def _rational_power_bound(bases_and_exps: list[tuple[int, int]]) -> ExactBound:
-    value = Fraction(1)
-    ln = 0.0
-    for base, exp in bases_and_exps:
-        value *= Fraction(base) ** exp
-        ln += exp * math.log(base)
-    return ExactBound(ln, value)
+    """The product of base**exp over coprime bases; the exponents decide if its
+    numerator and denominator fit in EXACT_DIGITS_CAP digits (built if close)."""
+    ln = sum(exp * math.log(base) for base, exp in bases_and_exps)
+    parts = []
+    for sign in (1, -1):
+        powers = [(base, sign * exp) for base, exp in bases_and_exps if sign * exp > 0]
+        if sum(exp * math.log10(base) for base, exp in powers) > EXACT_DIGITS_CAP + 1:
+            return ExactBound(ln)
+        parts.append(math.prod(base**exp for base, exp in powers))
+    if max(parts) >= _EXACT_LIMIT:
+        return ExactBound(ln)
+    return ExactBound(ln, Fraction(*parts))
 
 
 def moon_moser(n: int) -> ExactBound:
@@ -372,10 +385,12 @@ def curve_rows(eta: float, points: int = 28) -> list[dict]:
     Columns: the two piecewise-linear bound exponents, the smooth
     interpolation x ln(1/x) they touch at integer 1/x, and the
     eta-interpolated line.  The grid always includes the reference
-    abscissas 0.2, 0.25, 0.333 and 1/3.
+    abscissas 0.2, 0.25, 0.333 and 1/3.  Past CURVE_POINTS_CAP, GuardError.
     """
     if points < 2:
         raise ValueError("need at least 2 grid points")
+    if points > CURVE_POINTS_CAP:
+        raise GuardError(f"curves capped at {CURVE_POINTS_CAP} grid points, got {points}")
     check_eta(eta)
     lo, hi = 0.2, 1.0 / 3.0
     xs = {lo + (hi - lo) * i / (points - 1) for i in range(points)}

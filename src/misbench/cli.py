@@ -29,10 +29,10 @@ from math import inf
 
 from . import bounds, extremal
 from .graphio import FormatError, load_graphs
-from .graphs import Graph, GuardError, mask_of
+from .graphs import Graph, GuardError
 from .mibs import mibs_counts
 from .misenum import mis_profile
-from .pipeline import analyze_instance
+from .pipeline import analyze_instance, root_mask
 
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
 
@@ -227,7 +227,7 @@ def cmd_pipeline(args) -> int:
     s_list = _parse_vertex_list(args.s) or ()
     reports = []
     for g in _read_graphs(args):
-        i0 = mask_of(i0_list) if i0_list is not None else None
+        i0 = root_mask(g, i0_list) if i0_list is not None else None
         reports.append(analyze_instance(g, i0, s_list))
     _emit(_single_or_array(reports))
     return 1 if any(report["violations"] for report in reports) else 0

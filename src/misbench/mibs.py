@@ -1,66 +1,22 @@
-"""Maximal induced bipartite subgraphs, enumerated two independent ways.
+"""Maximal induced bipartite subgraphs, counted from pairs of independent sets.
 
 A vertex set W is counted when G[W] is bipartite and adding any outside
-vertex breaks bipartiteness.  The generator method runs over pairs (A, B)
-with A a maximal independent set of G and B a maximal independent set of
-G - A; every maximal induced bipartite subgraph arises as such a union,
-but distinct pairs can produce the same vertex set and some unions are
-not maximal, so the census keeps both the distinct records and the
-ordered-pair count that overcounts them.  ``mibs_counts`` gives the same
-census numbers without the records, as products over the connected
-components.
+vertex breaks bipartiteness.  ``mibs_counts`` runs over the ordered pairs
+(A, B), A a maximal independent set of G and B one of G - A, a connected
+component at a time.  Every such set is a union A | B, but distinct pairs
+can give the same set and some unions are not maximal, so the census keeps
+both the distinct sets and the pairs that overcount them.  The tests
+derive every field of it from subset scans: ``enumerate_mibs_bruteforce``
+and the maximal independent sets of G and of each G - A.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
-from .graphs import (
-    Graph,
-    GuardError,
-    components,
-    induced_subgraph,
-    is_bipartite_induced,
-    is_clique,
-    iter_bits,
-)
+from .graphs import Graph, GuardError, components, is_bipartite_induced, iter_bits
 from .misenum import BRUTE_FORCE_CAP, enumerate_mis
-
-
-@dataclass(frozen=True)
-class MibsRecord:
-    """One maximal induced bipartite subgraph with its generating pairs.
-
-    Witnesses are the (A, B) splits that produced the vertex set,
-    normalized to |A| >= |B|; an equal-size pair is stored once with the
-    lexicographically smaller mask first.
-    """
-
-    vertices: int
-    witnesses: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
-class MibsCensus:
-    n: int
-    records: tuple[MibsRecord, ...]
-    ordered_pair_count: int
-    nonmaximal_candidates: int
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.records)
-
-    def a_size_histogram(self) -> dict[int, int]:
-        """Number of records having a witness with |A| = k, per k."""
-        hist: dict[int, int] = {}
-        for rec in self.records:
-            for a, _ in rec.witnesses:
-                k = a.bit_count()
-                hist[k] = hist.get(k, 0) + 1
-        return hist
 
 
 def is_maximal_induced_bipartite(g: Graph, mask: int, within: int | None = None) -> bool:
@@ -78,11 +34,11 @@ def is_maximal_induced_bipartite(g: Graph, mask: int, within: int | None = None)
     return True
 
 
-def enumerate_mibs_bruteforce(g: Graph) -> MibsCensus:
-    """Oracle enumerator: scan all 2^n subsets.
+def enumerate_mibs_bruteforce(g: Graph) -> tuple[int, ...]:
+    """Oracle enumerator: the masks of all maximal induced bipartite subgraphs, sorted.
 
-    Bipartiteness is tabulated once per subset so the maximality test is a
-    table lookup per outside vertex.
+    Scans all 2^n subsets.  Bipartiteness is tabulated once per subset so
+    the maximality test is a table lookup per outside vertex.
     """
     if g.n > BRUTE_FORCE_CAP:
         raise GuardError(f"subset scan capped at {BRUTE_FORCE_CAP} vertices, got {g.n}")
@@ -90,7 +46,7 @@ def enumerate_mibs_bruteforce(g: Graph) -> MibsCensus:
     bip = bytearray(size)
     for s in range(size):
         bip[s] = is_bipartite_induced(g, s)
-    records = []
+    out = []
     for s in range(size):
         if not bip[s]:
             continue
@@ -100,65 +56,15 @@ def enumerate_mibs_bruteforce(g: Graph) -> MibsCensus:
                 maximal = False
                 break
         if maximal:
-            records.append(MibsRecord(s))
-    return MibsCensus(g.n, tuple(records), 0, 0)
-
-
-def _normalize_pair(a: int, b: int) -> tuple[int, int]:
-    ka, kb = a.bit_count(), b.bit_count()
-    if ka > kb:
-        return a, b
-    if ka < kb:
-        return b, a
-    return (a, b) if a <= b else (b, a)
-
-
-def _generator_pairs(g: Graph, within: int) -> Iterator[tuple[int, int, bool]]:
-    """Every ordered pair (A, B), A in MIS(G) and B in MIS(G - A), for G = g[within].
-
-    The pairs are masks in g's labels: B comes from the enumeration of g
-    restricted to within - A.  Each pair comes with whether A | B is a
-    maximal induced bipartite subgraph of G; the test runs once per
-    distinct union.
-    """
-    maximal: dict[int, bool] = {}
-    for a in enumerate_mis(g, within).sets:
-        for b in enumerate_mis(g, within & ~a).sets:
-            union = a | b
-            if union not in maximal:
-                maximal[union] = is_maximal_induced_bipartite(g, union, within)
-            yield a, b, maximal[union]
-
-
-def enumerate_mibs(g: Graph) -> MibsCensus:
-    """Generator enumerator via maximal-independent-set pairs.
-
-    Every ordered pair (A, B) with A in MIS(G) and B in MIS(G - A) is
-    counted; the candidate A | B is kept iff it is a maximal induced
-    bipartite subgraph of G, deduplicated by vertex mask.
-    """
-    by_mask: dict[int, set[tuple[int, int]]] = {}
-    ordered = 0
-    nonmaximal = 0
-    for a, b, maximal in _generator_pairs(g, g.full_mask):
-        ordered += 1
-        if maximal:
-            by_mask.setdefault(a | b, set()).add(_normalize_pair(a, b))
-        else:
-            nonmaximal += 1
-    records = tuple(
-        MibsRecord(mask, tuple(sorted(by_mask[mask]))) for mask in sorted(by_mask)
-    )
-    return MibsCensus(g.n, records, ordered, nonmaximal)
+            out.append(s)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class MibsCounts:
-    """The numbers of a ``MibsCensus``, without its records.
-
-    ``a_size_histogram`` lists (k, records) pairs in increasing k, the
-    nonzero entries of ``MibsCensus.a_size_histogram``.
-    """
+    """Distinct maximal unions A | B, all generator pairs, those with a
+    nonmaximal union, and (k, unordered witnesses {A, B} whose larger side
+    has k vertices) for each k with any, in increasing k."""
 
     mibs: int
     ordered_pairs: int
@@ -175,17 +81,19 @@ def _convolve_sizes(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int]
 
 
 def mibs_counts(g: Graph) -> MibsCounts:
-    """Census numbers of ``enumerate_mibs`` as products over components.
+    """The census numbers as products over components.
 
+    Within a component G, every pair (A, B), A in MIS(G) and B in MIS(G - A),
+    is listed on masks of g; maximality is tested once per distinct union.
     A generator pair of a disjoint union is one generator pair per
-    component, and its union is maximal iff every component's part is.
-    So the distinct, ordered and maximal pair counts multiply, and the
-    maximal pairs tabulated by (|A|, |B|) (F) combine by 2-D convolution,
-    as do those whose swap (B, A) is also a maximal pair (S).  A witness
-    is an unordered pair {A, B} from either order, so the records with
+    component, and its union is maximal iff every component's part is.  So
+    the distinct, ordered and maximal pair counts multiply, and the maximal
+    pairs tabulated by (|A|, |B|) (F) combine by 2-D convolution, as do
+    those whose swap (B, A) is also a maximal pair (S).  A witness is an
+    unordered pair {A, B} from either order, so the witnesses with
     |A| = a >= |B| = b number D(a, b) = F(a, b) + F(b, a) - S(a, b), halved
     when a = b.  The swap fixes no pair except (∅, ∅) of the empty graph,
-    which is its one record.
+    which is its one witness.
     """
     if g.n == 0:
         return MibsCounts(1, 1, 0, ((0, 1),))
@@ -193,13 +101,18 @@ def mibs_counts(g: Graph) -> MibsCounts:
     full: dict[tuple[int, int], int] = {(0, 0): 1}
     swap: dict[tuple[int, int], int] = {(0, 0): 1}
     for part in components(g.adj):
+        is_maximal: dict[int, bool] = {}
         maximal = set()
         part_ordered = 0
-        for a, b, is_maximal in _generator_pairs(g, part):
-            part_ordered += 1
-            if is_maximal:
-                maximal.add((a, b))
-        distinct *= len({a | b for a, b in maximal})
+        for a in enumerate_mis(g, part).sets:
+            for b in enumerate_mis(g, part & ~a).sets:
+                part_ordered += 1
+                union = a | b
+                if union not in is_maximal:
+                    is_maximal[union] = is_maximal_induced_bipartite(g, union, part)
+                if is_maximal[union]:
+                    maximal.add((a, b))
+        distinct *= sum(is_maximal.values())
         ordered *= part_ordered
         full = _convolve_sizes(full, Counter((a.bit_count(), b.bit_count()) for a, b in maximal))
         swap = _convolve_sizes(
@@ -211,29 +124,3 @@ def mibs_counts(g: Graph) -> MibsCounts:
         pairs = full.get((a, b), 0) + full.get((b, a), 0) - swap.get((a, b), 0)
         hist[a] += pairs if a > b else pairs // 2
     return MibsCounts(distinct, ordered, ordered - sum(full.values()), tuple(sorted(hist.items())))
-
-
-def k4_component_identity_check(g: Graph) -> dict:
-    """Check the component reduction at a K4 component K.
-
-    Requires some component of g to be a 4-clique; verifies by direct
-    enumeration that mibs(g) = 6 * mibs(g - K) and that every maximal
-    induced bipartite subgraph meets K in exactly 2 vertices.
-    """
-    k4 = None
-    for comp in components(g.adj):
-        if comp.bit_count() == 4 and is_clique(g, comp):
-            k4 = comp
-            break
-    if k4 is None:
-        raise ValueError("no K4 component present")
-    whole = enumerate_mibs(g)
-    rest_graph, _ = induced_subgraph(g, g.full_mask & ~k4)
-    rest = enumerate_mibs(rest_graph)
-    meets = [(r.vertices & k4).bit_count() for r in whole.records]
-    return {
-        "mibs": whole.distinct_count,
-        "mibs_without_k4": rest.distinct_count,
-        "identity_holds": whole.distinct_count == 6 * rest.distinct_count,
-        "meet_counts_all_two": all(m == 2 for m in meets),
-    }

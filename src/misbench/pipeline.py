@@ -92,11 +92,20 @@ class Cell:
     mask: int
 
 
-def _check_preconditions(g: Graph, i0: int | None = None) -> None:
+def root_mask(g: Graph, vertices: tuple[int, ...]) -> int:
+    """The mask of a root set given as vertices of g.  A vertex outside g
+    is refused as ``analyze_instance`` refuses it, before its bit is set."""
+    outside = [v for v in vertices if v >= g.n]
+    if outside:
+        _check_preconditions(g, outside=min(outside))
+    return mask_of(vertices)
+
+
+def _check_preconditions(g: Graph, i0: int | None = None, outside: int | None = None) -> None:
     """Raise DecompositionError, naming a witness, when g has a vertex of
-    degree above 3 or a 4-clique, or when a given I0 names a vertex
-    outside g or is not a maximal independent set of g.  The checks run
-    in that order."""
+    degree above 3 or a 4-clique, or when a given I0 (or the vertex
+    ``outside``) names a vertex outside g or I0 is not a maximal
+    independent set of g.  The checks run in that order."""
     for v in range(g.n):
         if g.degree(v) > 3:
             raise DecompositionError(f"vertex {v} has degree {g.degree(v)} > 3")
@@ -104,8 +113,9 @@ def _check_preconditions(g: Graph, i0: int | None = None) -> None:
     if clique is not None:
         raise DecompositionError(f"4-clique on vertices {sorted(iter_bits(clique))}")
     if i0 is not None and i0 >> g.n:
-        v = lowest_bit(i0 >> g.n) + g.n
-        raise DecompositionError(f"root set vertex {v} is not a vertex of the {g.n}-vertex graph")
+        outside = lowest_bit(i0 >> g.n) + g.n
+    if outside is not None:
+        raise DecompositionError(f"root set vertex {outside} is not a vertex of the {g.n}-vertex graph")
     if i0 is not None and not is_maximal_independent(g, i0):
         raise DecompositionError(f"root set {sorted(iter_bits(i0))} is not a maximal independent set")
 

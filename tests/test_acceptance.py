@@ -30,11 +30,12 @@ from misbench.extremal import (
     verify_equality_scan,
 )
 from misbench.graphs import complete_graph, disjoint_union
-from misbench.mibs import enumerate_mibs, enumerate_mibs_bruteforce, k4_component_identity_check
+from misbench.mibs import mibs_counts
 from misbench.misenum import enumerate_mis, enumerate_mis_bruteforce
 from misbench.pipeline import CellConflictError, analyze_instance
 
 from test_cli import emitted, reference_json
+from test_mibs import assert_k4_identity, reference_mibs_counts
 
 # Classes of order 5..8, K4-free with maximum degree <= 3, whose default
 # root gives overlapping cells (ROADMAP item 5).  A count may fall as the
@@ -68,13 +69,10 @@ def test_k4_census():
         fam = enumerate_mis(complete_graph(4))
         assert fam.count == 4
         assert list(fam.profile.counts) == [0, 4, 0, 0, 0]
-        census = enumerate_mibs(complete_graph(4))
-        assert census.distinct_count == 6
-        assert census.ordered_pair_count == 12
-        report = k4_component_identity_check(
-            disjoint_union(complete_graph(4), complete_graph(3))
-        )
-        assert report["identity_holds"] and report["meet_counts_all_two"]
+        counts = mibs_counts(complete_graph(4))
+        assert counts.mibs == 6
+        assert counts.ordered_pairs == 12
+        assert assert_k4_identity(complete_graph(3)) == 18
 
 
 def test_triangle_union_attains_classic_bound():
@@ -121,11 +119,7 @@ def test_enumerator_oracle_equivalence():
         for g in oracle_graphs(1000, max_n=14):
             assert enumerate_mis(g).sets == enumerate_mis_bruteforce(g).sets
         for g in oracle_graphs(500, max_n=12):
-            brute = enumerate_mibs_bruteforce(g)
-            fast = enumerate_mibs(g)
-            assert [r.vertices for r in brute.records] == [
-                r.vertices for r in fast.records
-            ]
+            assert mibs_counts(g) == reference_mibs_counts(g)
 
 
 def test_pipeline_corpus_zero_violations():

@@ -70,6 +70,13 @@ class TestExactRationalAnchors:
                 b = fam(n, k)
                 assert b.ln_value == pytest.approx(math.log(b.exact), rel=1e-13)
 
+    def test_exact_stops_at_digit_cap(self):
+        # 4^2150 5^4299 = 2 * 10^4299 has 4,300 digits; 4^2150 5^4300 =
+        # 10^4300 has one more, so its exact value is not built.
+        assert nielsen(30095, 6449).exact == 2 * 10**4299
+        assert nielsen(30100, 6450).exact is None
+        assert nielsen(30100, 6450).ln_value == pytest.approx(4300 * math.log(10), rel=1e-13)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             eppstein(-1, 0)

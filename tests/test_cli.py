@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import misbench
-from misbench import extremal, pipeline
+from misbench import bounds, extremal, pipeline
 from misbench.cli import _emit, build_parser, main
 from misbench.graphio import to_graph6
 from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
@@ -179,6 +179,20 @@ class TestBounds:
         assert payload["moon_moser"]["exact"] == (str(3 ** (n // 3)) if n % 3 == 0 else None)
         assert payload["eppstein"]["exact"] == str(Fraction(3) ** (4 * k - n) * 4 ** (n - 3 * k))
 
+    @pytest.mark.parametrize("n, k", [(7000, 1), (3100, 3100), (10**9, 1)])
+    def test_exact_past_digit_cap_is_null(self, capsys, n, k):
+        # A numerator or denominator above 4,300 digits, which str() of an
+        # int refuses, is decided from the exponents and never built.  At
+        # (7000, 1) only the eppstein value fits: 4^6997 / 3^6996.
+        start = time.perf_counter()
+        payload = run_json(capsys, "bounds", str(n), str(k))
+        assert time.perf_counter() - start < 1.0
+        expected = str(Fraction(3) ** (4 * k - n) * 4 ** (n - 3 * k)) if n == 7000 else None
+        assert payload["eppstein"]["exact"] == expected
+        for name in ("moon_moser", "nielsen", "interpolated"):
+            assert payload[name]["exact"] is None
+            assert math.isfinite(payload[name]["ln"])
+
 
 class TestCurves:
     def test_header_and_shape(self, capsys):
@@ -197,6 +211,12 @@ class TestCurves:
         code, out, _ = run(capsys, "curves", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("x,eppstein,nielsen,interp,corollary1_eta\n")
+
+    def test_points_past_cap_exit_three(self, capsys):
+        cap = bounds.CURVE_POINTS_CAP
+        code, out, err = run(capsys, "curves", "--points", str(cap + 1))
+        assert (code, out) == (3, "")
+        assert err == f"error: curves capped at {cap} grid points, got {cap + 1}\n"
 
     @pytest.mark.parametrize("eta", ["2", "-3", "nan"])
     def test_eta_outside_unit_interval_exits_one(self, capsys, eta):
@@ -255,6 +275,16 @@ class TestPipeline:
         code, out, err = run(capsys, "pipeline", str(path), "--i0", "0,99")
         assert (code, out) == (1, "")
         assert err == "error: root set vertex 99 is not a vertex of the 8-vertex graph\n"
+
+    def test_huge_root_vertex_exits_one_without_a_mask(self, capsys, tmp_path):
+        # A mask with bit 10^11 set would take about 12.5 GB.
+        path = tmp_path / "c4.edges"
+        path.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pipeline", str(path), "--i0", "0,100000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: root set vertex 100000000000 is not a vertex of the 4-vertex graph\n"
 
     def test_negative_root_vertex_is_a_format_error(self, capsys, tmp_path):
         path = tmp_path / "p8.edges"

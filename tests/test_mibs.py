@@ -1,6 +1,7 @@
 """Maximal induced bipartite subgraphs: oracle agreement and identities."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 
@@ -12,16 +13,14 @@ from misbench.graphs import (
     empty_graph,
     from_edges,
     induced_subgraph,
-    is_bipartite_induced,
+    iter_bits,
     mask_of,
     path_graph,
 )
 from misbench.mibs import (
     MibsCounts,
-    enumerate_mibs,
     enumerate_mibs_bruteforce,
     is_maximal_induced_bipartite,
-    k4_component_identity_check,
     mibs_counts,
 )
 from misbench.misenum import enumerate_mis_bruteforce
@@ -29,86 +28,99 @@ from misbench.misenum import enumerate_mis_bruteforce
 from test_graphs import random_graph_strategy, random_union, record_graph_builds
 
 
-def census_counts(census):
-    """The four numbers ``mibs_counts`` computes, read off a full census."""
-    return MibsCounts(
-        census.distinct_count,
-        census.ordered_pair_count,
-        census.nonmaximal_candidates,
-        tuple(sorted(census.a_size_histogram().items())),
-    )
+def reference_mibs_counts(g):
+    """Oracle of ``mibs_counts`` from the subset scans alone.
+
+    The ordered pairs (A, B), A a maximal independent set of g and B one
+    of g - A, come from ``enumerate_mis_bruteforce`` on g and on each
+    g - A.  A pair is a witness when A | B is one of the sets that
+    ``enumerate_mibs_bruteforce`` finds; A and B are then a 2-colouring
+    of it.  The histogram counts each unordered witness {A, B} once, at
+    the size of its larger side.
+    """
+    mibs = set(enumerate_mibs_bruteforce(g))
+    pairs = []
+    for a in enumerate_mis_bruteforce(g).sets:
+        rest, labels = induced_subgraph(g, g.full_mask & ~a)
+        for b in enumerate_mis_bruteforce(rest).sets:
+            pairs.append((a, mask_of(labels[v] for v in iter_bits(b))))
+    witnesses = [(a, b) for a, b in pairs if a | b in mibs]
+    unordered = {frozenset(pair) for pair in witnesses}
+    hist = Counter(max(side.bit_count() for side in pair) for pair in unordered)
+    return MibsCounts(len(mibs), len(pairs), len(pairs) - len(witnesses), tuple(sorted(hist.items())))
+
+
+def assert_k4_identity(h):
+    """mibs(K4 ∪ H) = 6 mibs(H), and every such set meets the K4 in two vertices."""
+    g = disjoint_union(complete_graph(4), h)
+    whole = enumerate_mibs_bruteforce(g)
+    assert mibs_counts(g).mibs == len(whole) == 6 * len(enumerate_mibs_bruteforce(h))
+    assert all((w & 0b1111).bit_count() == 2 for w in whole)
+    return len(whole)
 
 
 class TestKnownCounts:
     def test_k4(self):
-        census = enumerate_mibs(complete_graph(4))
         # The six edges of K4 are its maximal induced bipartite subgraphs;
         # each arises from two ordered singleton pairs.
-        assert census.distinct_count == 6
-        assert census.ordered_pair_count == 12
-        assert all(rec.vertices.bit_count() == 2 for rec in census.records)
+        assert mibs_counts(complete_graph(4)) == MibsCounts(6, 12, 0, ((1, 6),))
+        assert all(w.bit_count() == 2 for w in enumerate_mibs_bruteforce(complete_graph(4)))
 
     def test_k3(self):
-        census = enumerate_mibs(complete_graph(3))
-        assert census.distinct_count == 3
-        assert census.ordered_pair_count == 6
+        counts = mibs_counts(complete_graph(3))
+        assert counts.mibs == 3
+        assert counts.ordered_pairs == 6
 
     def test_c5(self):
-        census = enumerate_mibs(cycle_graph(5))
         # Dropping any one vertex of the 5-cycle leaves an induced P4.
-        assert census.distinct_count == 5
-        assert census.ordered_pair_count == 10
-        assert all(rec.vertices.bit_count() == 4 for rec in census.records)
+        counts = mibs_counts(cycle_graph(5))
+        assert counts.mibs == 5
+        assert counts.ordered_pairs == 10
+        assert all(w.bit_count() == 4 for w in enumerate_mibs_bruteforce(cycle_graph(5)))
 
     def test_bipartite_graph_is_its_own_unique_record(self):
         for g in (path_graph(5), cycle_graph(6), empty_graph(4)):
-            census = enumerate_mibs(g)
-            assert census.distinct_count == 1
-            assert census.records[0].vertices == g.full_mask
+            assert enumerate_mibs_bruteforce(g) == (g.full_mask,)
+            assert mibs_counts(g).mibs == 1
 
     def test_order_zero(self):
-        census = enumerate_mibs(empty_graph(0))
-        assert census.distinct_count == 1 and census.records[0].vertices == 0
+        assert enumerate_mibs_bruteforce(empty_graph(0)) == (0,)
+        expected = MibsCounts(1, 1, 0, ((0, 1),))
+        assert mibs_counts(empty_graph(0)) == expected == reference_mibs_counts(empty_graph(0))
 
 
 class TestWitnesses:
     def test_normalization(self):
-        census = enumerate_mibs(complete_graph(4))
-        for rec in census.records:
-            for a, b in rec.witnesses:
-                assert a.bit_count() >= b.bit_count()
-                if a.bit_count() == b.bit_count():
-                    assert a <= b
-                assert a | b == rec.vertices
-                assert a & b == 0
+        # P3 splits into {0, 2} and {1} in either order: two ordered pairs,
+        # one witness, counted at its larger side.
+        assert mibs_counts(path_graph(3)) == MibsCounts(1, 2, 0, ((2, 1),))
+        # K4's edges split 1 + 1: twelve ordered pairs, each equal-size
+        # witness counted once.
+        assert mibs_counts(complete_graph(4)).a_size_histogram == ((1, 6),)
 
     def test_witness_sides_partition_validly(self):
+        # The 6-cycle is its own set; its one witness is the pair of colour
+        # classes.  Its other 12 ordered pairs start from the three
+        # 2-vertex maximal independent sets and leave a vertex out.
         g = cycle_graph(6)
-        census = enumerate_mibs(g)
-        (rec,) = census.records
-        for a, b in rec.witnesses:
-            assert is_bipartite_induced(g, a | b)
+        assert mibs_counts(g) == MibsCounts(1, 14, 12, ((3, 1),)) == reference_mibs_counts(g)
 
 
 class TestOracleAgreement:
     def test_seeded_corpus(self):
         for g in oracle_graphs(60, max_n=9):
-            brute = enumerate_mibs_bruteforce(g)
-            fast = enumerate_mibs(g)
-            assert [r.vertices for r in brute.records] == [r.vertices for r in fast.records]
+            assert mibs_counts(g) == reference_mibs_counts(g)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_generator_matches_subset_scan(self, g):
-        brute = enumerate_mibs_bruteforce(g)
-        fast = enumerate_mibs(g)
-        assert [r.vertices for r in brute.records] == [r.vertices for r in fast.records]
+        assert mibs_counts(g) == reference_mibs_counts(g)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_records_are_maximal(self, g):
-        for rec in enumerate_mibs(g).records:
-            assert is_maximal_induced_bipartite(g, rec.vertices)
+        for w in enumerate_mibs_bruteforce(g):
+            assert is_maximal_induced_bipartite(g, w)
 
 
 class TestWithinMask:
@@ -128,7 +140,7 @@ class TestWithinMask:
 
     def test_counts_build_no_graph(self, monkeypatch):
         g = disjoint_union(disjoint_union(complete_graph(4), cycle_graph(5)), path_graph(4))
-        expected = census_counts(enumerate_mibs(g))
+        expected = reference_mibs_counts(g)
         built = record_graph_builds(monkeypatch)
         assert mibs_counts(g) == expected
         assert built == []
@@ -136,49 +148,26 @@ class TestWithinMask:
 
 class TestComponentIdentity:
     def test_k4_plus_k3(self):
-        g = disjoint_union(complete_graph(4), complete_graph(3))
-        report = k4_component_identity_check(g)
-        assert report["mibs"] == 18
-        assert report["mibs_without_k4"] == 3
-        assert report["identity_holds"]
-        assert report["meet_counts_all_two"]
+        assert assert_k4_identity(complete_graph(3)) == 18
 
     def test_two_k4(self):
-        g = disjoint_union(complete_graph(4), complete_graph(4))
-        report = k4_component_identity_check(g)
-        assert report["mibs"] == 36
-        assert report["identity_holds"]
+        assert assert_k4_identity(complete_graph(4)) == 36
 
     def test_k4_plus_path(self):
-        g = disjoint_union(complete_graph(4), path_graph(3))
-        report = k4_component_identity_check(g)
-        assert report["mibs"] == 6
-        assert report["identity_holds"]
+        assert assert_k4_identity(path_graph(3)) == 6
 
     def test_k4_plus_diamond(self):
-        diamond = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-        g = disjoint_union(complete_graph(4), diamond)
-        report = k4_component_identity_check(g)
-        assert report["identity_holds"]
-        assert report["meet_counts_all_two"]
+        assert_k4_identity(from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]))
 
 
 class TestFactorizedCounts:
     def test_unions_match_census(self):
         # Unions of 1..4 parts (isolated vertices, edges, K4s, random graphs)
         # on at most 14 vertices, relabeled: every field of the product over
-        # components equals the flat census, histogram included; the
-        # distinct and ordered counts also equal the subset scans.
+        # components equals the subset-scan oracle, histogram included.
         rng = random.Random(47)
         for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
-            counts = mibs_counts(g)
-            assert counts == census_counts(enumerate_mibs(g))
-            assert counts.mibs == enumerate_mibs_bruteforce(g).distinct_count
-            pairs = 0
-            for a in enumerate_mis_bruteforce(g).sets:
-                rest, _ = induced_subgraph(g, g.full_mask & ~a)
-                pairs += enumerate_mis_bruteforce(rest).count
-            assert counts.ordered_pairs == pairs
+            assert mibs_counts(g) == reference_mibs_counts(g)
 
     def test_unequal_sides_and_nonmaximal_pairs(self):
         # P3 splits 2 + 1 either way round, K1 splits 1 + 0 only, and P4 has
@@ -186,4 +175,4 @@ class TestFactorizedCounts:
         # |A| = 4 and |A| = 5, and nonmaximal pairs.
         g = disjoint_union(disjoint_union(path_graph(3), empty_graph(1)), path_graph(4))
         assert mibs_counts(g) == MibsCounts(1, 8, 4, ((4, 2), (5, 2)))
-        assert mibs_counts(g) == census_counts(enumerate_mibs(g))
+        assert mibs_counts(g) == reference_mibs_counts(g)

@@ -1,0 +1,42 @@
+"""README drift: the library table and the Python session match the code."""
+
+import builtins
+import importlib
+import io
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def section(title):
+    """The README text from the heading ``## title`` to the next level-2 heading."""
+    start = README.index(f"\n## {title}\n")
+    end = README.find("\n## ", start + 1)
+    return README[start : end if end >= 0 else len(README)]
+
+
+def test_library_table_names_resolve():
+    rows = re.findall(r"^\| `(misbench\.\w+)` \| (.*) \|$", section("Library overview"), re.MULTILINE)
+    assert len(rows) >= 9
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            if not hasattr(builtins, name) and not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+
+def test_python_session_prints_its_comments():
+    (code,) = re.findall(r"```python\n(.*?)```", section("Library overview"), re.DOTALL)
+    expected = [
+        line.split("# ", 1)[1]
+        for line in code.splitlines()
+        if line.startswith("print(") and "# " in line
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
