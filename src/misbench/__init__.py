@@ -17,7 +17,7 @@ from .bounds import (
     two_sum_estimate,
 )
 from .graphio import FormatError, load_graphs, parse_edge_list, parse_graph6, to_edge_list, to_graph6
-from .graphs import Graph, GuardError, complement, disjoint_union, from_edges, induced_subgraph
+from .graphs import Graph, GuardError, disjoint_union, from_edges, induced_subgraph
 from .mibs import MibsCounts, enumerate_mibs_bruteforce, mibs_counts
 from .misenum import (
     MisFamily,
@@ -56,7 +56,6 @@ __all__ = [
     "MisFamily",
     "SizeProfile",
     "analyze_instance",
-    "complement",
     "decompose",
     "disjoint_union",
     "enumerate_mibs_bruteforce",

@@ -14,6 +14,7 @@ in the natural-log domain (documented relative tolerance 1e-12).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ LN5 = math.log(5)
 LN12 = math.log(12)
 
 EXACT_DIGITS_CAP = 4300  # Python's default digit limit for str() of an int
-_EXACT_LIMIT = 10**EXACT_DIGITS_CAP
 CURVE_POINTS_CAP = 100_000  # grid points of ``curve_rows``, about 0.7 KB each
 
 
@@ -34,8 +34,8 @@ class ExactBound:
     """A bound value: exact rational when exponents are integral, plus ln.
 
     ``exact`` is None on the irrational-base path and past
-    ``EXACT_DIGITS_CAP`` digits; ``ln_value`` is always populated and is
-    the natural log of the bound.
+    ``EXACT_DIGITS_CAP`` digits (or the interpreter's lower limit);
+    ``ln_value`` is always populated and is the natural log of the bound.
     """
 
     ln_value: float
@@ -51,16 +51,21 @@ class ExactBound:
 
 def _rational_power_bound(bases_and_exps: list[tuple[int, int]]) -> ExactBound:
     """The product of base**exp over coprime bases; the exponents decide if its
-    numerator and denominator fit in EXACT_DIGITS_CAP digits (built if close)."""
+    numerator and denominator fit in EXACT_DIGITS_CAP digits, or in the running
+    interpreter's int-to-str limit when that is lower (built if close)."""
     ln = sum(exp * math.log(base) for base, exp in bases_and_exps)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, or before 3.10.7
+    cap = min(EXACT_DIGITS_CAP, limit) if limit else EXACT_DIGITS_CAP
     parts = []
     for sign in (1, -1):
         powers = [(base, sign * exp) for base, exp in bases_and_exps if sign * exp > 0]
-        if sum(exp * math.log10(base) for base, exp in powers) > EXACT_DIGITS_CAP + 1:
+        digits = sum(exp * math.log10(base) for base, exp in powers)
+        if digits > cap + 1:
             return ExactBound(ln)
-        parts.append(math.prod(base**exp for base, exp in powers))
-    if max(parts) >= _EXACT_LIMIT:
-        return ExactBound(ln)
+        part = math.prod(base**exp for base, exp in powers)
+        if digits > cap - 1 and part >= 10**cap:
+            return ExactBound(ln)
+        parts.append(part)
     return ExactBound(ln, Fraction(*parts))
 
 
@@ -289,19 +294,19 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     check_eta(eta)
     ln_a, ln_c = math.log(4.0 - eta), math.log(5.0 - eta)
     terms1 = [_term1_ln(n, k, eta, ln_a, ln_c) for k in range(0, p_cut + 1)]
-    terms2 = [_term2_ln(n, k) for k in range(p_cut + 1, n + 1)]
-    boundary2 = [_term2_ln(n, k) for k in range(p_cut, n + 1)]
+    # The second sum runs over k > p_cut; its maximum is taken from p_cut on.
+    terms2 = [_term2_ln(n, k) for k in range(p_cut, n + 1)]
     argmax1 = max(range(len(terms1)), key=terms1.__getitem__) if terms1 else 0
-    argmax2 = max(range(len(boundary2)), key=boundary2.__getitem__) + p_cut
+    argmax2 = max(range(len(terms2)), key=terms2.__getitem__) + p_cut
     return TwoSumReport(
         n=n,
         p_cut=p_cut,
         eta=eta,
         ln_sum1=_log_sum_exp(terms1),
-        ln_sum2=_log_sum_exp(terms2),
+        ln_sum2=_log_sum_exp(terms2[1:]),
         ln_max1=terms1[argmax1] if terms1 else float("-inf"),
         argmax1=argmax1,
-        ln_max2=boundary2[argmax2 - p_cut],
+        ln_max2=terms2[argmax2 - p_cut],
         argmax2=argmax2,
         ln_target=n * LN12 / 4.0,
     )
@@ -370,13 +375,9 @@ def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
             hi = mid
         else:
             lo = mid
-    n_star = hi
-    while True:
-        ok, report = _sums_below_target(n_star, xi, eta)
-        if ok:
-            break
-        n_star += 1
-    return TwoSumWitness(eta, xi, n_star, report.p_cut, report)
+    # Bisection moves hi only to orders that pass, so hi is the witness.
+    _, report = _sums_below_target(hi, xi, eta)
+    return TwoSumWitness(eta, xi, hi, report.p_cut, report)
 
 
 def curve_rows(eta: float, points: int = 28) -> list[dict]:

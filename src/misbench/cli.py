@@ -11,10 +11,10 @@ Subcommands::
     search           exhaustive scan of small-graph isomorphism classes
     verify-theorem2  size-capped bound with equality classification
 
-Graphs are read from a file argument (or stdin with ``-``) in graph6 or
-edge-list format, autodetected by default.  Results are JSON on stdout
-(CSV for ``curves``); floats carry 12 significant digits.  Exit codes:
-0 success, 1 semantic failure, 2 input/parse error, 3 resource guard.
+Graphs are read as ASCII from a file argument (or stdin with ``-``), in
+graph6 or edge-list format told apart by the first line.  Results are JSON
+on stdout (CSV for ``curves``); floats carry 12 significant digits.  Exit
+codes: 0 success, 1 semantic failure, 2 input/parse error, 3 resource guard.
 """
 
 from __future__ import annotations
@@ -105,14 +105,15 @@ def _emit(payload) -> None:
 
 def _read_graphs(args) -> list[Graph]:
     if args.path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.path, encoding="ascii") as fh:
-            text = fh.read()
-    graphs = load_graphs(text, args.format)
-    if not graphs:
-        raise FormatError("input contains no graphs")
-    return graphs
+        with open(args.path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII") from exc
+    return load_graphs(text)
 
 
 def _single_or_array(reports: list[dict]):
@@ -197,12 +198,7 @@ def cmd_curves(args) -> int:
                 for col in ("x", "eppstein", "nielsen", "interp", "corollary1_eta")
             )
         )
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print("\n".join(lines))
     return 0
 
 
@@ -244,9 +240,7 @@ def cmd_search(args) -> int:
         reps = extremal.generate_all(args.n, args.filter, args.workers)
     if args.save_classes:
         extremal.write_class_list(args.save_classes, reps)
-    rows = extremal.tightness_scan(
-        args.n, args.filter, args.selector, args.eta, args.workers, reps=reps
-    )
+    rows = extremal.tightness_scan(args.n, reps, args.selector, args.eta)
     _emit(
         {
             "n": args.n,
@@ -283,12 +277,6 @@ def cmd_verify_theorem2(args) -> int:
 
 def _add_graph_input(sub) -> None:
     sub.add_argument("path", nargs="?", default="-", help="graph file, or - for stdin")
-    sub.add_argument(
-        "--format",
-        choices=("auto", "g6", "edges"),
-        default="auto",
-        help="input format (default: autodetect)",
-    )
 
 
 @functools.cache
@@ -317,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="CSV of bound exponents over k/n in [1/5, 1/3]")
     p.add_argument("--eta", type=float, default=0.4)
     p.add_argument("--points", type=int, default=28)
-    p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("solve", help="numeric witnesses for the analytic estimates")

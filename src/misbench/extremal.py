@@ -193,10 +193,6 @@ def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def canonical_form(g: Graph) -> Graph:
-    return graph_from_key(g.n, canonical_key(g.adj))
-
-
 def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
     """Canonical keys of the filtered one-vertex extensions of each parent.
 
@@ -322,11 +318,11 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     return reps
 
 
-def is_clique_union(g: Graph, sizes: tuple[int, ...] = (3, 4)) -> tuple[bool, int]:
-    """Whether every component is a clique with size in ``sizes``; returns count."""
+def is_clique_union(g: Graph) -> tuple[bool, int]:
+    """Whether every component is a triangle or a K4; returns the component count."""
     comps = components(g.adj)
     for comp in comps:
-        if comp.bit_count() not in sizes or not is_clique(g, comp):
+        if comp.bit_count() not in (3, 4) or not is_clique(g, comp):
             return False, len(comps)
     return True, len(comps)
 
@@ -435,15 +431,9 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
     return rows, bad
 
 
-def tightness_scan(
-    n: int,
-    filter_name: str,
-    selector: str,
-    eta: float = 0.4,
-    workers: int = 1,
-    reps: list[Graph] | None = None,
-) -> list[dict]:
-    """Empirical per-k maxima of mis_k against a chosen bound family."""
+def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -> list[dict]:
+    """Empirical per-k maxima of mis_k over the order-n classes ``reps``
+    against a chosen bound family."""
     evaluators = {
         "eppstein": lambda k: bounds.eppstein(n, k).ln_value,
         "nielsen": lambda k: bounds.nielsen(n, k).ln_value,
@@ -451,8 +441,6 @@ def tightness_scan(
     }
     if selector not in evaluators:
         raise ValueError(f"unknown bound selector {selector!r}; options: {sorted(evaluators)}")
-    if reps is None:
-        reps = generate_all(n, filter_name, workers)
     profiles = [(g, mis_profile(g)) for g in reps]
     rows = []
     for k in range(n + 1):

@@ -144,27 +144,21 @@ def to_edge_list(g: Graph) -> str:
 
 
 def looks_like_edge_list(text: str) -> bool:
-    """Heuristic for format sniffing: an 'n m' integer header line."""
+    """Whether the first content line other than the graph6 header splits
+    into two fields, as an edge list's ``n m`` header does.  A graph6 line
+    holds no whitespace (its alphabet is bytes 63-126), so text that either
+    parser accepts goes to that parser."""
     for raw in text.splitlines():
         ln = raw.strip()
-        if not ln or ln == GRAPH6_HEADER:
-            continue
-        parts = ln.split()
-        return len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)
+        if ln and ln != GRAPH6_HEADER:
+            return len(ln.split()) == 2
     return False
 
 
-def load_graphs(text: str, fmt: str = "auto") -> list[Graph]:
-    """Parse input text holding one edge list or any number of graph6 lines.
-
-    ``fmt`` is 'g6', 'edges', or 'auto' (sniff by the first content line).
-    """
-    if fmt == "auto":
-        fmt = "edges" if looks_like_edge_list(text) else "g6"
-    if fmt == "edges":
+def load_graphs(text: str) -> list[Graph]:
+    """Parse input text holding one edge list or any number of graph6 lines."""
+    if looks_like_edge_list(text):
         return [parse_edge_list(text)]
-    if fmt != "g6":
-        raise ValueError(f"unknown format {fmt!r}")
     graphs = []
     for raw in text.splitlines():
         ln = raw.strip()

@@ -126,11 +126,6 @@ def path_graph(n: int) -> Graph:
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     if a.n + b.n > MAX_VERTICES:
         raise GuardError("union exceeds the order cap")
@@ -166,13 +161,6 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def degree_histogram(g: Graph) -> list[int]:
-    hist = [0] * g.n if g.n else []
-    for v in range(g.n):
-        hist[g.degree(v)] += 1
-    return hist
-
-
 def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
 
@@ -194,13 +182,6 @@ def components(adj: Sequence[int], within: int | None = None) -> list[int]:
         out.append(comp)
         todo &= ~comp
     return out
-
-
-def is_independent(g: Graph, mask: int) -> bool:
-    for v in iter_bits(mask):
-        if g.adj[v] & mask:
-            return False
-    return True
 
 
 def is_maximal_independent(g: Graph, mask: int) -> bool:

@@ -7,6 +7,7 @@ the float implementations against them at stated tolerances.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,19 @@ class TestExactRationalAnchors:
         assert nielsen(30095, 6449).exact == 2 * 10**4299
         assert nielsen(30100, 6450).exact is None
         assert nielsen(30100, 6450).ln_value == pytest.approx(4300 * math.log(10), rel=1e-13)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_exact_stops_at_interpreter_digit_limit(self):
+        # 4^320 5^639 = 2 * 10^639 has 640 digits, 10^640 one more.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert str(nielsen(4475, 959).exact) == "2" + "0" * 639
+            assert nielsen(4480, 960).exact is None
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

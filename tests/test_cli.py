@@ -58,6 +58,18 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_module(*argv, stdin=b"", env=None):
+    """``python -m misbench`` in a subprocess: bytes in, bytes out."""
+    src = str(Path(misbench.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "misbench", *argv],
+        input=stdin,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        timeout=60,
+    )
+
+
 @pytest.fixture
 def k4_file(tmp_path):
     path = tmp_path / "k4.g6"
@@ -108,18 +120,9 @@ class TestMis:
 class TestModuleEntryPoint:
     def test_python_dash_m_reads_stdin(self):
         # ``python -m misbench`` runs the console script's main().
-        src = str(Path(misbench.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-m", "misbench", "mis", "-"],
-            input="C~\n",
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == '{\n  "mis": 4,\n  "profile": [\n    0,\n    4,\n    0,\n    0,\n    0\n  ]\n}\n'
+        done = run_module("mis", "-", stdin=b"C~\n")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == b'{\n  "mis": 4,\n  "profile": [\n    0,\n    4,\n    0,\n    0,\n    0\n  ]\n}\n'
 
 
 class TestMibs:
@@ -179,6 +182,18 @@ class TestBounds:
         assert payload["moon_moser"]["exact"] == (str(3 ** (n // 3)) if n % 3 == 0 else None)
         assert payload["eppstein"]["exact"] == str(Fraction(3) ** (4 * k - n) * 4 ** (n - 3 * k))
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_exact_within_the_interpreter_digit_limit(self):
+        # Under a 640-digit limit, 4^5997 / 3^5996 and the other exact values
+        # at (6000, 1) cannot be printed, so they are null, not an error.
+        done = run_module("bounds", "6000", "1", env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert (done.returncode, done.stderr) == (0, b"")
+        payload = json.loads(done.stdout)
+        for name in ("moon_moser", "eppstein", "nielsen", "interpolated"):
+            assert payload[name]["exact"] is None
+
     @pytest.mark.parametrize("n, k", [(7000, 1), (3100, 3100), (10**9, 1)])
     def test_exact_past_digit_cap_is_null(self, capsys, n, k):
         # A numerator or denominator above 4,300 digits, which str() of an
@@ -205,12 +220,6 @@ class TestCurves:
         xs = [float(line.split(",")[0]) for line in lines[1:]]
         for anchor in (0.2, 0.25, 0.333):
             assert any(abs(x - anchor) < 1e-9 for x in xs)
-
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "curves.csv"
-        code, out, _ = run(capsys, "curves", "--out", str(path))
-        assert code == 0 and out == ""
-        assert path.read_text().startswith("x,eppstein,nielsen,interp,corollary1_eta\n")
 
     def test_points_past_cap_exit_three(self, capsys):
         cap = bounds.CURVE_POINTS_CAP
@@ -421,6 +430,25 @@ class TestExitCodes:
         path.write_text("")
         code, _, _ = run(capsys, "mis", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data, err",
+        [
+            (b"C\xc3\xa9\n", b"error: byte 0xc3 at offset 1 is not ASCII\n"),
+            (b"C~\n\xff\n", b"error: byte 0xff at offset 3 is not ASCII\n"),
+        ],
+    )
+    def test_non_ascii_is_two_from_a_file_and_from_stdin(self, capsys, tmp_path, data, err):
+        path = tmp_path / "input.g6"
+        path.write_bytes(data)
+        assert run(capsys, "mis", str(path)) == (2, "", err.decode())
+        done = run_module("mis", "-", stdin=data)
+        assert (done.returncode, done.stdout, done.stderr) == (2, b"", err)
+
+    def test_crlf_lines_read_as_lf(self, capsys, tmp_path):
+        path = tmp_path / "crlf.edges"
+        path.write_bytes(b"3 3\r\n0 1\r\n1 2\r\n0 2\r\n")
+        assert run_json(capsys, "mis", str(path)) == {"mis": 3, "profile": [0, 3, 0, 0]}
 
 
 json_text = st.text(

@@ -148,12 +148,21 @@ class TestLoadGraphs:
         assert [g.n for g in gs] == [3, 1]
 
     def test_explicit_format(self):
-        assert load_graphs("Bw", "g6")[0].n == 3
-        assert load_graphs("2 1\n0 1", "edges")[0].n == 2
+        # graph6's own header line, or the header glued to a graph.
+        assert [g.n for g in load_graphs(">>graph6<<\nBw\n@\n")] == [3, 1]
+        assert load_graphs(">>graph6<<Bw")[0].n == 3
+
+    def test_signed_header_is_an_edge_list(self):
+        # int() reads "+2", so the first line is an "n m" header.
+        assert load_graphs("+2 1\n0 1") == [from_edges(2, [(0, 1)])]
+
+    def test_two_fields_go_to_the_edge_list_parser(self):
+        with pytest.raises(FormatError, match="non-integer header"):
+            load_graphs("a b\n")
 
     def test_empty_input(self):
         with pytest.raises(FormatError):
-            load_graphs("\n\n", "g6")
+            load_graphs("\n\n")
 
 
 class TestRoundTripProperties:
@@ -163,9 +172,15 @@ class TestRoundTripProperties:
         assert parse_graph6(to_graph6(g)) == g
 
     @settings(max_examples=80, deadline=None)
-    @given(random_graph_strategy(max_n=10))
+    @given(random_graph_strategy(max_n=12))
     def test_edge_list_roundtrip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
+        assert load_graphs(to_edge_list(g)) == [g]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(random_graph_strategy(max_n=12), min_size=1, max_size=4))
+    def test_load_graphs_reads_graph6_lines_in_order(self, graphs):
+        assert load_graphs("".join(to_graph6(g) + "\n" for g in graphs)) == graphs
 
     def test_large_order_roundtrip(self):
         g = from_edges(63, [(0, 62), (10, 20)])

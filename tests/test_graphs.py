@@ -8,18 +8,15 @@ from misbench.graphs import (
     Graph,
     GuardError,
     bipartition,
-    complement,
     complete_graph,
     components,
     cycle_graph,
-    degree_histogram,
     disjoint_union,
     empty_graph,
     from_edges,
     induced_subgraph,
     is_bipartite_induced,
     is_clique,
-    is_independent,
     is_k4_free,
     is_maximal_independent,
     iter_bits,
@@ -164,10 +161,6 @@ class TestStructure:
         comps = components(g.adj)
         assert sorted(c.bit_count() for c in comps) == [2, 3]
 
-    def test_degree_histogram(self):
-        assert degree_histogram(cycle_graph(4)) == [0, 0, 4, 0]
-        assert degree_histogram(path_graph(3)) == [0, 2, 1]
-
     def test_k4_witness(self):
         assert k4_witness(complete_graph(4)) == 15
         assert k4_witness(complete_graph(3)) is None
@@ -178,8 +171,6 @@ class TestStructure:
 
     def test_independence(self):
         c5 = cycle_graph(5)
-        assert is_independent(c5, mask_of((0, 2)))
-        assert not is_independent(c5, mask_of((0, 1)))
         assert is_maximal_independent(c5, mask_of((0, 2)))
         assert not is_maximal_independent(c5, mask_of((0,)))
 
@@ -206,16 +197,6 @@ class TestStructure:
 
 
 class TestProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(random_graph_strategy())
-    def test_complement_involution(self, g):
-        assert complement(complement(g)) == g
-
-    @settings(max_examples=80, deadline=None)
-    @given(random_graph_strategy())
-    def test_edge_count_vs_complement(self, g):
-        assert g.edge_count() + complement(g).edge_count() == g.n * (g.n - 1) // 2
-
     @settings(max_examples=80, deadline=None)
     @given(random_graph_strategy())
     def test_components_partition(self, g):
