@@ -14,13 +14,15 @@ Subcommands::
 Graphs are read as ASCII from a file argument (or stdin with ``-``), in
 graph6 or edge-list format told apart by the first line.  Results are JSON
 on stdout (CSV for ``curves``); floats carry 12 significant digits.  Exit
-codes: 0 success, 1 semantic failure, 2 input/parse error, 3 resource guard.
+codes: 0 success, 1 semantic failure, 2 input/parse error, 3 resource guard,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -28,13 +30,14 @@ from json.encoder import encode_basestring_ascii
 from math import inf
 
 from . import bounds, extremal
-from .graphio import FormatError, load_graphs
+from .graphio import FormatError, decode_ascii, load_graphs
 from .graphs import Graph, GuardError
 from .mibs import mibs_counts
 from .misenum import mis_profile
 from .pipeline import analyze_instance, root_mask
 
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe stops
 
 
 def _write(obj, out: list[str], indent: str) -> None:
@@ -109,11 +112,7 @@ def _read_graphs(args) -> list[Graph]:
     else:
         with open(args.path, "rb") as fh:
             data = fh.read()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII") from exc
-    return load_graphs(text)
+    return load_graphs(decode_ascii(data))
 
 
 def _single_or_array(reports: list[dict]):
@@ -347,7 +346,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device, so that
+        # the flush at interpreter exit has nowhere to fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

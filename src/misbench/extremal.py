@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds
-from .graphio import parse_graph6, to_graph6
+from .graphio import decode_ascii, parse_graph6, to_graph6
 from .graphs import (
     Graph,
     GuardError,
@@ -489,5 +489,8 @@ def write_class_list(path: str, reps: list[Graph]) -> None:
 
 
 def load_class_list(path: str) -> list[Graph]:
-    with open(path, encoding="ascii") as fh:
-        return [parse_graph6(line) for line in fh if line.strip()]
+    """The graphs of a class list, one graph6 line each; a byte that is not
+    ASCII raises FormatError, as it does in every other graph input."""
+    with open(path, "rb") as fh:
+        text = decode_ascii(fh.read())
+    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

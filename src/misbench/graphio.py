@@ -20,6 +20,15 @@ class FormatError(ValueError):
     """Raised when input text is not valid graph6 or edge-list data."""
 
 
+def decode_ascii(data: bytes) -> str:
+    """The text of input bytes, all of which must be ASCII; FormatError
+    names the first byte that is not."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII") from exc
+
+
 def _triangle_pairs(n: int):
     """Upper-triangle pairs in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ..."""
     for j in range(1, n):

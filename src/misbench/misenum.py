@@ -4,11 +4,14 @@ The only search is the pivoting search ``_sets_between``: it lists the
 sets whose size lies in a window, on the subgraph induced by a vertex
 mask and in the input graph's own labels.  It drops a node as
 soon as its pivot scan meets a vertex that no candidate can dominate,
-and finishes a node one vertex short of the window's top by testing
-each possible last vertex, without a recursive call.  ``enumerate_mis``
-runs it over every size; ``mis_of_size`` over one size, where its size
-bounds prune every branch unable to end there, and the pipeline reads
-its root-size sets from it.  ``mis_profile`` convolves ``enumerate_mis``
+or when the vertices left to dominate outnumber what the window's
+remaining choices can dominate, and finishes a node one vertex short of
+the window's top by testing each possible last vertex, without a
+recursive call.  ``enumerate_mis`` runs it over every size;
+``mis_of_size`` over one size, where its size bounds prune every branch
+unable to end there, and the pipeline reads its root-size sets from it;
+for the minimum size it searches each connected component alone and
+multiplies the results.  ``mis_profile`` convolves ``enumerate_mis``
 over the connected components without copying any of them.  The subset
 scan ``enumerate_mis_bruteforce`` is the test suite's oracle for small
 orders.
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import prod
 
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     GuardError,
     components,
@@ -98,7 +103,9 @@ def enumerate_mis_bruteforce(g: Graph) -> MisFamily:
     return _family(g.n, out)
 
 
-def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int], None]) -> None:
+def _sets_between(
+    g: Graph, within: int, lo: int, hi: int, emit: Callable[[int], None], reach: int = MAX_VERTICES
+) -> None:
     """Call emit(mask) for each maximal independent set of g[within] of size lo..hi.
 
     The pivoting search of Bron & Kerbosch with the pivot rule of Tomita,
@@ -110,10 +117,12 @@ def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int],
     P & N[pivot]; the scan stops at the first vertex of U with no
     neighbor in P, since nothing can dominate it: a dead end.
     A completion adds vertices of P only, so a node is pruned when
-    |R| + |P| < lo; it must dominate U, so it needs at least
-    ceil(|U| / max_{v in P} |N[v] & U|) more vertices, and the node is
-    pruned when that passes hi.  The second bound is computed only when
-    |R| + |U| > hi, which never holds in the full window 0..|within|.
+    |R| + |P| < lo.  It must dominate U with at most hi - |R| more
+    vertices, none of which dominates more than ``reach`` vertices (any
+    bound on the closed neighborhoods of g, such as Delta + 1; the
+    default holds for every graph), so the node is pruned when
+    |U| > (hi - |R|) * reach.  In the full window 0..|within|, |U| is at
+    most hi - |R|, and that test never prunes.
 
     A node one vertex short of hi is finished without recursion: R is not
     maximal while P is non-empty, so each completion is R | {v} for one
@@ -139,12 +148,9 @@ def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int],
                 if not u & ~closed[low.bit_length()]:
                     emit(r | low)
             return
-        if size + p.bit_count() < lo:
+        if size + p.bit_count() < lo or u.bit_count() > (hi - size) * reach:
             return
-        width = u.bit_count()
-        check_hi = size + width > hi
         fewest = len(closed)
-        reach = 0
         rest = u
         while rest:
             low = rest & -rest
@@ -156,12 +162,6 @@ def _sets_between(g: Graph, within: int, lo: int, hi: int, emit: Callable[[int],
                     return
                 fewest = hits
                 pivot = row
-            if check_hi and low & p:
-                cover = (row & u).bit_count()
-                if cover > reach:
-                    reach = cover
-        if check_hi and size - (-width // reach) > hi:
-            return
         branch = p & pivot
         while branch:
             low = branch & -branch
@@ -193,38 +193,67 @@ def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
     return _family(within.bit_count(), out)
 
 
-def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
-    """The maximal independent sets of size exactly k, as sorted masks.
+class _Overflow(Exception):
+    """More than MIS_OF_SIZE_CAP sets of one size were held."""
 
-    ``_sets_between`` over the window k..k, which prunes every branch
-    unable to end at size k.  With k None, k is the minimum size of a
-    maximal independent set: a maximal independent set dominates g, so
-    it has at least ceil(n / (Delta + 1)) vertices, and the windows from
-    there up are tried in turn until one holds a set.  Returns (k, sets).
 
-    Raises GuardError once more than MIS_OF_SIZE_CAP (2^17) sets of one
-    size are held, so the list stays within a few MiB: 21 disjoint
-    triangles (3^21 sets of size 21) trip it in under a second.  The
-    largest list the pipeline benchmark and the test corpora produce is
-    1,024 sets (diamond_union(10)).  The cap bounds memory, not time: a
-    search that holds few sets can still visit as many nodes as
-    ``enumerate_mis``.
-    """
-    if k is None:
-        sizes = range(-(-g.n // (max_degree(g) + 1)), g.n + 1)
-    else:
-        sizes = (k,)
+def _sets_of_size(g: Graph, within: int, k: int, reach: int) -> list[int]:
+    """The maximal independent sets of g[within] of size k.  The search
+    stops once it holds more than MIS_OF_SIZE_CAP of them: a list that
+    long only says that the cap is passed."""
     out: list[int] = []
 
     def hold(mask: int) -> None:
         out.append(mask)
         if len(out) > MIS_OF_SIZE_CAP:
-            raise GuardError(f"more than {MIS_OF_SIZE_CAP} maximal independent sets of size {k}")
+            raise _Overflow
 
-    for k in sizes:
-        _sets_between(g, g.full_mask, k, k, hold)
-        if out:
-            break
+    try:
+        _sets_between(g, within, k, k, hold, reach)
+    except _Overflow:
+        pass
+    return out
+
+
+def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
+    """The maximal independent sets of size exactly k, as sorted masks.
+
+    ``_sets_between`` over the window k..k, which prunes every branch
+    unable to end at size k, with Delta + 1 bounding the vertices that
+    one vertex dominates.  With k None, k is the minimum size of a
+    maximal independent set.  A maximal independent set of a disjoint
+    union is one per component, so each connected component C is
+    searched alone, over the windows from ceil(|C| / (Delta + 1)) up (a
+    maximal independent set dominates C) until one holds a set; k is the
+    sum of the component minima and the sets are the unions of one
+    minimum set per component.  Returns (k, sets).
+
+    Raises GuardError when there are more than MIS_OF_SIZE_CAP (2^17)
+    sets of size k, so the list stays within a few MiB.  The product of
+    the component counts is compared with the cap before any union is
+    built: 21 disjoint triangles (3^21 sets of size 21) trip it at once.
+    The largest list the pipeline benchmark and the test corpora produce
+    is 1,024 sets (diamond_union(10)).  The cap bounds memory, not time:
+    a search that holds few sets can still visit as many nodes as
+    ``enumerate_mis``.
+    """
+    reach = max_degree(g) + 1
+    if k is not None:
+        factors = [_sets_of_size(g, g.full_mask, k, reach)]
+    else:
+        k = 0
+        factors = []
+        for part in components(g.adj):
+            size = -(-part.bit_count() // reach)
+            while not (sets := _sets_of_size(g, part, size, reach)):
+                size += 1
+            k += size
+            factors.append(sets)
+    if prod(map(len, factors)) > MIS_OF_SIZE_CAP:
+        raise GuardError(f"more than {MIS_OF_SIZE_CAP} maximal independent sets of size {k}")
+    out = [0]
+    for sets in factors:
+        out = [a | b for a in out for b in sets]
     return k, sorted(out)
 
 

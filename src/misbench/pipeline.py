@@ -131,6 +131,11 @@ def decompose(g: Graph, i0: int) -> Decomposition:
     independent set; the message names the witness.
     """
     _check_preconditions(g, i0)
+    return _decompose(g, i0)
+
+
+def _decompose(g: Graph, i0: int) -> Decomposition:
+    """``decompose`` on a graph and root set that passed its checks."""
     j0 = g.full_mask & ~i0
     i1 = 0
     for v in iter_bits(i0):
@@ -150,7 +155,7 @@ def decompose(g: Graph, i0: int) -> Decomposition:
             i2 |= 1 << v
     i3 = i0 & ~(i1 | i2)
     edges = sum((g.adj[v] & j0).bit_count() for v in iter_bits(i0))
-    dec = Decomposition(
+    return Decomposition(
         n=g.n,
         k=i0.bit_count(),
         I0=i0,
@@ -163,7 +168,6 @@ def decompose(g: Graph, i0: int) -> Decomposition:
         ell=i3.bit_count(),
         edge_count_I0_J0=edges,
     )
-    return dec
 
 
 def decomposition_inequalities(dec: Decomposition) -> list[dict]:
@@ -515,13 +519,14 @@ def analyze_instance(g: Graph, i0: int | None = None, s_indices=()) -> dict:
     (smallest sorted vertex tuple among minimum sizes), matching the
     regime the counting argument targets.  Only the maximal independent
     sets of the root size are listed, after the preconditions of
-    ``decompose`` hold.
+    ``decompose`` hold; they are checked once, as a root set picked from
+    those sets is a maximal independent set.
     """
     _check_preconditions(g, i0)
     k, sets = mis_of_size(g, None if i0 is None else i0.bit_count())
     if i0 is None:
         i0 = min_mis(sets)
-    dec = decompose(g, i0)
+    dec = _decompose(g, i0)
     cells = label_cells(g, dec)
     state = select(g, dec, cells, s_indices)
     stats = transversal_census(g, cells, state)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import misbench
 from misbench import bounds, extremal, pipeline
-from misbench.cli import _emit, build_parser, main
+from misbench.cli import CURVE_HEADER, _emit, build_parser, main
 from misbench.graphio import to_graph6
 from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
 
@@ -233,6 +233,23 @@ class TestCurves:
         assert (code, out) == (1, "")
         assert err == f"error: eta must lie in [0, 1], got {float(eta)}\n"
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # The reader takes one line and closes the pipe, as ``| head -1``
+        # does; the rest of the 1.4 MB cannot sit in the pipe's buffer.
+        src = str(Path(misbench.__file__).resolve().parent.parent)
+        with open(tmp_path / "stderr", "w+b") as err:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "misbench", "curves", "--points", "20000"],
+                stdout=subprocess.PIPE,
+                stderr=err,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=60)
+            err.seek(0)
+            assert (first, err.read(), code) == (CURVE_HEADER.encode() + b"\n", b"", 141)
+
 
 class TestSolve:
     def test_eps_delta(self, capsys):
@@ -380,6 +397,13 @@ class TestSearch:
         run_json(capsys, "search", "-n", "4", "--save-classes", str(saved))
         code, _, err = run(capsys, "search", "-n", "5", "--classes", str(saved))
         assert code == 2
+
+    def test_non_ascii_class_list_is_two(self, capsys, tmp_path):
+        # The class list is read as the graph inputs are: bytes, then ASCII.
+        saved = tmp_path / "classes.g6"
+        saved.write_bytes(b"C\xc3\xa9\n")
+        code, out, err = run(capsys, "search", "-n", "4", "--classes", str(saved))
+        assert (code, out, err) == (2, "", "error: byte 0xc3 at offset 1 is not ASCII\n")
 
 
 class TestVerifyTheorem2:

@@ -249,6 +249,26 @@ class TestMisOfSize:
         assert expected
         assert mis_of_size(g, k) == (k, expected)
 
+    def test_large_cubic_graphs(self):
+        # The orders of the largest pipeline inputs, 5,187 to 87,313
+        # maximal independent sets each.
+        for n in (32, 36, 40, 44):
+            g = random_cubic_k4free(n, 7000 + n)
+            sets = enumerate_mis(g).sets
+            k = min(map(int.bit_count, sets))
+            assert mis_of_size(g) == (k, [m for m in sets if m.bit_count() == k])
+
+    def test_guard_on_one_component(self, monkeypatch):
+        # A triangle chain with F(12) = 144 sets of size 5 between a
+        # triangle and a lone vertex: 432 sets of size 7 in all.
+        g = disjoint_union(disjoint_union(complete_graph(3), triangle_chain(5)), empty_graph(1))
+        monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", 432)
+        assert mis_of_size(g) == (7, [m for m in enumerate_mis(g).sets if m.bit_count() == 7])
+        for cap in (431, 143):
+            monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", cap)
+            with pytest.raises(GuardError, match=f"more than {cap} maximal independent sets of size 7"):
+                mis_of_size(g)
+
     def test_guard_counts_sets_of_one_size(self, monkeypatch):
         g = empty_graph(0)
         for _ in range(3):

@@ -604,6 +604,31 @@ class TestAnalyzeInstance:
         assert report["root_set"] == [3]
         assert report["violations"] == []
 
+    def test_preconditions_checked_once(self, monkeypatch):
+        # analyze_instance checks before its search and decomposes without
+        # checking again; decompose called alone still checks.
+        real_witness = pipeline.k4_witness
+        calls = []
+
+        def counted_witness(g):
+            calls.append(g)
+            return real_witness(g)
+
+        monkeypatch.setattr(pipeline, "k4_witness", counted_witness)
+        # Given roots on the fixtures, the default root on cubic instances.
+        cubic = [g for g, _ in pipeline_instances(8)]
+        for g, i0 in FIXTURES:
+            analyze_instance(g, i0)
+        for g in cubic:
+            analyze_instance(g)
+        assert calls == [g for g, _ in FIXTURES] + cubic
+        star = from_edges(5, [(0, i) for i in range(1, 5)])
+        with pytest.raises(DecompositionError, match="degree"):
+            decompose(star, mask_of((0,)))
+        with pytest.raises(DecompositionError, match="clique"):
+            decompose(complete_graph(4), mask_of((0,)))
+        assert len(calls) == len(FIXTURES) + len(cubic) + 1
+
 
 class TestCorpusHelpers:
     def test_min_mis_is_maximal_and_minimum(self):
