@@ -282,9 +282,11 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     depend on which extension reached a class.  Results are memoized per
     process; ``workers`` > 1 splits the augmentation of the parent list
     across a process pool of at most ``os.cpu_count()`` processes
-    (deterministic output either way).
+    (deterministic output either way); fewer than 1 is a ValueError.
     """
     check_order(n)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if filter_name not in FILTERS:
         raise ValueError(f"unknown filter {filter_name!r}; options: {sorted(FILTERS)}")
     cached = _class_cache.get((n, filter_name))

@@ -246,7 +246,3 @@ def bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
             seen |= layer
         todo &= ~seen
     return sides[0], sides[1]
-
-
-def is_bipartite_induced(g: Graph, mask: int) -> bool:
-    return bipartition(g, mask) is not None

@@ -5,8 +5,9 @@ vertex breaks bipartiteness.  ``mibs_counts`` runs over the ordered pairs
 (A, B), A a maximal independent set of G and B one of G - A, a connected
 component at a time.  Every such set is a union A | B, but distinct pairs
 can give the same set and some unions are not maximal, so the census keeps
-both the distinct sets and the pairs that overcount them.  The tests
-derive every field of it from subset scans: ``enumerate_mibs_bruteforce``
+both.  A and B 2-colour A | B, and (B, A) is a pair too iff B is maximal
+independent in G, so no pair needs a bipartiteness test or a swap lookup.
+The tests derive every field from subset scans: ``enumerate_mibs_bruteforce``
 and the maximal independent sets of G and of each G - A.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, GuardError, components, is_bipartite_induced, iter_bits
+from .graphs import Graph, GuardError, bipartition, components, iter_bits
 from .misenum import BRUTE_FORCE_CAP, enumerate_mis
 
 
@@ -25,11 +26,11 @@ def is_maximal_induced_bipartite(g: Graph, mask: int, within: int | None = None)
     ``within`` defaults to all of g; only its vertices are tried as
     extensions.
     """
-    if not is_bipartite_induced(g, mask):
+    if bipartition(g, mask) is None:
         return False
     outside = (g.full_mask if within is None else within) & ~mask
     for w in iter_bits(outside):
-        if is_bipartite_induced(g, mask | (1 << w)):
+        if bipartition(g, mask | (1 << w)) is not None:
             return False
     return True
 
@@ -45,7 +46,7 @@ def enumerate_mibs_bruteforce(g: Graph) -> tuple[int, ...]:
     size = 1 << g.n
     bip = bytearray(size)
     for s in range(size):
-        bip[s] = is_bipartite_induced(g, s)
+        bip[s] = bipartition(g, s) is not None
     out = []
     for s in range(size):
         if not bip[s]:
@@ -80,47 +81,55 @@ def _convolve_sizes(x: dict[tuple[int, int], int], y: dict[tuple[int, int], int]
     return out
 
 
+def _is_maximal_union(g: Graph, a: int, b: int, part: int) -> bool:
+    """Whether no vertex of part outside a | b extends it; a and b are independent."""
+    sides = [(c & a, c & b) for c in components(g.adj, a | b) if c & a and c & b]
+    return all(
+        any(g.adj[w] & x and g.adj[w] & y for x, y in sides) for w in iter_bits(part & ~(a | b))
+    )
+
+
 def mibs_counts(g: Graph) -> MibsCounts:
     """The census numbers as products over components.
 
-    Within a component G, every pair (A, B), A in MIS(G) and B in MIS(G - A),
-    is listed on masks of g; maximality is tested once per distinct union.
-    A generator pair of a disjoint union is one generator pair per
-    component, and its union is maximal iff every component's part is.  So
-    the distinct, ordered and maximal pair counts multiply, and the maximal
-    pairs tabulated by (|A|, |B|) (F) combine by 2-D convolution, as do
-    those whose swap (B, A) is also a maximal pair (S).  A witness is an
-    unordered pair {A, B} from either order, so the witnesses with
+    Within a component G, each pair (A, B), A in MIS(G) and B in
+    MIS(G - A), is listed on masks of g and judged by itself.  A and B
+    2-colour A | B, so an outside vertex extends the union iff no
+    component of G[A | B] has neighbours of it on both sides (tested once
+    per distinct union).  A dominates G, so (B, A) is a pair iff B is in
+    MIS(G).  A generator pair of a disjoint union is one per component, and
+    its union is maximal iff every component's part is.  So the distinct,
+    ordered and maximal pair counts multiply, and the maximal pairs by
+    (|A|, |B|) (F) combine by 2-D convolution, as do those whose swap is
+    also a maximal pair (S).  The unordered witnesses {A, B} with
     |A| = a >= |B| = b number D(a, b) = F(a, b) + F(b, a) - S(a, b), halved
-    when a = b.  The swap fixes no pair except (∅, ∅) of the empty graph,
-    which is its one witness.
+    when a = b, rounding up for the empty graph's (∅, ∅), its swap's fixed point.
     """
-    if g.n == 0:
-        return MibsCounts(1, 1, 0, ((0, 1),))
     distinct = ordered = 1
     full: dict[tuple[int, int], int] = {(0, 0): 1}
     swap: dict[tuple[int, int], int] = {(0, 0): 1}
     for part in components(g.adj):
+        mis = set(enumerate_mis(g, part).sets)
         is_maximal: dict[int, bool] = {}
-        maximal = set()
+        part_full: Counter = Counter()
+        part_swap: Counter = Counter()
         part_ordered = 0
-        for a in enumerate_mis(g, part).sets:
+        for a in mis:
             for b in enumerate_mis(g, part & ~a).sets:
                 part_ordered += 1
                 union = a | b
                 if union not in is_maximal:
-                    is_maximal[union] = is_maximal_induced_bipartite(g, union, part)
+                    is_maximal[union] = _is_maximal_union(g, a, b, part)
                 if is_maximal[union]:
-                    maximal.add((a, b))
+                    sizes = a.bit_count(), b.bit_count()
+                    part_full[sizes] += 1
+                    part_swap[sizes] += b in mis
         distinct *= sum(is_maximal.values())
         ordered *= part_ordered
-        full = _convolve_sizes(full, Counter((a.bit_count(), b.bit_count()) for a, b in maximal))
-        swap = _convolve_sizes(
-            swap,
-            Counter((a.bit_count(), b.bit_count()) for a, b in maximal if (b, a) in maximal),
-        )
+        full = _convolve_sizes(full, part_full)
+        swap = _convolve_sizes(swap, part_swap)
     hist: Counter = Counter()
     for a, b in {(max(key), min(key)) for key in full}:
         pairs = full.get((a, b), 0) + full.get((b, a), 0) - swap.get((a, b), 0)
-        hist[a] += pairs if a > b else pairs // 2
+        hist[a] += pairs if a > b else -(-pairs // 2)
     return MibsCounts(distinct, ordered, ordered - sum(full.values()), tuple(sorted(hist.items())))

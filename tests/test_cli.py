@@ -392,6 +392,13 @@ class TestSearch:
         code, out, err = run(capsys, "search", "-n", "-1")
         assert (code, out, err) == (1, "", "error: order must be nonnegative, got -1\n")
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_one(self, capsys, workers):
+        # Refused even when the order's classes are already cached.
+        run(capsys, "search", "-n", "4")
+        code, out, err = run(capsys, "search", "-n", "4", "--workers", workers)
+        assert (code, out, err) == (1, "", f"error: workers must be at least 1, got {workers}\n")
+
     def test_class_order_mismatch(self, capsys, tmp_path):
         saved = tmp_path / "n4.g6"
         run_json(capsys, "search", "-n", "4", "--save-classes", str(saved))

@@ -15,7 +15,6 @@ from misbench.graphs import (
     empty_graph,
     from_edges,
     induced_subgraph,
-    is_bipartite_induced,
     is_clique,
     is_k4_free,
     is_maximal_independent,
@@ -181,7 +180,7 @@ class TestStructure:
         s0, s1 = sides
         assert s0 | s1 == 15 and s0 & s1 == 0
         assert bipartition(cycle_graph(5), 31) is None
-        assert is_bipartite_induced(cycle_graph(5), mask_of((0, 1, 2, 3)))
+        assert bipartition(cycle_graph(5), mask_of((0, 1, 2, 3))) is not None
 
     def test_induced_subgraph(self):
         g = cycle_graph(5)

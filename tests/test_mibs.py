@@ -3,11 +3,14 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 
-from misbench.corpus import oracle_graphs
+from misbench import graphs, mibs
+from misbench.corpus import oracle_graphs, random_cubic_k4free
 from misbench.graphs import (
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -19,13 +22,15 @@ from misbench.graphs import (
 )
 from misbench.mibs import (
     MibsCounts,
+    _is_maximal_union,
     enumerate_mibs_bruteforce,
     is_maximal_induced_bipartite,
     mibs_counts,
 )
-from misbench.misenum import enumerate_mis_bruteforce
+from misbench.misenum import enumerate_mis, enumerate_mis_bruteforce
 
 from test_graphs import random_graph_strategy, random_union, record_graph_builds
+from test_misenum import triangle_chain
 
 
 def reference_mibs_counts(g):
@@ -176,3 +181,61 @@ class TestFactorizedCounts:
         g = disjoint_union(disjoint_union(path_graph(3), empty_graph(1)), path_graph(4))
         assert mibs_counts(g) == MibsCounts(1, 8, 4, ((4, 2), (5, 2)))
         assert mibs_counts(g) == reference_mibs_counts(g)
+
+
+class TestPairCensus:
+    """The census judges each generator pair (A, B) from the pair: A and B
+    2-colour A | B, so maximality is a mask test on the components of
+    G[A | B], and no bipartiteness test runs."""
+
+    @pytest.mark.parametrize(
+        "graphs_under_test",
+        [
+            pytest.param(lambda: oracle_graphs(200, max_n=10), id="oracle"),
+            pytest.param(lambda: [random_cubic_k4free(16, 7016)], id="cubic16"),
+            pytest.param(lambda: [random_cubic_k4free(20, 7020)], id="cubic20"),
+        ],
+    )
+    def test_mask_test_matches_oracle_on_every_union(self, graphs_under_test):
+        verdicts = Counter()
+        for g in graphs_under_test():
+            for part in components(g.adj):
+                seen = set()
+                for a in enumerate_mis(g, part).sets:
+                    for b in enumerate_mis(g, part & ~a).sets:
+                        if a | b in seen:
+                            continue
+                        seen.add(a | b)
+                        verdict = _is_maximal_union(g, a, b, part)
+                        assert verdict == is_maximal_induced_bipartite(g, a | b, part)
+                        verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_no_bipartiteness_test_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bipartiteness tested")
+
+        g = random_cubic_k4free(10, 7010)
+        assert components(g.adj) == [g.full_mask]
+        expected = reference_mibs_counts(g)
+        monkeypatch.setattr(graphs, "bipartition", refuse)
+        monkeypatch.setattr(mibs, "bipartition", refuse)
+        monkeypatch.setattr(mibs, "is_maximal_induced_bipartite", refuse)
+        assert mibs_counts(g) == expected == MibsCounts(24, 68, 20, ((3, 5), (4, 23)))
+
+
+class TestClosedForms:
+    """Counts above the 20-vertex subset-scan cap."""
+
+    def test_cycles(self):
+        # An even cycle is bipartite; an odd one loses any single vertex.
+        for n in range(3, 22):
+            assert mibs_counts(cycle_graph(n)).mibs == (n if n % 2 else 1)
+
+    def test_triangle_chains(self):
+        # Each set drops one vertex of every triangle and keeps an edge of
+        # it, so both sides of each witness hold one vertex per triangle.
+        for t in range(1, 8):
+            counts = mibs_counts(triangle_chain(t))
+            assert counts.mibs == 3**t
+            assert [k for k, _ in counts.a_size_histogram] == [t]

@@ -14,6 +14,7 @@ import pytest
 
 from misbench import pipeline
 from misbench.corpus import diamond, diamond_union, pipeline_instances, random_cubic_k4free
+from misbench.extremal import GENERATION_CAP, generate_all
 from misbench.graphs import (
     GuardError,
     complete_graph,
@@ -286,6 +287,32 @@ class TestSelect:
         assert state.I5 == (0, 1)
         # Distance-2 greedy: picking cell 0 removes its neighbor too.
         assert state.I6 == (0,)
+
+    def test_degree_and_greedy_bounds_on_corpus_and_sweep(self, monkeypatch):
+        # select relies on maximum degree 3 for two bounds it does not
+        # check: at most 6 neighbor cells per cell, and a greedy I6 of at
+        # least ceil(|I5| / 37) cells.  Every state that the 100-instance
+        # corpus and the sweep of every K4-free subcubic class to order 8
+        # produce keeps both.
+        real_select, states = pipeline.select, []
+
+        def recording_select(g, dec, cells, s_indices):
+            states.append(real_select(g, dec, cells, s_indices))
+            return states[-1]
+
+        monkeypatch.setattr(pipeline, "select", recording_select)
+        for g, i0 in pipeline_instances(100):
+            analyze_instance(g, i0)
+        for n in range(1, GENERATION_CAP + 1):
+            for g in generate_all(n, "both"):
+                try:
+                    analyze_instance(g)
+                except CellConflictError:
+                    pass
+        assert max(row.bit_count() for state in states for row in state.cell_adj) <= 6
+        assert all(37 * len(state.I6) >= len(state.I5) for state in states)
+        # The corpus has states with I5 cells, but none with more than 37.
+        assert any(state.I5 for state in states)
 
     def test_pendant_tail_excludes_touched_cell(self):
         g = pendant_tail()
