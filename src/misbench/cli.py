@@ -346,6 +346,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # search and verify-theorem2 take --workers; refuse a bad count
+        # before any work, even when no process pool would be started.
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         code = args.func(args)
         sys.stdout.flush()
         return code

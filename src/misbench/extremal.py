@@ -66,19 +66,29 @@ FILTERS = {
 }
 
 
-def vertex_invariants(adj: tuple[int, ...] | list[int]) -> list[tuple[int, ...]]:
+def vertex_invariants(adj: tuple[int, ...] | list[int]) -> list[int]:
     """Per-vertex isomorphism invariant: degree, then neighbors of each degree.
 
-    The counts follow the graph's own distinct degrees in increasing
-    order, so entries compare only within one graph.  Relabeling the
-    graph permutes the list without changing any entry.
+    Each entry is one int whose base-65 digits are the vertex's degree
+    followed by its number of neighbors of each of the graph's distinct
+    degrees, in increasing order of degree.  No digit exceeds 64, and
+    every vertex of one graph has the same number of digits, so the ints
+    order exactly as those tuples do lexicographically; entries compare
+    only within one graph.  Relabeling the graph permutes the list
+    without changing any entry.
     """
     by_degree: dict[int, int] = {}
     for v, row in enumerate(adj):
         d = row.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << v
     degree_masks = [by_degree[d] for d in sorted(by_degree)]
-    return [(row.bit_count(), *[(row & m).bit_count() for m in degree_masks]) for row in adj]
+    out = []
+    for row in adj:
+        inv = row.bit_count()
+        for m in degree_masks:
+            inv = inv * 65 + (row & m).bit_count()
+        out.append(inv)
+    return out
 
 
 def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
@@ -93,15 +103,18 @@ def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
     by_closed: dict[int, int] = {}
     out = []
     for v, row in enumerate(adj):
-        closed = row | 1 << v
-        out.append(by_open.get(row, 0) | by_closed.get(closed, 0))
-        by_open[row] = by_open.get(row, 0) | 1 << v
-        by_closed[closed] = by_closed.get(closed, 0) | 1 << v
+        bit = 1 << v
+        closed = row | bit
+        open_twins = by_open.get(row, 0)
+        closed_twins = by_closed.get(closed, 0)
+        out.append(open_twins | closed_twins)
+        by_open[row] = open_twins | bit
+        by_closed[closed] = closed_twins | bit
     return out
 
 
 def canonical_key(
-    adj: tuple[int, ...] | list[int], invariant: list[tuple[int, ...]] | None = None
+    adj: tuple[int, ...] | list[int], invariant: list[int] | None = None
 ) -> tuple[int, ...]:
     """Canonical per-position adjacency segments of the graph with rows ``adj``.
 
@@ -136,7 +149,7 @@ def canonical_key(
         return ()
     if invariant is None:
         invariant = vertex_invariants(adj)
-    cell_of: dict[tuple[int, ...], int] = {}
+    cell_of: dict[int, int] = {}
     for v, inv in enumerate(invariant):
         cell_of[inv] = cell_of.get(inv, 0) | 1 << v
     cells = [cell_of[inv] for inv in sorted(invariant)]
@@ -148,32 +161,43 @@ def canonical_key(
     unset = 1 << n
     best = [unset] * n
     segs = [0] * n
+    last = n - 1
 
     def place(level: int, used: int) -> None:
-        cands = []
         free = cells[level] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            if not twins[v] & ~used:
-                cands.append((segs[v], v))
-        cands.sort()
-        bit = 1 << (n - 1 - level)
+        if free & (free - 1):
+            cands = []
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                if not twins[v] & ~used:
+                    cands.append((segs[v], v))
+            cands.sort()
+        else:
+            # The cell's last free vertex: its twins share its cell, so
+            # they are all placed.
+            v = free.bit_length() - 1
+            cands = ((segs[v], v),)
+        top = best[level]
+        bit = 1 << (last - level)
         for seg, v in cands:
-            if seg > best[level]:
+            if seg > top:
                 break
-            if seg < best[level]:
-                best[level] = seg
-                for i in range(level + 1, n):
-                    best[i] = unset
-            if level + 1 < n:
-                nbrs = list(iter_bits(adj[v] & ~used))
-                for u in nbrs:
-                    segs[u] |= bit
+            if seg < top:
+                best[level] = top = seg
+                best[level + 1 :] = [unset] * (last - level)
+            if level < last:
+                nbrs = rest = adj[v] & ~used
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    segs[low.bit_length() - 1] |= bit
                 place(level + 1, used | 1 << v)
-                for u in nbrs:
-                    segs[u] ^= bit
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    segs[low.bit_length() - 1] ^= bit
 
     place(0, 0)
     # place reaches itself through its closure; dropping the name frees it
@@ -185,11 +209,14 @@ def canonical_key(
 def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
     adj = [0] * n
     for j in range(1, n):
+        # Bit j - 1 - i of the segment is the edge to position i.
         seg = key[j]
-        for i in range(j):
-            if seg >> (j - 1 - i) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        while seg:
+            low = seg & -seg
+            seg ^= low
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -353,6 +380,10 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
     profiles = [(g, mis_profile(g), is_clique_union(g)) for g in reps]
     for k in range(n + 1):
         bound = bounds.eppstein(n, k).exact
+        # The counts are ints: count > bound iff count > floor(bound), and
+        # count == bound only for an integral bound.
+        floor = bound.numerator // bound.denominator
+        integral = bound.denominator == 1
         attainers = []
         violations = []
         max_count = 0
@@ -360,11 +391,12 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
             count = profile.at_most(k)
             max_count = max(max_count, count)
             is_extremal = structural and ncomp == k
-            if count > bound:
+            attained = integral and count == floor
+            if count > floor:
                 violations.append(to_graph6(g))
-            elif (count == bound) != is_extremal:
+            elif attained != is_extremal:
                 violations.append(to_graph6(g))
-            if count == bound:
+            if attained:
                 attainers.append(to_graph6(g))
         rows.append(EqualityRow(n, k, bound, tuple(attainers), tuple(violations), max_count))
     return rows

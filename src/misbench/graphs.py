@@ -57,15 +57,20 @@ class Graph:
             raise GuardError(f"graph order {self.n} outside 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:
             raise ValueError("adjacency table length differs from order")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                row ^= low
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric edge {v}-{u}")
 
     @property

@@ -11,10 +11,11 @@ recursive call.  ``enumerate_mis`` runs it over every size;
 ``mis_of_size`` over one size, where its size bounds prune every branch
 unable to end there, and the pipeline reads its root-size sets from it;
 for the minimum size it searches each connected component alone and
-multiplies the results.  ``mis_profile`` convolves ``enumerate_mis``
-over the connected components without copying any of them.  The subset
-scan ``enumerate_mis_bruteforce`` is the test suite's oracle for small
-orders.
+multiplies the results.  ``mis_profile`` only counts: it searches each
+connected component, as a mask of the graph, with an emit that tallies
+each set at its size and holds none, and convolves the component
+profiles.  The subset scan ``enumerate_mis_bruteforce`` is the test
+suite's oracle for small orders.
 """
 
 from __future__ import annotations
@@ -261,12 +262,20 @@ def mis_profile(g: Graph) -> SizeProfile:
     """Exact per-size counts of maximal independent sets, without the sets.
 
     A maximal independent set of a disjoint union is one per component,
-    so the profile is the convolution of the component profiles; only
-    one component's sets are held at a time.
+    so the profile is the convolution of the component profiles.  Each
+    component runs ``_sets_between`` over its full size window with an
+    emit that only counts the set at its size: no set is held, listed
+    or sorted.
     """
     profile = SizeProfile((1,))
     for part in components(g.adj):
-        profile = profile.convolve(enumerate_mis(g, part).profile)
+        counts = [0] * (part.bit_count() + 1)
+
+        def tally(mask: int) -> None:
+            counts[mask.bit_count()] += 1
+
+        _sets_between(g, part, 0, part.bit_count(), tally)
+        profile = profile.convolve(SizeProfile(tuple(counts)))
     return profile
 
 

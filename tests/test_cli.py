@@ -393,11 +393,21 @@ class TestSearch:
         assert (code, out, err) == (1, "", "error: order must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exit_one(self, capsys, workers):
-        # Refused even when the order's classes are already cached.
+    def test_workers_below_one_exit_one(self, capsys, tmp_path, workers):
+        # Refused before any work: when the order's classes are already
+        # cached, when they are loaded from a file, and when no order
+        # needs generating at all.
         run(capsys, "search", "-n", "4")
-        code, out, err = run(capsys, "search", "-n", "4", "--workers", workers)
-        assert (code, out, err) == (1, "", f"error: workers must be at least 1, got {workers}\n")
+        k4 = tmp_path / "k4.g6"
+        k4.write_text("C~\n", encoding="ascii")
+        for argv in (
+            ("search", "-n", "4"),
+            ("search", "-n", "4", "--classes", str(k4)),
+            ("verify-theorem2", "--max-n", "0"),
+        ):
+            code, out, err = run(capsys, *argv, "--workers", workers)
+            message = f"error: workers must be at least 1, got {workers}\n"
+            assert (code, out, err) == (1, "", message)
 
     def test_class_order_mismatch(self, capsys, tmp_path):
         saved = tmp_path / "n4.g6"

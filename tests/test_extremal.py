@@ -1,5 +1,6 @@
 """Canonical forms, exhaustive class generation, and bound scans."""
 
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -23,8 +24,10 @@ from misbench.extremal import (
     tightness_scan,
     verify_degree2_constants,
     verify_equality_scan,
+    vertex_invariants,
     write_class_list,
 )
+from misbench.graphio import to_graph6
 from misbench.graphs import (
     Graph,
     complete_graph,
@@ -42,6 +45,16 @@ from test_graphs import random_graph_strategy, record_graph_builds
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+# sha256 of each class list written as graph6 lines, in generation order.
+# They pin the canonical form itself, not only the class sets: the key,
+# the invariant order that shapes it, and the sorted representatives.
+CLASS_LIST_DIGESTS = {
+    (7, "none"): "4ff482f1d3f5807b209c70d2c187397994dc7ea3a1505d63ab91572be9dff373",
+    (8, "maxdeg3"): "500632179fbc004e3e9da4bc8c9b976c19bed96cafc76fdecd754d25f2367162",
+    (8, "both"): "c84b009c91293464ff99a0890e2746e50344d4999c201a6821ec7659f8d163b7",
+    (8, "k4free"): "acf348d711a4af7d983eaa847ea84d5decd3f65093caa191bfc9ab886e16c700",
+}
 
 # The hereditary filters as predicates on whole graphs: the oracle of the
 # mask tests in FILTERS.
@@ -112,6 +125,15 @@ def reference_key(g: Graph) -> tuple[int, ...]:
 
     place(0, 0)
     return tuple(0 if b is None else b for b in best)
+
+
+def tuple_invariants(g: Graph) -> list[tuple[int, ...]]:
+    """The invariant of ``vertex_invariants`` as tuples: a vertex's degree,
+    then its number of neighbors of each of g's distinct degrees, in
+    increasing order of degree."""
+    degree = [g.degree(v) for v in range(g.n)]
+    neighbors = [[degree[u] for u in range(g.n) if g.has_edge(v, u)] for v in range(g.n)]
+    return [(degree[v], *[neighbors[v].count(d) for d in sorted(set(degree))]) for v in range(g.n)]
 
 
 def reference_classes(max_n: int, filter_name: str) -> dict[int, set[tuple[int, ...]]]:
@@ -203,6 +225,17 @@ class TestCanonicalForm:
             assert key_to_ref.setdefault(key, ref) == ref
             assert ref_to_key.setdefault(ref, key) == key
         assert len(key_to_ref) == CLASS_COUNTS.get(n, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_graph_strategy(max_n=12))
+    def test_integer_invariants_order_as_tuples(self, g):
+        ints, tuples = vertex_invariants(g.adj), tuple_invariants(g)
+        for v in range(g.n):
+            for w in range(g.n):
+                assert (ints[v] < ints[w]) == (tuples[v] < tuples[w])
+                assert (ints[v] == ints[w]) == (tuples[v] == tuples[w])
+        order = sorted(range(g.n), key=ints.__getitem__)
+        assert order == sorted(range(g.n), key=tuples.__getitem__)
 
     def test_distinguishes_nonisomorphic(self):
         assert canonical_key(path_graph(4).adj) != canonical_key(cycle_graph(4).adj)
@@ -377,6 +410,12 @@ class TestGeneration:
     )
     def test_class_counts_at_eight(self, filter_name, count):
         assert len(generate_all(8, filter_name)) == count
+
+    @pytest.mark.parametrize("n, filter_name", sorted(CLASS_LIST_DIGESTS))
+    def test_class_list_digests(self, n, filter_name):
+        text = "".join(to_graph6(g) + "\n" for g in generate_all(n, filter_name))
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == CLASS_LIST_DIGESTS[n, filter_name]
 
     @pytest.mark.parametrize(
         "filter_name, count", [("none", 1044), ("k4free", 685), ("maxdeg3", 150), ("both", 146)]

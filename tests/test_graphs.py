@@ -144,6 +144,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, (4, 0))
 
+    @pytest.mark.parametrize(
+        "n, adj, message",
+        [
+            (2, (0,), "adjacency table length differs from order"),
+            (3, (2, 1, 8), "vertex 2 has neighbors outside 0..2"),
+            (3, (2, 1, 4), "loop at vertex 2"),
+            (4, (0b1000, 0b0100, 0b0000, 0b0001), "asymmetric edge 1-2"),
+            # Every row is checked for range and loops before any symmetry.
+            (3, (2, 0, 4), "loop at vertex 2"),
+            (3, (2, 0, 8), "vertex 2 has neighbors outside 0..2"),
+        ],
+    )
+    def test_error_messages(self, n, adj, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, adj)
+        assert str(info.value) == message
+
     def test_from_edges_dedupes(self):
         g = from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1

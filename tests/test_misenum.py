@@ -312,6 +312,44 @@ class TestTriangleChains:
             assert min_mis(sets) == tuple_key_min(sets)
 
 
+def third_order_recurrence(start: int, first: tuple[int, int, int], stop: int) -> dict[int, int]:
+    """a(n) = a(n - 2) + a(n - 3) for n up to stop, from a(start..start + 2) = first."""
+    a = dict(zip(range(start, start + 3), first))
+    for n in range(start + 3, stop + 1):
+        a[n] = a[n - 2] + a[n - 3]
+    return a
+
+
+class TestCycleAndPathTotals:
+    """Closed forms past the subset-scan cap, sharing no code with misenum.
+
+    A maximal independent set of a path skips one or two vertices between
+    consecutive members, and also at each end one vertex at most; on a
+    cycle the gaps go all the way round.  So the totals follow
+    a(n) = a(n - 2) + a(n - 3): for C_n the Perrin numbers from
+    P(3), P(4), P(5) = 3, 2, 5 (OEIS A001608), for P_n the Padovan numbers
+    from 1, 2, 2 (OEIS A000931, shifted).  Both are first checked against
+    the subset scan, where it applies.
+    """
+
+    PERRIN = third_order_recurrence(3, (3, 2, 5), 40)
+    PADOVAN = third_order_recurrence(1, (1, 2, 2), 40)
+
+    def test_recurrences_match_the_subset_scan(self):
+        for n in range(3, 15):
+            assert enumerate_mis_bruteforce(cycle_graph(n)).count == self.PERRIN[n]
+        for n in range(1, 15):
+            assert enumerate_mis_bruteforce(path_graph(n)).count == self.PADOVAN[n]
+
+    def test_cycles_are_perrin(self):
+        for n in range(3, 41):
+            assert mis_profile(cycle_graph(n)).total == self.PERRIN[n], n
+
+    def test_paths_are_padovan(self):
+        for n in range(1, 41):
+            assert mis_profile(path_graph(n)).total == self.PADOVAN[n], n
+
+
 def window_slices(g, within, brute):
     """Every window lo <= hi of g[within]: what _sets_between emits, and the
     slice of the oracle's sets (masks of g, sorted)."""
