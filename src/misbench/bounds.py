@@ -22,7 +22,6 @@ from .graphs import GuardError
 
 LN3 = math.log(3)
 LN4 = math.log(4)
-LN5 = math.log(5)
 LN12 = math.log(12)
 
 EXACT_DIGITS_CAP = 4300  # Python's default digit limit for str() of an int
@@ -95,9 +94,14 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
 
 
+def _family_ln(a: float, c: float, n: float, k: float) -> float:
+    """ln of a^{ck-n} c^{n-ak}: (a, c) = (3, 4) is ``eppstein``, (4, 5)
+    ``nielsen`` and (4-eta, 5-eta) ``interpolated``."""
+    return (c * k - n) * math.log(a) + (n - a * k) * math.log(c)
+
+
 def _interp_ln(n: float, k: float, eta: float) -> float:
-    a, c = 4.0 - eta, 5.0 - eta
-    return ((c * k) - n) * math.log(a) + (n - a * k) * math.log(c)
+    return _family_ln(4.0 - eta, 5.0 - eta, n, k)
 
 
 def interpolated(n: int, k: int, eta: float) -> ExactBound:
@@ -269,17 +273,13 @@ def _log_sum_exp(values: list[float]) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def _term1_ln(n: int, k: int, eta: float, ln_a: float, ln_c: float) -> float:
-    if eta == 0.0:
-        first = (4 * k - n) * LN3 + (n - 3 * k) * LN4
-    else:
-        first = ((5.0 - eta) * k - n) * ln_a + (n - (4.0 - eta) * k) * ln_c
-    second = (4 * k - (n - k)) * LN3 + ((n - k) - 3 * k) * LN4
-    return first + second
+def _term1_ln(n: int, k: int, eta: float) -> float:
+    first = _family_ln(3, 4, n, k) if eta == 0.0 else _interp_ln(n, k, eta)
+    return first + _family_ln(3, 4, n - k, k)
 
 
 def _term2_ln(n: int, k: int) -> float:
-    return (4 * k - n) * LN3 + (n - 3 * k) * LN4 + (n - k) * LN3 / 3.0
+    return _family_ln(3, 4, n, k) + (n - k) * LN3 / 3.0
 
 
 def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
@@ -292,8 +292,7 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     if not 0 <= p_cut <= n:
         raise ValueError(f"need 0 <= p_cut <= n, got p_cut={p_cut}, n={n}")
     check_eta(eta)
-    ln_a, ln_c = math.log(4.0 - eta), math.log(5.0 - eta)
-    terms1 = [_term1_ln(n, k, eta, ln_a, ln_c) for k in range(0, p_cut + 1)]
+    terms1 = [_term1_ln(n, k, eta) for k in range(0, p_cut + 1)]
     # The second sum runs over k > p_cut; its maximum is taken from p_cut on.
     terms2 = [_term2_ln(n, k) for k in range(p_cut, n + 1)]
     argmax1 = max(range(len(terms1)), key=terms1.__getitem__) if terms1 else 0
@@ -396,16 +395,15 @@ def curve_rows(eta: float, points: int = 28) -> list[dict]:
     lo, hi = 0.2, 1.0 / 3.0
     xs = {lo + (hi - lo) * i / (points - 1) for i in range(points)}
     xs.update((0.2, 0.25, 0.333, hi))
-    ln_a, ln_c = math.log(4.0 - eta), math.log(5.0 - eta)
     rows = []
     for x in sorted(xs):
         rows.append(
             {
                 "x": x,
-                "eppstein": (4 * x - 1) * LN3 + (1 - 3 * x) * LN4,
-                "nielsen": (5 * x - 1) * LN4 + (1 - 4 * x) * LN5,
+                "eppstein": _family_ln(3, 4, 1, x),
+                "nielsen": _family_ln(4, 5, 1, x),
                 "interp": x * math.log(1.0 / x),
-                "corollary1_eta": ((5 - eta) * x - 1) * ln_a + (1 - (4 - eta) * x) * ln_c,
+                "corollary1_eta": _interp_ln(1, x, eta),
             }
         )
     return rows

@@ -356,24 +356,15 @@ def is_clique_union(g: Graph) -> tuple[bool, int]:
     return True, len(comps)
 
 
-@dataclass(frozen=True)
-class EqualityRow:
-    """Exhaustive check of the size-capped bound at one (n, k)."""
-
-    n: int
-    k: int
-    bound: Fraction
-    attainers: tuple[str, ...]
-    violations: tuple[str, ...]
-    max_count: int
-
-
-def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
+def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
     """Check mis_{<=k} <= 3^{4k-n} 4^{n-3k} over every class, every k.
 
     Exact rationals throughout.  A class violates when it exceeds the
     bound, attains equality without being a disjoint union of exactly k
     cliques of size 3 or 4, or has that structure without equality.
+    Returns the rows ``verify-theorem2`` prints, one per k: ``n``, ``k``,
+    the ``bound`` as a Fraction, the ``max_count`` over the classes, the
+    number of ``attainers`` and the graph6 list of ``violations``.
     """
     rows = []
     reps = generate_all(n, "none", workers)
@@ -384,7 +375,7 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
         # count == bound only for an integral bound.
         floor = bound.numerator // bound.denominator
         integral = bound.denominator == 1
-        attainers = []
+        attainers = 0
         violations = []
         max_count = 0
         for g, profile, (structural, ncomp) in profiles:
@@ -396,16 +387,24 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[EqualityRow]:
                 violations.append(to_graph6(g))
             elif attained != is_extremal:
                 violations.append(to_graph6(g))
-            if attained:
-                attainers.append(to_graph6(g))
-        rows.append(EqualityRow(n, k, bound, tuple(attainers), tuple(violations), max_count))
+            attainers += attained
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "bound": bound,
+                "max_count": max_count,
+                "attainers": attainers,
+                "violations": violations,
+            }
+        )
     return rows
 
 
-def nielsen_violations(n: int, workers: int = 1) -> list[tuple[str, int, int]]:
+def nielsen_violations(n: int) -> list[tuple[str, int, int]]:
     """Classes with mis_k above 4^{5k-n} 5^{n-4k}; reported, expected empty."""
     out = []
-    for g in generate_all(n, "none", workers):
+    for g in generate_all(n, "none"):
         profile = mis_profile(g)
         for k in range(n + 1):
             if profile[k] > 0 and profile[k] > bounds.nielsen(n, k).exact:
@@ -423,7 +422,7 @@ class SlackRow:
     tight: bool
 
 
-def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], list[SlackRow]]:
+def verify_degree2_constants(n: int) -> tuple[list[SlackRow], list[SlackRow]]:
     """Slack factors for max-degree <= 2 classes, all k, exact arithmetic.
 
     A degree-1 vertex caps mis_{<=k} at 8/9 of the bound, an isolated
@@ -446,7 +445,7 @@ def verify_degree2_constants(n: int, workers: int = 1) -> tuple[list[SlackRow], 
     )
     rows: list[SlackRow] = []
     bad: list[SlackRow] = []
-    for g in generate_all(n, "maxdeg3", workers):
+    for g in generate_all(n, "maxdeg3"):
         if max_degree(g) > 2:
             continue
         profile = mis_profile(g)
@@ -497,11 +496,11 @@ def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -
     return rows
 
 
-def mibs_extremes(n: int, filter_name: str, workers: int = 1) -> dict:
+def mibs_extremes(n: int, filter_name: str) -> dict:
     """Largest distinct MIBS count over the filtered classes of order n."""
     best = -1
     argmax = None
-    for g in generate_all(n, filter_name, workers):
+    for g in generate_all(n, filter_name):
         count = mibs_counts(g).mibs
         if count > best:
             best = count
@@ -511,7 +510,7 @@ def mibs_extremes(n: int, filter_name: str, workers: int = 1) -> dict:
         "filter": filter_name,
         "max_mibs": best,
         "argmax": to_graph6(argmax) if argmax is not None else None,
-        "ln_twelve_target": n * math.log(12) / 4.0,
+        "ln_twelve_target": n * bounds.LN12 / 4.0,
         "ln_six_target": n * math.log(6) / 4.0,
     }
 

@@ -196,7 +196,10 @@ def label_cells(g: Graph, dec: Decomposition) -> list[Cell]:
     A center has three neighbors (more than two, as it is not in I1), and
     some two of them are not adjacent in a K4-free graph.  Each must see
     the center as its only I0-neighbor (CellConflictError otherwise, with
-    the witness); the resulting cells are pairwise disjoint.
+    the witness).  The cells are then pairwise disjoint, with no further
+    check: two cells could share a vertex only if their centers were
+    adjacent, which I0, an independent set, rules out, or if a neighbor
+    of one center touched the other, which the check above refuses.
     """
     cells = []
     for u in iter_bits(dec.I3):
@@ -212,11 +215,6 @@ def label_cells(g: Graph, dec: Decomposition) -> list[Cell]:
             if not g.has_edge(x, y):
                 cells.append(Cell(u, x, y, z, mask_of((u, x, y, z))))
                 break
-    taken = 0
-    for cell in cells:
-        if taken & cell.mask:
-            raise CellConflictError(f"cell of center {cell.u} overlaps an earlier cell")
-        taken |= cell.mask
     return cells
 
 

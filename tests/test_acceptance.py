@@ -89,15 +89,15 @@ def test_size_capped_bound_exhaustive_to_seven():
     with Budget("size-capped-bound-n7", 2.0):
         for n in range(1, 8):
             for row in verify_equality_scan(n):
-                assert row.violations == (), (
-                    f"n={row.n} k={row.k}: violations {row.violations}"
+                assert row["violations"] == [], (
+                    f"n={row['n']} k={row['k']}: violations {row['violations']}"
                 )
 
 
 def test_size_capped_bound_exhaustive_eight():
     with Budget("size-capped-bound-n8", 10.0):
         for row in verify_equality_scan(8):
-            assert row.violations == (), f"k={row.k}: violations {row.violations}"
+            assert row["violations"] == [], f"k={row['k']}: violations {row['violations']}"
 
 
 def test_low_degree_slack_constants():

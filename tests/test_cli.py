@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -428,6 +429,14 @@ class TestVerifyTheorem2:
         payload = run_json(capsys, "verify-theorem2", "--max-n", "4")
         assert payload["holds"] is True
         assert all(row["violations"] == [] for row in payload["rows"])
+
+    def test_order_seven_digest(self, capsys):
+        # The report holds only ints, rationals and graph6, so its bytes
+        # do not depend on the platform.
+        code, out, err = run(capsys, "verify-theorem2", "--max-n", "7")
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == "b7af9e331c4f0a1177fdcaca504e5ac61c449d93c836ab4011f30a70511464f6"
 
 
 class TestExitCodes:

@@ -498,20 +498,20 @@ class TestEqualityScan:
     def test_small_orders_no_violations(self):
         for n in range(1, 6):
             for row in verify_equality_scan(n):
-                assert row.violations == (), (
-                    f"n={row.n} k={row.k}: {row.violations}"
+                assert row["violations"] == [], (
+                    f"n={row['n']} k={row['k']}: {row['violations']}"
                 )
 
     def test_attainers_at_triangle(self):
         rows = verify_equality_scan(3)
-        by_k = {row.k: row for row in rows}
-        assert len(by_k[1].attainers) == 1  # K3 is the unique attainer
-        assert by_k[1].bound == 3
+        by_k = {row["k"]: row for row in rows}
+        assert by_k[1]["attainers"] == 1  # K3 is the unique attainer
+        assert by_k[1]["bound"] == 3
 
     def test_attainers_at_order_four(self):
-        by_k = {row.k: row for row in verify_equality_scan(4)}
-        assert by_k[1].bound == 4
-        assert len(by_k[1].attainers) == 1  # K4
+        by_k = {row["k"]: row for row in verify_equality_scan(4)}
+        assert by_k[1]["bound"] == 4
+        assert by_k[1]["attainers"] == 1  # K4
 
     def test_nielsen_report_empty_small(self):
         for n in range(1, 6):

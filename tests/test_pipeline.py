@@ -242,13 +242,13 @@ class TestCells:
             label_cells(g, dec)
 
     def test_cells_disjoint_on_corpus_instance(self):
-        g, i0 = pipeline_instances(1)[0]
-        dec = decompose(g, i0)
-        cells = label_cells(g, dec)
-        union = 0
-        for c in cells:
-            assert union & c.mask == 0
-            union |= c.mask
+        instances = [cells_of(g, i0)[1] for g, i0 in pipeline_instances(100)]
+        instances += [cells for _, _, cells in irregular_instances(60)]
+        for cells in instances:
+            union = 0
+            for c in cells:
+                assert union & c.mask == 0
+                union |= c.mask
 
 
 class TestSelect:

@@ -1,9 +1,11 @@
-"""README drift: the library table and the Python session match the code."""
+"""README drift: the library table, the package namespace and the Python
+session match the code."""
 
 import builtins
 import importlib
 import io
 import re
+import types
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -27,6 +29,19 @@ def test_library_table_names_resolve():
             if not hasattr(builtins, name) and not hasattr(module, name):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_package_namespace_reexports_nothing():
+    # Every name is imported from its module; the package's own namespace
+    # holds its submodules and nothing public besides.
+    package = importlib.import_module("misbench")
+    reexported = [
+        name
+        for name, obj in vars(package).items()
+        if not name.startswith("_")
+        and not (isinstance(obj, types.ModuleType) and obj.__name__ == f"misbench.{name}")
+    ]
+    assert reexported == []
 
 
 def test_python_session_prints_its_comments():
