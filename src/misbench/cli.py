@@ -40,6 +40,16 @@ CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe stops
 
 
+# The text of a value of exactly these types, written inline by the dict
+# and list loops of _write; True and False, of type bool, have their own
+# entry, so they never print as 1 and 0.
+_SCALAR_TEXT = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
 def _write(obj, out: list[str], indent: str) -> None:
     """Append obj to out as the text ``json.dumps(..., indent=2)`` gives.
 
@@ -47,9 +57,47 @@ def _write(obj, out: list[str], indent: str) -> None:
     Keys are sorted, strings escaped to ASCII, floats rounded to 12
     significant digits (NaN and the infinities as ``json`` writes them),
     Fractions written as strings and tuples as lists.  A key that is not
-    a str, or a value of any other type, raises TypeError.
+    a str, or a value of any other type, raises TypeError.  Inside a dict
+    or a list, a value whose exact type is in _SCALAR_TEXT is written in
+    the loop; only containers and rarer types (None, floats, Fractions,
+    subclasses of int or str) recurse.
     """
-    if isinstance(obj, str):
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            value = obj[key]
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                _write(value, out, inner)
+            else:
+                out.append(text(value))
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                _write(value, out, inner)
+            else:
+                out.append(text(value))
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
@@ -68,32 +116,6 @@ def _write(obj, out: list[str], indent: str) -> None:
             out.append("-Infinity")
         else:
             out.append(float.__repr__(float(f"{obj:.12g}")))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            _write(obj[key], out, inner)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for value in obj:
-            out.append(sep)
-            _write(value, out, inner)
-            sep = "," + inner
-        out.append(indent + "]")
     elif isinstance(obj, Fraction):
         out.append(encode_basestring_ascii(str(obj)))
     else:

@@ -232,6 +232,8 @@ class SelectionState:
     greedy independent set in the distance-2 sense over the full I4 cell
     graph, so distinct I6 cells have disjoint dependency neighborhoods; a
     pick removes at most 1 + 6 + 6*5 = 37 cells, so |I6| >= ceil(|I5| / 37).
+    good_rows holds, in I5 order, one (x bit, N(y), y bit, N(x)) tuple per
+    I5 cell: all that the goodness condition reads of the cell.
     """
 
     S: tuple[int, ...]
@@ -240,6 +242,7 @@ class SelectionState:
     I6: tuple[int, ...]
     U: int
     cell_adj: tuple[int, ...]
+    good_rows: tuple[tuple[int, int, int, int], ...]
 
 
 def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> SelectionState:
@@ -279,6 +282,9 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
         I6=tuple(i6),
         U=u_mask,
         cell_adj=tuple(cell_adj),
+        good_rows=tuple(
+            (1 << cells[i].x, g.adj[cells[i].y], 1 << cells[i].y, g.adj[cells[i].x]) for i in i5
+        ),
     )
 
 
@@ -329,12 +335,14 @@ class TransversalStats:
     product_bound: Fraction
 
 
-def _is_good(g: Graph, cells: list[Cell], i5: tuple[int, ...], t_mask: int) -> bool:
-    for i in i5:
-        cell = cells[i]
-        if t_mask >> cell.x & 1 and not t_mask & g.adj[cell.y]:
+def _is_good(rows, t_mask: int) -> bool:
+    """Whether the vertex set t_mask picks, at none of the cells of
+    ``rows`` (``SelectionState.good_rows`` entries), x without a neighbor
+    of y or y without a neighbor of x."""
+    for x_bit, y_nbrs, y_bit, x_nbrs in rows:
+        if t_mask & x_bit and not t_mask & y_nbrs:
             return False
-        if t_mask >> cell.y & 1 and not t_mask & g.adj[cell.x]:
+        if t_mask & y_bit and not t_mask & x_nbrs:
             return False
     return True
 
@@ -371,8 +379,11 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
     (resp. x).  At an I5-cell i that condition reads only the choices at i
     and at the cells of cell_adj[i], so the good count is the product over
     the connected components of cell_adj of each component's count, found
-    by scanning that component's transversals.  Guarded to components of
-    at most CENSUS_CELL_CAP cells (4^11 states each).
+    by streaming that component's transversals through ``itertools.product``
+    (no list of them is built).  The condition reads the selection's
+    ``good_rows`` of the component's I5 cells; a component with none has
+    all its 4^c transversals good and is not scanned.  Guarded to
+    components of at most CENSUS_CELL_CAP cells (4^11 states each).
     """
     comps = components(state.cell_adj, mask_of(state.I4))
     largest = max(map(int.bit_count, comps), default=0)
@@ -380,14 +391,15 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
         raise GuardError(
             f"census component of {largest} cells exceeds the 4^{CENSUS_CELL_CAP} cap"
         )
-    i5 = mask_of(state.I5)
+    rows = dict(zip(state.I5, state.good_rows))
     good = 1
     for comp in comps:
+        checked = [rows[i] for i in iter_bits(comp) if i in rows]
+        if not checked:
+            good *= 4 ** comp.bit_count()
+            continue
         slots = [tuple(1 << v for v in iter_bits(cells[i].mask)) for i in iter_bits(comp)]
-        checked = tuple(iter_bits(comp & i5))
-        good *= sum(
-            1 for choice in itertools.product(*slots) if _is_good(g, cells, checked, sum(choice))
-        )
+        good *= sum(1 for choice in itertools.product(*slots) if _is_good(checked, sum(choice)))
     return _cell_stats(g, cells, state, 4 ** len(state.I4), good)
 
 
@@ -452,15 +464,33 @@ def verify_is_capture(
     S-reduced partition, (d) the family size is at most good_count *
     2^{n - |U|}.  ``known`` is a selection already made with its census;
     the family with that S reuses it instead of selecting again.
+
+    Each set is read once, one popcount per cell: the cells it meets
+    twice or more give its family key, and a cell it misses fails (a).
+    The transversal half of (c) is read from the same pass: a set of
+    family S holds at most one vertex of each cell outside S, so its
+    trace on U is a transversal of the I4 cells iff it meets every cell.
+    The good half of (c) is the census's own predicate on the
+    selection's ``good_rows``.
     """
+    cell_masks = [cell.mask for cell in cells]
     families: dict[tuple[int, ...], list[int]] = {}
+    missing: set[tuple[int, ...]] = set()  # keys of families with a set missing a cell
     for mask in sets:
         if mask.bit_count() != k:
             continue
-        s_key = tuple(
-            i for i in range(dec.ell) if (mask & cells[i].mask).bit_count() >= 2
-        )
+        doubled = []
+        missed = False
+        for i, cell_mask in enumerate(cell_masks):
+            hits = (mask & cell_mask).bit_count()
+            if hits >= 2:
+                doubled.append(i)
+            elif not hits:
+                missed = True
+        s_key = tuple(doubled)
         families.setdefault(s_key, []).append(mask)
+        if missed:
+            missing.add(s_key)
     rows = []
     all_ok = True
     for s_key in sorted(families):
@@ -470,16 +500,12 @@ def verify_is_capture(
         else:
             state = select(g, dec, cells, s_key)
             stats = transversal_census(g, cells, state)
+        meets_every_cell = s_key not in missing
         checks = {
-            "meets_every_cell": all(
-                mask & cells[i].mask for mask in members for i in range(dec.ell)
-            ),
+            "meets_every_cell": meets_every_cell,
             "k_ge_ell_plus_s": k >= dec.ell + len(s_key),
-            "traces_are_good_transversals": all(
-                _is_transversal(cells, state, mask & state.U)
-                and _is_good(g, cells, state.I5, mask & state.U)
-                for mask in members
-            ),
+            "traces_are_good_transversals": meets_every_cell
+            and all(_is_good(state.good_rows, mask & state.U) for mask in members),
             "family_within_envelope": len(members)
             <= stats.good_count * (1 << (g.n - state.U.bit_count())),
         }
@@ -496,10 +522,6 @@ def verify_is_capture(
             }
         )
     return {"k": k, "families": rows, "holds": all_ok}
-
-
-def _is_transversal(cells: list[Cell], state: SelectionState, t_mask: int) -> bool:
-    return all((t_mask & cells[i].mask).bit_count() == 1 for i in state.I4)
 
 
 def analyze_instance(g: Graph, i0: int | None = None, s_indices=()) -> dict:

@@ -542,6 +542,36 @@ class TestWriter:
         assert '"a": [\n    "-3/7",\n    1180591620717411303424\n  ]' in emitted(payload)
         assert "0.3,\n    -0.0,\n    NaN,\n    Infinity,\n    -Infinity" in emitted(payload)
 
+    def test_bools_ints_and_empty_containers(self):
+        # Values of exact type int, str or bool are written inline; an int
+        # or str subclass and empty containers go through the recursive
+        # call.  Each sits at every position a value can take.
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        payload = {
+            "t": True,
+            "f": False,
+            "zero": 0,
+            "one": 1,
+            "sub": Count(7),
+            "empty_dict": {},
+            "empty_list": [],
+            "name": Name("n\u00e9"),
+            "list": [True, False, 0, 1, Count(-2), {}, [], "s", Name("t"), {"d": {}, "l": []}],
+            "nested": {"in": [[], {}, [{}], {"e": []}]},
+        }
+        text = emitted(payload)
+        assert text == reference_json(payload)
+        assert '"t": true' in text and '"f": false' in text
+        assert '"zero": 0' in text and '"one": 1' in text and '"sub": 7' in text
+        assert "    true,\n    false,\n    0,\n    1,\n    -2,\n    {},\n    []," in text
+        for top in ([True, 0], [Count(3), {}], [[], [{}]], True, 1, Count(5), Name("u")):
+            assert emitted(top) == reference_json(top)
+
     def test_non_string_key_is_a_type_error(self):
         with pytest.raises(TypeError):
             emitted({"a": {1: "b"}})

@@ -30,7 +30,6 @@ from misbench.misenum import enumerate_mis, min_mis, mis_of_size
 from misbench.pipeline import (
     CellConflictError,
     DecompositionError,
-    _is_good,
     analyze_instance,
     bad_event_probability,
     decompose,
@@ -79,6 +78,19 @@ def pendant_tail():
     return from_edges(10, edges)
 
 
+def reference_good(g, cells, state, t_mask):
+    """The goodness condition from its statement, over cells and g.adj:
+    at each I5 cell, a pick of x needs a picked neighbor of y, and a pick
+    of y a picked neighbor of x."""
+    picked = set(iter_bits(t_mask))
+    for i in state.I5:
+        x, y = cells[i].x, cells[i].y
+        for v, w in ((x, y), (y, x)):
+            if v in picked and not picked & set(iter_bits(g.adj[w])):
+                return False
+    return True
+
+
 def reference_census(g, cells, state):
     """Flat census: (total, good) over every transversal of the I4 cells."""
     slots = [tuple(iter_bits(cells[i].mask)) for i in state.I4]
@@ -86,9 +98,88 @@ def reference_census(g, cells, state):
     good = 0
     for choice in itertools.product(*slots):
         total += 1
-        if _is_good(g, cells, state.I5, mask_of(choice)):
+        if reference_good(g, cells, state, mask_of(choice)):
             good += 1
     return total, good
+
+
+def reference_capture_rows(g, dec, cells, k, sets):
+    """The capture rows built member by member: each size-k set's family
+    key, whether it meets every cell, whether its trace on U is a
+    transversal of the I4 cells, and whether that trace is good."""
+    families = {}
+    for mask in sets:
+        if mask.bit_count() == k:
+            key = tuple(i for i in range(dec.ell) if len(set(iter_bits(mask & cells[i].mask))) >= 2)
+            families.setdefault(key, []).append(mask)
+    rows = []
+    for key in sorted(families):
+        members = families[key]
+        state = select(g, dec, cells, key)
+        good_count = transversal_census(g, cells, state).good_count
+        meets = all(mask & cells[i].mask for mask in members for i in range(dec.ell))
+        transversal = all(
+            len(set(iter_bits(mask & state.U & cells[i].mask))) == 1
+            for mask in members
+            for i in state.I4
+        )
+        good = all(reference_good(g, cells, state, mask & state.U) for mask in members)
+        leftover = g.n - state.U.bit_count()
+        checks = {
+            "meets_every_cell": meets,
+            "k_ge_ell_plus_s": k >= dec.ell + len(key),
+            "traces_are_good_transversals": transversal and good,
+            "family_within_envelope": len(members) <= good_count * 2**leftover,
+        }
+        rows.append(
+            {
+                "S": list(key),
+                "family_size": len(members),
+                "good_count": good_count,
+                "leftover_vertices": leftover,
+                "checks": checks,
+                "holds": all(checks.values()),
+            }
+        )
+    return rows
+
+
+def assert_capture_matches_reference(g, dec, cells, k, sets):
+    report = verify_is_capture(g, dec, cells, k, sets)
+    rows = reference_capture_rows(g, dec, cells, k, sets)
+    assert report == {"k": k, "families": rows, "holds": all(row["holds"] for row in rows)}
+    return report
+
+
+def altered_member_lists(g, dec, cells, k, sets):
+    """Size-k member lists that some capture check must fail on.
+
+    Each adds one mask to the maximal independent sets of size k: k
+    vertices outside cell 0 (missing a cell); the x vertex of an I5 cell
+    of the empty selection with, in every other cell, a vertex that is no
+    neighbor of that cell's y, padded outside the cells (a transversal
+    that is not good); and, at an even k below 2 ell, x and y of each of
+    the first k/2 cells (more doubled cells than k leaves room for).  A
+    mask that cannot be built at this k is left out.
+    """
+    members = [m for m in sets if m.bit_count() == k]
+    outside = [v for v in range(g.n) if not any(c.mask >> v & 1 for c in cells)]
+    altered = []
+    free = [v for v in range(g.n) if not cells[0].mask >> v & 1]
+    if len(free) >= k:
+        altered.append(members + [mask_of(free[:k])])
+    state = select(g, dec, cells, ())
+    if state.I5 and k - dec.ell <= len(outside):
+        i = state.I5[0]
+        picks = [cells[i].x] + [
+            next(v for v in iter_bits(c.mask) if not g.adj[cells[i].y] >> v & 1)
+            for j, c in enumerate(cells)
+            if j != i
+        ]
+        altered.append(members + [mask_of(picks + outside[: k - dec.ell])])
+    if k % 2 == 0 and k // 2 < dec.ell:
+        altered.append(members + [mask_of(v for c in cells[: k // 2] for v in (c.x, c.y))])
+    return altered
 
 
 def assert_census_matches_reference(g, cells, state):
@@ -477,6 +568,49 @@ class TestCensusOracle:
                 multi_component += len(components(state.cell_adj, mask_of(state.I4))) > 1
                 assert_census_matches_reference(g, cells, state)
         assert multi_component > 0
+
+
+class TestCaptureOracle:
+    """verify_is_capture gives the rows built member by member."""
+
+    def test_corpus(self):
+        for g, i0 in pipeline_instances(100):
+            dec, cells = cells_of(g, i0)
+            assert_capture_matches_reference(g, dec, cells, dec.k, mis_of_size(g, dec.k)[1])
+
+    def test_irregular_instances(self):
+        for g, dec, cells in irregular_instances(60):
+            assert_capture_matches_reference(g, dec, cells, dec.k, mis_of_size(g, dec.k)[1])
+
+    def test_both_sweep(self):
+        for n in range(1, GENERATION_CAP + 1):
+            for g in generate_all(n, "both"):
+                k, sets = mis_of_size(g)
+                dec = decompose(g, min_mis(sets))
+                try:
+                    cells = label_cells(g, dec)
+                except CellConflictError:
+                    continue
+                assert_capture_matches_reference(g, dec, cells, k, sets)
+
+    def test_altered_member_lists_fail_each_check(self):
+        instances = [(g, *cells_of(g, i0)) for g, i0 in FIXTURES + tuple(pipeline_instances(30))]
+        instances += irregular_instances(20)
+        failed = dict.fromkeys(
+            ("meets_every_cell", "k_ge_ell_plus_s", "traces_are_good_transversals", "family_within_envelope"),
+            0,
+        )
+        for g, dec, cells in instances:
+            if not cells:
+                continue
+            k = dec.k
+            for sets in altered_member_lists(g, dec, cells, k, mis_of_size(g, k)[1]):
+                report = assert_capture_matches_reference(g, dec, cells, k, sets)
+                assert not report["holds"]
+                for row in report["families"]:
+                    for name, ok in row["checks"].items():
+                        failed[name] += not ok
+        assert all(failed.values()), failed
 
 
 class TestProductBound:

@@ -1,5 +1,5 @@
-"""README drift: the library table, the package namespace and the Python
-session match the code."""
+"""README drift: the library table, the exit-code table, the package
+namespace and the Python session match the code."""
 
 import builtins
 import importlib
@@ -8,6 +8,8 @@ import re
 import types
 from contextlib import redirect_stdout
 from pathlib import Path
+
+from misbench import bounds, cli, extremal, graphs, misenum, pipeline
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -29,6 +31,34 @@ def test_library_table_names_resolve():
             if not hasattr(builtins, name) and not hasattr(module, name):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_exit_code_table_matches_the_code():
+    table = section("Command-line tour").split("\n### Exit codes\n", 1)[1]
+    rows = dict(re.findall(r"^\| (\d+) \| (.*) \|$", table, re.MULTILINE))
+    assert sorted(map(int, rows)) == [0, 1, 2, 3, cli.EXIT_CLOSED_STDOUT]
+    guards = rows["3"]
+    cited = {
+        "MAX_VERTICES": int(re.search(r"\border above (\d+)", guards)[1]),
+        "GENERATION_CAP": int(re.search(r"`search` above order (\d+)", guards)[1]),
+        "CENSUS_CELL_CAP": int(re.search(r"component above (\d+) cells", guards)[1]),
+        "MIS_OF_SIZE_CAP": 2 ** int(re.search(r"more than 2\^(\d+) pipeline root-size sets", guards)[1]),
+        "CURVE_POINTS_CAP": int(re.search(r"`curves` above ([\d,]+) points", guards)[1].replace(",", "")),
+    }
+    assert cited == {
+        "MAX_VERTICES": graphs.MAX_VERTICES,
+        "GENERATION_CAP": extremal.GENERATION_CAP,
+        "CENSUS_CELL_CAP": pipeline.CENSUS_CELL_CAP,
+        "MIS_OF_SIZE_CAP": misenum.MIS_OF_SIZE_CAP,
+        "CURVE_POINTS_CAP": bounds.CURVE_POINTS_CAP,
+    }
+    assert cited == {
+        "MAX_VERTICES": 64,
+        "GENERATION_CAP": 8,
+        "CENSUS_CELL_CAP": 11,
+        "MIS_OF_SIZE_CAP": 2**17,
+        "CURVE_POINTS_CAP": 100_000,
+    }
 
 
 def test_package_namespace_reexports_nothing():
