@@ -160,23 +160,6 @@ def binary_entropy(alpha: float) -> float:
     return -alpha * math.log2(alpha) - (1.0 - alpha) * math.log2(1.0 - alpha)
 
 
-def subset_count_check(big_n: int, alpha: float) -> dict:
-    """Exact check of sum_{s<=floor(alpha N)} C(N, s) <= 2^{h(alpha) N}.
-
-    Valid for 0 < alpha <= 1/2; the left side is an exact integer and the
-    comparison runs in log2 domain.
-    """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    lhs = sum(math.comb(big_n, s) for s in range(math.floor(alpha * big_n) + 1))
-    rhs_log2 = binary_entropy(alpha) * big_n
-    return {
-        "lhs": lhs,
-        "rhs_log2": rhs_log2,
-        "holds": math.log2(lhs) <= rhs_log2 + 1e-12,
-    }
-
-
 EPS_DOMAIN_END = 1.0 / 12.0
 
 

@@ -16,28 +16,18 @@ keyed only when its new vertex has the maximum of a vertex invariant
 on the canonical key removes the classes still reached more than once,
 so no automorphism groups are needed.  This covers every class of any
 hereditary filter.  On top of that sit the exhaustive bound checks: the
-size-capped count bound with its exact equality characterization, the
-max-degree-2 slack factors, and empirical tightness tables.
+size-capped count bound with its exact equality characterization, and
+empirical tightness tables.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bounds
 from .graphio import decode_ascii, parse_graph6, to_graph6
-from .graphs import (
-    Graph,
-    GuardError,
-    components,
-    is_clique,
-    iter_bits,
-    max_degree,
-)
-from .mibs import mibs_counts
+from .graphs import Graph, GuardError, components, is_clique, iter_bits
 from .misenum import mis_profile
 
 GENERATION_CAP = 8
@@ -401,69 +391,6 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
     return rows
 
 
-def nielsen_violations(n: int) -> list[tuple[str, int, int]]:
-    """Classes with mis_k above 4^{5k-n} 5^{n-4k}; reported, expected empty."""
-    out = []
-    for g in generate_all(n, "none"):
-        profile = mis_profile(g)
-        for k in range(n + 1):
-            if profile[k] > 0 and profile[k] > bounds.nielsen(n, k).exact:
-                out.append((to_graph6(g), k, profile[k]))
-    return out
-
-
-@dataclass(frozen=True)
-class SlackRow:
-    graph6: str
-    k: int
-    count: int
-    allowance: Fraction
-    factor_name: str
-    tight: bool
-
-
-def verify_degree2_constants(n: int) -> tuple[list[SlackRow], list[SlackRow]]:
-    """Slack factors for max-degree <= 2 classes, all k, exact arithmetic.
-
-    A degree-1 vertex caps mis_{<=k} at 8/9 of the bound, an isolated
-    vertex at 16/27, and a cycle component of length >= 4 at 11/12.
-    Returns (checked rows, violations); the rows include tight cases.
-    The classes come from the "maxdeg3" list (424 at n = 8, not the
-    12,346 of "none"), less those with a degree-3 vertex.
-    """
-    factors = (
-        ("degree1", Fraction(8, 9), lambda g: any(g.degree(v) == 1 for v in range(g.n))),
-        ("isolated", Fraction(16, 27), lambda g: any(g.degree(v) == 0 for v in range(g.n))),
-        (
-            "long_cycle",
-            Fraction(11, 12),
-            lambda g: any(
-                c.bit_count() >= 4 and all(g.degree(v) == 2 for v in iter_bits(c))
-                for c in components(g.adj)
-            ),
-        ),
-    )
-    rows: list[SlackRow] = []
-    bad: list[SlackRow] = []
-    for g in generate_all(n, "maxdeg3"):
-        if max_degree(g) > 2:
-            continue
-        profile = mis_profile(g)
-        applicable = [(name, f) for name, f, pred in factors if pred(g)]
-        if not applicable:
-            continue
-        g6 = to_graph6(g)
-        for k in range(n + 1):
-            count = profile.at_most(k)
-            for name, factor in applicable:
-                allowance = factor * bounds.eppstein(n, k).exact
-                row = SlackRow(g6, k, count, allowance, name, count == allowance)
-                rows.append(row)
-                if count > allowance:
-                    bad.append(row)
-    return rows, bad
-
-
 def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -> list[dict]:
     """Empirical per-k maxima of mis_k over the order-n classes ``reps``
     against a chosen bound family."""
@@ -494,25 +421,6 @@ def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -
             }
         )
     return rows
-
-
-def mibs_extremes(n: int, filter_name: str) -> dict:
-    """Largest distinct MIBS count over the filtered classes of order n."""
-    best = -1
-    argmax = None
-    for g in generate_all(n, filter_name):
-        count = mibs_counts(g).mibs
-        if count > best:
-            best = count
-            argmax = g
-    return {
-        "n": n,
-        "filter": filter_name,
-        "max_mibs": best,
-        "argmax": to_graph6(argmax) if argmax is not None else None,
-        "ln_twelve_target": n * bounds.LN12 / 4.0,
-        "ln_six_target": n * math.log(6) / 4.0,
-    }
 
 
 def write_class_list(path: str, reps: list[Graph]) -> None:

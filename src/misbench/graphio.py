@@ -1,4 +1,4 @@
-"""Reading and writing graphs: graph6 strings and plain edge lists.
+"""Reading graph6 strings and plain edge lists, and writing graph6.
 
 graph6 is the compact ASCII format used by the nauty tool family.  The
 order is encoded first (one byte for n <= 62, a ``~`` escape plus three
@@ -144,12 +144,6 @@ def parse_edge_list(text: str) -> Graph:
             raise FormatError(f"edge ({u}, {v}) outside 0..{n - 1}")
         edges.append((u, v))
     return from_edges(n, edges)
-
-
-def to_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def looks_like_edge_list(text: str) -> bool:

@@ -112,60 +112,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
-
-
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    if a.n + b.n > MAX_VERTICES:
-        raise GuardError("union exceeds the order cap")
-    rows = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(rows))
-
-
-def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Subgraph induced by ``mask``.
-
-    Returns the relabeled graph together with the list mapping new vertex
-    index to old vertex index (increasing order of the old labels).
-    """
-    keep = list(iter_bits(mask))
-    pos = {old: new for new, old in enumerate(keep)}
-    rows = []
-    for old in keep:
-        row = 0
-        for u in iter_bits(g.adj[old] & mask):
-            row |= 1 << pos[u]
-        rows.append(row)
-    return Graph(len(keep), tuple(rows)), keep
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """Graph with vertex ``v`` renamed to ``perm[v]``."""
-    rows = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        for u in iter_bits(g.adj[v]):
-            row |= 1 << perm[u]
-        rows[perm[v]] = row
-    return Graph(g.n, tuple(rows))
-
-
 def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
 
@@ -222,32 +168,3 @@ def k4_witness(g: Graph) -> int | None:
 
 def is_k4_free(g: Graph) -> bool:
     return k4_witness(g) is None
-
-
-def bipartition(g: Graph, mask: int) -> tuple[int, int] | None:
-    """Two-color the subgraph induced by ``mask``.
-
-    Each component is walked in breadth-first layers from its lowest
-    vertex, even layers on the first side.  Every edge joins one layer or
-    two consecutive ones, so the component has an odd cycle exactly when
-    an edge lies inside a layer.  Returns a pair of side masks
-    partitioning ``mask`` (isolated vertices land on the first side), or
-    None when some induced component contains an odd cycle.
-    """
-    sides = [0, 0]
-    todo = mask
-    while todo:
-        layer = seen = todo & -todo
-        parity = 0
-        while layer:
-            nxt = 0
-            for v in iter_bits(layer):
-                nxt |= g.adj[v] & mask
-            if nxt & layer:
-                return None
-            sides[parity] |= layer
-            parity ^= 1
-            layer = nxt & ~seen
-            seen |= layer
-        todo &= ~seen
-    return sides[0], sides[1]

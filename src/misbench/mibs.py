@@ -7,8 +7,6 @@ component at a time.  Every such set is a union A | B, but distinct pairs
 can give the same set and some unions are not maximal, so the census keeps
 both.  A and B 2-colour A | B, and (B, A) is a pair too iff B is maximal
 independent in G, so no pair needs a bipartiteness test or a swap lookup.
-The tests derive every field from subset scans: ``enumerate_mibs_bruteforce``
-and the maximal independent sets of G and of each G - A.
 """
 
 from __future__ import annotations
@@ -16,49 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, GuardError, bipartition, components, iter_bits
-from .misenum import BRUTE_FORCE_CAP, enumerate_mis
-
-
-def is_maximal_induced_bipartite(g: Graph, mask: int, within: int | None = None) -> bool:
-    """Whether mask is a maximal induced bipartite subgraph of g[within].
-
-    ``within`` defaults to all of g; only its vertices are tried as
-    extensions.
-    """
-    if bipartition(g, mask) is None:
-        return False
-    outside = (g.full_mask if within is None else within) & ~mask
-    for w in iter_bits(outside):
-        if bipartition(g, mask | (1 << w)) is not None:
-            return False
-    return True
-
-
-def enumerate_mibs_bruteforce(g: Graph) -> tuple[int, ...]:
-    """Oracle enumerator: the masks of all maximal induced bipartite subgraphs, sorted.
-
-    Scans all 2^n subsets.  Bipartiteness is tabulated once per subset so
-    the maximality test is a table lookup per outside vertex.
-    """
-    if g.n > BRUTE_FORCE_CAP:
-        raise GuardError(f"subset scan capped at {BRUTE_FORCE_CAP} vertices, got {g.n}")
-    size = 1 << g.n
-    bip = bytearray(size)
-    for s in range(size):
-        bip[s] = bipartition(g, s) is not None
-    out = []
-    for s in range(size):
-        if not bip[s]:
-            continue
-        maximal = True
-        for w in iter_bits(g.full_mask & ~s):
-            if bip[s | (1 << w)]:
-                maximal = False
-                break
-        if maximal:
-            out.append(s)
-    return tuple(out)
+from .graphs import Graph, components, iter_bits
+from .misenum import enumerate_mis
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ for the minimum size it searches each connected component alone and
 multiplies the results.  ``mis_profile`` only counts: it searches each
 connected component, as a mask of the graph, with an emit that tallies
 each set at its size and holds none, and convolves the component
-profiles.  The subset scan ``enumerate_mis_bruteforce`` is the test
-suite's oracle for small orders.
+profiles.
 """
 
 from __future__ import annotations
@@ -24,16 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
-    GuardError,
-    components,
-    iter_bits,
-    max_degree,
-)
+from .graphs import MAX_VERTICES, Graph, GuardError, components, max_degree
 
-BRUTE_FORCE_CAP = 20
 MIS_OF_SIZE_CAP = 1 << 17  # sets of one size held by mis_of_size; see its docstring
 
 
@@ -81,27 +72,6 @@ def _family(n: int, masks: list[int]) -> MisFamily:
     for m in masks:
         counts[m.bit_count()] += 1
     return MisFamily(n, tuple(sorted(masks)), SizeProfile(tuple(counts)))
-
-
-def enumerate_mis_bruteforce(g: Graph) -> MisFamily:
-    """Oracle enumerator: test all 2^n subsets for independence and maximality."""
-    if g.n > BRUTE_FORCE_CAP:
-        raise GuardError(f"subset scan capped at {BRUTE_FORCE_CAP} vertices, got {g.n}")
-    full = g.full_mask
-    adj = g.adj
-    out = []
-    for s in range(1 << g.n):
-        dom = s
-        ok = True
-        for v in iter_bits(s):
-            row = adj[v]
-            if row & s:
-                ok = False
-                break
-            dom |= row
-        if ok and dom == full:
-            out.append(s)
-    return _family(g.n, out)
 
 
 def _sets_between(
@@ -185,7 +155,7 @@ def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
     ``within`` (all of g by default) as masks in g's own labels, with a
     profile over sizes 0..|within|: ``_sets_between`` over the full size
     window, so a sub-problem needs no relabeled copy and no node is
-    pruned by size.  Practical well beyond the subset-scan cap.
+    pruned by size.
     """
     if within is None:
         within = g.full_mask

@@ -247,6 +247,8 @@ class SelectionState:
 
 def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> SelectionState:
     s_key = tuple(s_indices)
+    if s_key and not dec.ell:
+        raise ValueError(f"selection {sorted(set(s_key))} refused: the root set has no cells")
     if not all(0 <= i < dec.ell for i in s_key):
         raise ValueError(f"selection {sorted(set(s_key))} outside 0..{dec.ell - 1}")
     s_mask = mask_of(s_key)
@@ -310,14 +312,15 @@ def bad_event_probability(
     else:
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
     outside = g.adj[opposite] & ~cell.mask
-    q = Fraction(1, 4)
+    num = 1
     pattern = ["1/4"]
     for j in iter_bits(state.cell_adj[cell_index]):
         hits = (outside & cells[j].mask).bit_count()
         if hits:
-            q *= Fraction(4 - hits, 4)
+            num *= 4 - hits
             pattern.append(f"{4 - hits}/4")
-    return q, {
+    # Each factor of the pattern, the 1/4 included, has denominator 4.
+    return Fraction(num, 4 ** len(pattern)), {
         "cell": cell_index,
         "side": side,
         "outside_degree": outside.bit_count(),

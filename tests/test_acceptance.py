@@ -8,7 +8,6 @@ asserted, so a regression that blows a budget fails loudly.  Run with
 import math
 import time
 from collections import Counter
-from fractions import Fraction
 
 from misbench.bounds import (
     curve_rows,
@@ -26,15 +25,16 @@ from misbench.corpus import oracle_graphs, pipeline_instances
 from misbench.extremal import (
     GENERATION_CAP,
     generate_all,
-    verify_degree2_constants,
     verify_equality_scan,
 )
-from misbench.graphs import complete_graph, disjoint_union
 from misbench.mibs import mibs_counts
-from misbench.misenum import enumerate_mis, enumerate_mis_bruteforce
+from misbench.misenum import enumerate_mis
 from misbench.pipeline import CellConflictError, analyze_instance
 
+from fixtures import complete_graph, disjoint_union
+from oracles import mis_scan
 from test_cli import emitted, reference_json
+from test_extremal import slack_rows
 from test_mibs import assert_k4_identity, reference_mibs_counts
 
 # Classes of order 5..8, K4-free with maximum degree <= 3, whose default
@@ -104,11 +104,9 @@ def test_low_degree_slack_constants():
     with Budget("low-degree-slack", 5.0):
         tight_seen = set()
         for n in range(1, 9):
-            rows, bad = verify_degree2_constants(n)
-            assert bad == [], bad
-            for row in rows:
-                if row.tight:
-                    tight_seen.add((row.factor_name, row.graph6, row.k))
+            rows = list(slack_rows(n))
+            assert [row for row in rows if row[3] > row[4]] == []
+            tight_seen.update((name, g6, k) for name, g6, k, count, allowance in rows if count == allowance)
         # The stated extremal witnesses attain their allowances exactly.
         assert ("degree1", "A_", 1) in tight_seen  # single edge at k = 1
         assert ("isolated", "@", 1) in tight_seen  # single vertex at k = 1
@@ -117,7 +115,7 @@ def test_low_degree_slack_constants():
 def test_enumerator_oracle_equivalence():
     with Budget("oracle-equivalence", 600.0):
         for g in oracle_graphs(1000, max_n=14):
-            assert enumerate_mis(g).sets == enumerate_mis_bruteforce(g).sets
+            assert enumerate_mis(g).sets == mis_scan(g)
         for g in oracle_graphs(500, max_n=12):
             assert mibs_counts(g) == reference_mibs_counts(g)
 

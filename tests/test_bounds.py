@@ -25,7 +25,6 @@ from misbench.bounds import (
     moon_moser,
     nielsen,
     solve_eps_delta,
-    subset_count_check,
     transversal_exponent,
     two_sum_estimate,
 )
@@ -172,13 +171,11 @@ class TestEntropyAndSubsets:
         assert binary_entropy(0.25) == pytest.approx(0.811278124459133, abs=1e-12)
 
     def test_subset_count_check_holds(self):
+        # sum_{s <= alpha N} C(N, s) <= 2^{h(alpha) N} for 0 < alpha <= 1/2.
         for big_n in (10, 37, 100, 200):
             for alpha in (0.1, 0.25, 1 / 3, 0.5):
-                assert subset_count_check(big_n, alpha)["holds"]
-
-    def test_subset_count_rejects_large_alpha(self):
-        with pytest.raises(ValueError):
-            subset_count_check(10, 0.6)
+                lhs = sum(math.comb(big_n, s) for s in range(math.floor(alpha * big_n) + 1))
+                assert math.log2(lhs) <= binary_entropy(alpha) * big_n
 
 
 class TestTransversalExponent:

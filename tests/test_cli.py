@@ -20,7 +20,9 @@ import misbench
 from misbench import bounds, extremal, pipeline
 from misbench.cli import CURVE_HEADER, _emit, build_parser, main
 from misbench.graphio import to_graph6
-from misbench.graphs import complete_graph, disjoint_union, empty_graph, from_edges
+from misbench.graphs import from_edges
+
+from fixtures import complete_graph, disjoint_union, empty_graph
 
 
 def _round_floats(obj):
@@ -312,6 +314,14 @@ class TestPipeline:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err == "error: root set vertex 100000000000 is not a vertex of the 4-vertex graph\n"
+
+    def test_selection_on_a_root_set_without_cells_exits_one(self, capsys, tmp_path):
+        # random_cubic_k4free(10, 7010): its minimum root set has no cells.
+        path = tmp_path / "cubic.g6"
+        path.write_text("IaA@lPgF?\n")
+        code, out, err = run(capsys, "pipeline", str(path), "--s", "99")
+        assert (code, out) == (1, "")
+        assert err == "error: selection [99] refused: the root set has no cells\n"
 
     def test_negative_root_vertex_is_a_format_error(self, capsys, tmp_path):
         path = tmp_path / "p8.edges"

@@ -5,12 +5,14 @@ import itertools
 import multiprocessing
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misbench import extremal
+from misbench.bounds import eppstein, nielsen
 from misbench.extremal import (
     FILTERS,
     canonical_key,
@@ -19,29 +21,26 @@ from misbench.extremal import (
     is_clique_union,
     load_class_list,
     lower_twins,
-    mibs_extremes,
-    nielsen_violations,
     tightness_scan,
-    verify_degree2_constants,
     verify_equality_scan,
     vertex_invariants,
     write_class_list,
 )
 from misbench.graphio import to_graph6
-from misbench.graphs import (
-    Graph,
+from misbench.graphs import Graph, components, from_edges, is_k4_free, iter_bits, max_degree
+from misbench.mibs import mibs_counts
+from misbench.misenum import mis_profile
+
+from fixtures import (
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
-    is_k4_free,
-    max_degree,
     path_graph,
+    random_graph_strategy,
+    record_graph_builds,
     relabel,
 )
-
-from test_graphs import random_graph_strategy, record_graph_builds
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -265,8 +264,6 @@ class TestGeneration:
 
     def test_filters_are_hereditary_consistent(self):
         for g in generate_all(5, "both"):
-            from misbench.graphs import is_k4_free, max_degree
-
             assert is_k4_free(g) and max_degree(g) <= 3
 
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
@@ -514,31 +511,56 @@ class TestEqualityScan:
         assert by_k[1]["attainers"] == 1  # K4
 
     def test_nielsen_report_empty_small(self):
+        # The path of `search --selector nielsen`: no class of order n has
+        # more than 4^{5k-n} 5^{n-4k} maximal independent sets of size k.
         for n in range(1, 6):
-            assert nielsen_violations(n) == []
+            for row in tightness_scan(n, generate_all(n), "nielsen"):
+                assert row["max_mis_k"] <= nielsen(n, row["k"]).exact
+
+
+# Slack factors of the size-capped bound for classes of maximum degree at
+# most 2: a degree-1 vertex caps mis_{<=k} at 8/9 of 3^{4k-n} 4^{n-3k}, an
+# isolated vertex at 16/27, and a cycle component of length >= 4 at 11/12.
+SLACK_FACTORS = (
+    ("degree1", Fraction(8, 9), lambda g: any(g.degree(v) == 1 for v in range(g.n))),
+    ("isolated", Fraction(16, 27), lambda g: any(g.degree(v) == 0 for v in range(g.n))),
+    (
+        "long_cycle",
+        Fraction(11, 12),
+        lambda g: any(
+            c.bit_count() >= 4 and all(g.degree(v) == 2 for v in iter_bits(c))
+            for c in components(g.adj)
+        ),
+    ),
+)
+
+
+def slack_rows(n):
+    """(factor, graph6, k, mis_{<=k}, allowance) for each class of order n
+    with maximum degree at most 2 (taken from the "maxdeg3" list), each
+    factor that applies to it and each k."""
+    for g in generate_all(n, "maxdeg3"):
+        if max_degree(g) > 2:
+            continue
+        profile = mis_profile(g)
+        for name, factor, applies in SLACK_FACTORS:
+            if applies(g):
+                for k in range(n + 1):
+                    yield name, to_graph6(g), k, profile.at_most(k), factor * eppstein(n, k).exact
 
 
 class TestDegreeTwoSlack:
     def test_no_violations_small(self):
         for n in range(1, 7):
-            _, bad = verify_degree2_constants(n)
-            assert bad == []
+            assert [row for row in slack_rows(n) if row[3] > row[4]] == []
 
     def test_p2_tight_for_degree1(self):
-        rows, _ = verify_degree2_constants(2)
-        hits = [
-            r
-            for r in rows
-            if r.factor_name == "degree1" and r.k == 1 and r.tight
-        ]
-        assert hits, "P2 must attain the 8/9 allowance at k=1"
-        assert hits[0].count == 2
+        # P2's two sets attain the 8/9 allowance at k = 1.
+        assert ("degree1", "A_", 1, 2, 2) in slack_rows(2)
 
     def test_k1_tight_for_isolated(self):
-        rows, _ = verify_degree2_constants(1)
-        hits = [r for r in rows if r.factor_name == "isolated" and r.k == 1 and r.tight]
-        assert hits, "K1 must attain the 16/27 allowance at k=1"
-        assert hits[0].count == 1
+        # K1's one set attains the 16/27 allowance at k = 1.
+        assert ("isolated", "@", 1, 1, 1) in slack_rows(1)
 
 
 class TestScans:
@@ -559,6 +581,5 @@ class TestScans:
             tightness_scan(4, generate_all(4, "none"), "bogus")
 
     def test_mibs_extremes(self):
-        report = mibs_extremes(4, "none")
         # K4 maximizes at order 4 with its six edges.
-        assert report["max_mibs"] == 6
+        assert max(mibs_counts(g).mibs for g in generate_all(4)) == 6

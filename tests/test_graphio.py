@@ -12,21 +12,18 @@ from misbench.graphio import (
     looks_like_edge_list,
     parse_edge_list,
     parse_graph6,
-    to_edge_list,
     to_graph6,
 )
-from misbench.graphs import (
-    MAX_VERTICES,
-    Graph,
-    GuardError,
+from misbench.graphs import MAX_VERTICES, Graph, GuardError, from_edges
+
+from fixtures import (
     complete_graph,
     cycle_graph,
     empty_graph,
-    from_edges,
     path_graph,
+    random_graph_strategy,
+    to_edge_list,
 )
-
-from test_graphs import random_graph_strategy
 
 
 class TestGraph6Anchors:

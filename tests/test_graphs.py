@@ -7,110 +7,27 @@ from hypothesis import strategies as st
 from misbench.graphs import (
     Graph,
     GuardError,
-    bipartition,
-    complete_graph,
     components,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     from_edges,
-    induced_subgraph,
     is_clique,
     is_k4_free,
     is_maximal_independent,
     iter_bits,
     k4_witness,
-    lowest_bit,
     mask_of,
     max_degree,
-    path_graph,
-    relabel,
 )
 
-
-def random_graph_strategy(max_n=9):
-    """Hypothesis strategy producing arbitrary simple graphs up to max_n."""
-
-    @st.composite
-    def build(draw):
-        n = draw(st.integers(min_value=0, max_value=max_n))
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if draw(st.booleans()):
-                    edges.append((u, v))
-        return from_edges(n, edges)
-
-    return build()
-
-
-def record_graph_builds(monkeypatch):
-    """A list that gets the order of every validated Graph built from now on."""
-    built = []
-    check = Graph.__post_init__
-
-    def counted(self):
-        built.append(self.n)
-        check(self)
-
-    monkeypatch.setattr(Graph, "__post_init__", counted)
-    return built
-
-
-def reference_bipartition(g, mask):
-    """Oracle of ``bipartition``: the colour-dict walk it replaced.
-
-    Each component is coloured from its lowest vertex, which gets colour
-    0; an edge between equal colours means an odd cycle.
-    """
-    color = {}
-    side0 = side1 = 0
-    todo = mask
-    while todo:
-        root = lowest_bit(todo)
-        color[root] = 0
-        queue = [root]
-        comp_seen = 1 << root
-        while queue:
-            v = queue.pop()
-            cv = color[v]
-            for u in iter_bits(g.adj[v] & mask):
-                if u in color:
-                    if color[u] == cv:
-                        return None
-                else:
-                    color[u] = 1 - cv
-                    comp_seen |= 1 << u
-                    queue.append(u)
-        todo &= ~comp_seen
-    for v, c in color.items():
-        if c == 0:
-            side0 |= 1 << v
-        else:
-            side1 |= 1 << v
-    return side0, side1
-
-
-def random_union(rng, max_n=14, max_parts=4):
-    """Seeded disjoint union of 1..max_parts parts, relabeled at random.
-
-    A part is an isolated vertex, an edge, a 4-clique or a random graph
-    on 2..6 vertices (itself possibly disconnected); a part that would
-    take the order above max_n is skipped.
-    """
-    g = empty_graph(0)
-    for _ in range(rng.randint(1, max_parts)):
-        kind = rng.randrange(4)
-        if kind < 3:
-            part = complete_graph((1, 2, 4)[kind])
-        else:
-            n, p = rng.randint(2, 6), rng.random()
-            part = from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-        if g.n + part.n <= max_n:
-            g = disjoint_union(g, part)
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return relabel(g, perm)
+from fixtures import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    induced_subgraph,
+    path_graph,
+    random_graph_strategy,
+    relabel,
+)
 
 
 class TestConstruction:
@@ -190,15 +107,6 @@ class TestStructure:
         assert is_maximal_independent(c5, mask_of((0, 2)))
         assert not is_maximal_independent(c5, mask_of((0,)))
 
-    def test_bipartition(self):
-        c4 = cycle_graph(4)
-        sides = bipartition(c4, c4.full_mask)
-        assert sides is not None
-        s0, s1 = sides
-        assert s0 | s1 == 15 and s0 & s1 == 0
-        assert bipartition(cycle_graph(5), 31) is None
-        assert bipartition(cycle_graph(5), mask_of((0, 1, 2, 3))) is not None
-
     def test_induced_subgraph(self):
         g = cycle_graph(5)
         sub, keep = induced_subgraph(g, mask_of((0, 1, 3)))
@@ -222,12 +130,6 @@ class TestProperties:
             assert union & c == 0
             union |= c
         assert union == g.full_mask
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_graph_strategy(max_n=14), st.integers(min_value=0, max_value=(1 << 14) - 1))
-    def test_bipartition_matches_colour_walk(self, g, raw_mask):
-        mask = raw_mask & g.full_mask
-        assert bipartition(g, mask) == reference_bipartition(g, mask)
 
     @settings(max_examples=80, deadline=None)
     @given(random_graph_strategy(), st.integers(min_value=0, max_value=511))

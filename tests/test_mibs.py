@@ -6,49 +6,36 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from misbench import graphs, mibs
 from misbench.corpus import oracle_graphs, random_cubic_k4free
-from misbench.graphs import (
+from misbench.graphs import components, from_edges, mask_of
+from misbench.mibs import MibsCounts, _is_maximal_union, mibs_counts
+from misbench.misenum import enumerate_mis
+
+from fixtures import (
     complete_graph,
-    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
-    induced_subgraph,
-    iter_bits,
-    mask_of,
     path_graph,
+    random_graph_strategy,
+    random_union,
+    record_graph_builds,
+    triangle_chain,
 )
-from misbench.mibs import (
-    MibsCounts,
-    _is_maximal_union,
-    enumerate_mibs_bruteforce,
-    is_maximal_induced_bipartite,
-    mibs_counts,
-)
-from misbench.misenum import enumerate_mis, enumerate_mis_bruteforce
-
-from test_graphs import random_graph_strategy, random_union, record_graph_builds
-from test_misenum import triangle_chain
+from oracles import is_maximal_induced_bipartite, mibs_scan, mis_scan
 
 
 def reference_mibs_counts(g):
     """Oracle of ``mibs_counts`` from the subset scans alone.
 
     The ordered pairs (A, B), A a maximal independent set of g and B one
-    of g - A, come from ``enumerate_mis_bruteforce`` on g and on each
-    g - A.  A pair is a witness when A | B is one of the sets that
-    ``enumerate_mibs_bruteforce`` finds; A and B are then a 2-colouring
-    of it.  The histogram counts each unordered witness {A, B} once, at
-    the size of its larger side.
+    of g - A, come from ``mis_scan`` on g and on each g - A.  A pair is a
+    witness when A | B is one of the sets that ``mibs_scan`` finds; A and
+    B are then a 2-colouring of it.  The histogram counts each unordered
+    witness {A, B} once, at the size of its larger side.
     """
-    mibs = set(enumerate_mibs_bruteforce(g))
-    pairs = []
-    for a in enumerate_mis_bruteforce(g).sets:
-        rest, labels = induced_subgraph(g, g.full_mask & ~a)
-        for b in enumerate_mis_bruteforce(rest).sets:
-            pairs.append((a, mask_of(labels[v] for v in iter_bits(b))))
+    mibs = set(mibs_scan(g))
+    pairs = [(a, b) for a in mis_scan(g) for b in mis_scan(g, g.full_mask & ~a)]
     witnesses = [(a, b) for a, b in pairs if a | b in mibs]
     unordered = {frozenset(pair) for pair in witnesses}
     hist = Counter(max(side.bit_count() for side in pair) for pair in unordered)
@@ -58,8 +45,8 @@ def reference_mibs_counts(g):
 def assert_k4_identity(h):
     """mibs(K4 ∪ H) = 6 mibs(H), and every such set meets the K4 in two vertices."""
     g = disjoint_union(complete_graph(4), h)
-    whole = enumerate_mibs_bruteforce(g)
-    assert mibs_counts(g).mibs == len(whole) == 6 * len(enumerate_mibs_bruteforce(h))
+    whole = mibs_scan(g)
+    assert mibs_counts(g).mibs == len(whole) == 6 * len(mibs_scan(h))
     assert all((w & 0b1111).bit_count() == 2 for w in whole)
     return len(whole)
 
@@ -69,7 +56,7 @@ class TestKnownCounts:
         # The six edges of K4 are its maximal induced bipartite subgraphs;
         # each arises from two ordered singleton pairs.
         assert mibs_counts(complete_graph(4)) == MibsCounts(6, 12, 0, ((1, 6),))
-        assert all(w.bit_count() == 2 for w in enumerate_mibs_bruteforce(complete_graph(4)))
+        assert all(w.bit_count() == 2 for w in mibs_scan(complete_graph(4)))
 
     def test_k3(self):
         counts = mibs_counts(complete_graph(3))
@@ -81,15 +68,22 @@ class TestKnownCounts:
         counts = mibs_counts(cycle_graph(5))
         assert counts.mibs == 5
         assert counts.ordered_pairs == 10
-        assert all(w.bit_count() == 4 for w in enumerate_mibs_bruteforce(cycle_graph(5)))
+        assert all(w.bit_count() == 4 for w in mibs_scan(cycle_graph(5)))
 
     def test_bipartite_graph_is_its_own_unique_record(self):
         for g in (path_graph(5), cycle_graph(6), empty_graph(4)):
-            assert enumerate_mibs_bruteforce(g) == (g.full_mask,)
+            assert mibs_scan(g) == (g.full_mask,)
             assert mibs_counts(g).mibs == 1
 
+    def test_cubic_ten(self):
+        # random_cubic_k4free(10, 7010), connected: nonmaximal pairs and two
+        # histogram rows.
+        g = random_cubic_k4free(10, 7010)
+        assert components(g.adj) == [g.full_mask]
+        assert mibs_counts(g) == reference_mibs_counts(g) == MibsCounts(24, 68, 20, ((3, 5), (4, 23)))
+
     def test_order_zero(self):
-        assert enumerate_mibs_bruteforce(empty_graph(0)) == (0,)
+        assert mibs_scan(empty_graph(0)) == (0,)
         expected = MibsCounts(1, 1, 0, ((0, 1),))
         assert mibs_counts(empty_graph(0)) == expected == reference_mibs_counts(empty_graph(0))
 
@@ -124,7 +118,7 @@ class TestOracleAgreement:
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_records_are_maximal(self, g):
-        for w in enumerate_mibs_bruteforce(g):
+        for w in mibs_scan(g):
             assert is_maximal_induced_bipartite(g, w)
 
 
@@ -210,19 +204,6 @@ class TestPairCensus:
                         assert verdict == is_maximal_induced_bipartite(g, a | b, part)
                         verdicts[verdict] += 1
         assert verdicts[True] and verdicts[False]
-
-    def test_no_bipartiteness_test_runs(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("bipartiteness tested")
-
-        g = random_cubic_k4free(10, 7010)
-        assert components(g.adj) == [g.full_mask]
-        expected = reference_mibs_counts(g)
-        monkeypatch.setattr(graphs, "bipartition", refuse)
-        monkeypatch.setattr(mibs, "bipartition", refuse)
-        monkeypatch.setattr(mibs, "is_maximal_induced_bipartite", refuse)
-        assert mibs_counts(g) == expected == MibsCounts(24, 68, 20, ((3, 5), (4, 23)))
-
 
 class TestClosedForms:
     """Counts above the 20-vertex subset-scan cap."""

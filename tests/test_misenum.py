@@ -1,7 +1,8 @@
 """Maximal-independent-set enumeration, cross-validated against an oracle.
 
-The subset scan is the oracle; the pivoting search must agree with it
-exactly (same masks, not just counts) on every corpus graph.
+The subset scan ``oracles.mis_scan`` is the oracle; the pivoting search
+must agree with it exactly (same masks, not just counts) on every corpus
+graph.
 """
 
 import random
@@ -17,28 +18,22 @@ from misbench.corpus import (
     pipeline_instances,
     random_cubic_k4free,
 )
-from misbench.graphs import (
-    GuardError,
+from misbench.graphs import GuardError, from_edges, is_maximal_independent, iter_bits
+from misbench.misenum import SizeProfile, enumerate_mis, min_mis, mis_of_size, mis_profile
+
+from fixtures import (
     complete_graph,
     cycle_graph,
     disjoint_union,
     empty_graph,
-    from_edges,
     induced_subgraph,
-    is_maximal_independent,
-    iter_bits,
     path_graph,
+    random_graph_strategy,
+    random_union,
+    record_graph_builds,
+    triangle_chain,
 )
-from misbench.misenum import (
-    SizeProfile,
-    enumerate_mis,
-    enumerate_mis_bruteforce,
-    min_mis,
-    mis_of_size,
-    mis_profile,
-)
-
-from test_graphs import random_graph_strategy, random_union, record_graph_builds
+from oracles import mis_scan, size_counts
 
 
 class TestKnownProfiles:
@@ -88,15 +83,13 @@ class TestKnownProfiles:
 class TestAgreement:
     def test_oracle_corpus_small(self):
         for g in oracle_graphs(120, max_n=10):
-            brute = enumerate_mis_bruteforce(g)
-            fast = enumerate_mis(g)
-            assert brute.sets == fast.sets
+            assert enumerate_mis(g).sets == mis_scan(g)
 
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=9))
     def test_pivot_matches_bruteforce(self, g):
         sets = enumerate_mis(g).sets
-        assert sets == enumerate_mis_bruteforce(g).sets
+        assert sets == mis_scan(g)
         assert min_mis(sets) == tuple_key_min(sets)
 
     @settings(max_examples=60, deadline=None)
@@ -146,7 +139,7 @@ class TestProfileAlgebra:
         for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
             profile = mis_profile(g)
             assert profile == enumerate_mis(g).profile
-            assert profile == enumerate_mis_bruteforce(g).profile
+            assert profile.counts == size_counts(g.n, mis_scan(g))
 
     def test_factorized_profile_up_to_twenty_vertices(self):
         rng = random.Random(43)
@@ -154,14 +147,14 @@ class TestProfileAlgebra:
             g = empty_graph(0)
             while g.n < 16:
                 g = random_union(rng, max_n=20, max_parts=8)
-            assert mis_profile(g) == enumerate_mis_bruteforce(g).profile
+            assert mis_profile(g).counts == size_counts(g.n, mis_scan(g))
 
     def test_profile_builds_no_graph(self, monkeypatch):
         # The components are enumerated as masks of the union itself.
         g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(4)), path_graph(3))
-        expected = enumerate_mis_bruteforce(g).profile
+        expected = size_counts(g.n, mis_scan(g))
         built = record_graph_builds(monkeypatch)
-        assert mis_profile(g) == expected
+        assert mis_profile(g).counts == expected
         assert built == []
 
     def test_at_most_monotone(self):
@@ -283,16 +276,6 @@ class TestMisOfSize:
         assert mis_of_size(g, 2) == (2, [])
 
 
-def triangle_chain(t):
-    """t triangles, one edge joining each pair of neighboring triangles."""
-    edges = []
-    for a in range(0, 3 * t, 3):
-        edges += [(a, a + 1), (a + 1, a + 2), (a, a + 2)]
-        if a:
-            edges.append((a - 1, a))
-    return from_edges(3 * t, edges)
-
-
 class TestTriangleChains:
     """An oracle above the subset-scan cap: every maximal independent set of
     a triangle chain takes one vertex per triangle, not both ends of a
@@ -337,9 +320,9 @@ class TestCycleAndPathTotals:
 
     def test_recurrences_match_the_subset_scan(self):
         for n in range(3, 15):
-            assert enumerate_mis_bruteforce(cycle_graph(n)).count == self.PERRIN[n]
+            assert len(mis_scan(cycle_graph(n))) == self.PERRIN[n]
         for n in range(1, 15):
-            assert enumerate_mis_bruteforce(path_graph(n)).count == self.PADOVAN[n]
+            assert len(mis_scan(path_graph(n))) == self.PADOVAN[n]
 
     def test_cycles_are_perrin(self):
         for n in range(3, 41):
@@ -367,27 +350,20 @@ class TestWindows:
 
     def test_oracle_corpus_to_twelve_vertices(self):
         for g in [empty_graph(0), empty_graph(5), *oracle_graphs(120, max_n=12)]:
-            brute = enumerate_mis_bruteforce(g).sets
-            for emitted, expected in window_slices(g, g.full_mask, brute):
+            for emitted, expected in window_slices(g, g.full_mask, mis_scan(g)):
                 assert emitted == expected
 
     def test_triangle_chains(self):
         for t in range(1, 6):
             g = triangle_chain(t)
-            brute = enumerate_mis_bruteforce(g).sets
-            for emitted, expected in window_slices(g, g.full_mask, brute):
+            for emitted, expected in window_slices(g, g.full_mask, mis_scan(g)):
                 assert emitted == expected
 
     def test_within_masks(self):
         rng = random.Random(59)
         for g in oracle_graphs(60, max_n=12):
             within = rng.getrandbits(g.n)
-            copy, labels = induced_subgraph(g, within)
-            brute = sorted(
-                sum(1 << labels[v] for v in iter_bits(mask))
-                for mask in enumerate_mis_bruteforce(copy).sets
-            )
-            for emitted, expected in window_slices(g, within, brute):
+            for emitted, expected in window_slices(g, within, mis_scan(g, within)):
                 assert emitted == expected
 
     def test_guard_message_on_21_triangles(self):
@@ -430,4 +406,4 @@ class TestMinMis:
 class TestGuards:
     def test_bruteforce_cap(self):
         with pytest.raises(GuardError):
-            enumerate_mis_bruteforce(empty_graph(21))
+            mis_scan(empty_graph(21))

@@ -17,10 +17,7 @@ from misbench.corpus import diamond, diamond_union, pipeline_instances, random_c
 from misbench.extremal import GENERATION_CAP, generate_all
 from misbench.graphs import (
     GuardError,
-    complete_graph,
     components,
-    cycle_graph,
-    disjoint_union,
     from_edges,
     is_maximal_independent,
     iter_bits,
@@ -40,6 +37,8 @@ from misbench.pipeline import (
     verify_is_capture,
     verify_product_bound,
 )
+
+from fixtures import complete_graph, cycle_graph, disjoint_union
 
 
 def linked_diamonds():
