@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import GuardError
 
@@ -28,8 +28,7 @@ EXACT_DIGITS_CAP = 4300  # Python's default digit limit for str() of an int
 CURVE_POINTS_CAP = 100_000  # grid points of ``curve_rows``, about 0.7 KB each
 
 
-@dataclass(frozen=True)
-class ExactBound:
+class ExactBound(NamedTuple):
     """A bound value: exact rational when exponents are integral, plus ln.
 
     ``exact`` is None on the irrational-base path and past
@@ -186,8 +185,7 @@ def transversal_exponent(eps: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class EpsDeltaWitness:
+class EpsDeltaWitness(NamedTuple):
     eps_star: float
     f_value: float
     base: float
@@ -204,9 +202,13 @@ def solve_eps_delta(margin: float = 0.0) -> EpsDeltaWitness:
     strictly positive for positive margins; at margin 0 the bisection
     drives f(eps*) to 1 within machine precision and the deficit can round
     to 0.0.  These are admissible computed witnesses, not quoted constants.
+    A negative margin would certify nothing (a negative deficit) and is
+    refused.
     """
     if not math.isfinite(margin):
         raise ValueError(f"margin must be finite, got {margin}")
+    if margin < 0:
+        raise ValueError(f"margin must be nonnegative, got {margin}")
     target = 1.0 - margin
     if transversal_exponent(0.0) > target:
         raise ValueError(f"margin {margin} admits no positive eps")
@@ -225,8 +227,7 @@ def solve_eps_delta(margin: float = 0.0) -> EpsDeltaWitness:
     return EpsDeltaWitness(lo, f_val, base, 4.0 - base, margin)
 
 
-@dataclass(frozen=True)
-class TwoSumReport:
+class TwoSumReport(NamedTuple):
     """Log-domain evaluation of the two-part count estimate.
 
     The first sum runs over k = 0..p_cut (pair counts: size-k first side
@@ -294,8 +295,7 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     )
 
 
-@dataclass(frozen=True)
-class TwoSumWitness:
+class TwoSumWitness(NamedTuple):
     eta: float
     xi: float
     n: int

@@ -24,7 +24,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import inf
@@ -57,7 +56,9 @@ def _write(obj, out: list[str], indent: str) -> None:
     Keys are sorted, strings escaped to ASCII, floats rounded to 12
     significant digits (NaN and the infinities as ``json`` writes them),
     Fractions written as strings and tuples as lists.  A key that is not
-    a str, or a value of any other type, raises TypeError.  Inside a dict
+    a str, or a value of any other type, raises TypeError; so does a
+    subclass of list or tuple, such as a result record, which would
+    otherwise lose its field names and print as a bare list.  Inside a dict
     or a list, a value whose exact type is in _SCALAR_TEXT is written in
     the loop; only containers and rarer types (None, floats, Fractions,
     subclasses of int or str) recurse.
@@ -82,7 +83,7 @@ def _write(obj, out: list[str], indent: str) -> None:
                 out.append(text(value))
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):
         if not obj:
             out.append("[]")
             return
@@ -229,13 +230,13 @@ def cmd_solve(args) -> int:
         # The report carries the witness's eta, n and p_cut.
         _emit(
             {
-                **asdict(witness.report),
+                **witness.report._asdict(),
                 "xi": witness.xi,
                 "both_below_target": witness.both_below_target,
             }
         )
         return 0
-    _emit(asdict(bounds.solve_eps_delta(args.margin)))
+    _emit(bounds.solve_eps_delta(args.margin)._asdict())
     return 0
 
 

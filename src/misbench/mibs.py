@@ -12,14 +12,13 @@ independent in G, so no pair needs a bipartiteness test or a swap lookup.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, components, iter_bits
 from .misenum import enumerate_mis
 
 
-@dataclass(frozen=True)
-class MibsCounts:
+class MibsCounts(NamedTuple):
     """Distinct maximal unions A | B, all generator pairs, those with a
     nonmaximal union, and (k, unordered witnesses {A, B} whose larger side
     has k vertices) for each k with any, in increasing k."""

@@ -20,17 +20,19 @@ profiles.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .graphs import MAX_VERTICES, Graph, GuardError, components, max_degree
 
 MIS_OF_SIZE_CAP = 1 << 17  # sets of one size held by mis_of_size; see its docstring
 
 
-@dataclass(frozen=True)
-class SizeProfile:
-    """Exact count of maximal independent sets per size k = 0..n."""
+class SizeProfile(NamedTuple):
+    """Exact count of maximal independent sets per size k = 0..n.
+
+    ``profile[k]`` is the count at size k: it shadows the tuple's own
+    indexing, which would reach only the one field."""
 
     counts: tuple[int, ...]
 
@@ -54,9 +56,9 @@ class SizeProfile:
         return SizeProfile(tuple(out))
 
 
-@dataclass(frozen=True)
-class MisFamily:
-    """All maximal independent sets of one graph, as masks, with profile."""
+class MisFamily(NamedTuple):
+    """All maximal independent sets of one graph, as masks, with profile.
+    ``count`` is the number of sets; it shadows ``tuple.count``."""
 
     n: int
     sets: tuple[int, ...]

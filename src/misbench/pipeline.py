@@ -15,8 +15,8 @@ All probability arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -49,8 +49,7 @@ class CellConflictError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     n: int
     k: int
     I0: int
@@ -76,8 +75,7 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """Closed neighborhood {u, x, y, z} of a degree-3 center u.
 
     x and y are the lexicographically first non-adjacent pair among the
@@ -218,8 +216,7 @@ def label_cells(g: Graph, dec: Decomposition) -> list[Cell]:
     return cells
 
 
-@dataclass(frozen=True)
-class SelectionState:
+class SelectionState(NamedTuple):
     """Cell bookkeeping for one choice of the doubled-cell index set S.
 
     I4 holds the remaining cell indices and U their vertex union.  I5
@@ -328,8 +325,7 @@ def bad_event_probability(
     }
 
 
-@dataclass(frozen=True)
-class TransversalStats:
+class TransversalStats(NamedTuple):
     total: int
     good_count: int
     p_good: Fraction

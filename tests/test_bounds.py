@@ -7,6 +7,7 @@ the float implementations against them at stated tolerances.
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -205,6 +206,7 @@ class TestSolve:
         assert w.f_value <= 1.0
         assert w.delta_star >= 0.0
         assert transversal_exponent(w.eps_star) <= 1.0
+        assert solve_eps_delta(-0.0) == w
 
     def test_positive_margin(self):
         w = solve_eps_delta(0.001)
@@ -216,6 +218,12 @@ class TestSolve:
     def test_impossible_margin(self):
         with pytest.raises(ValueError):
             solve_eps_delta(0.01)
+
+    @pytest.mark.parametrize("margin", [-1.0, -1e-9, -5e-324])
+    def test_negative_margin_is_refused(self, margin):
+        # f(eps*) > 1 would give a negative deficit, which certifies nothing.
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative, got {margin}")):
+            solve_eps_delta(margin)
 
 
 class TestTwoSum:

@@ -295,12 +295,19 @@ class TestTriangleChains:
             assert min_mis(sets) == tuple_key_min(sets)
 
 
-def third_order_recurrence(start: int, first: tuple[int, int, int], stop: int) -> dict[int, int]:
-    """a(n) = a(n - 2) + a(n - 3) for n up to stop, from a(start..start + 2) = first."""
-    a = dict(zip(range(start, start + 3), first))
-    for n in range(start + 3, stop + 1):
-        a[n] = a[n - 2] + a[n - 3]
+def gap_recurrence(first: dict[int, tuple[int, ...]], stop: int) -> dict[int, tuple[int, ...]]:
+    """a_n(x) = x * (a_{n-2}(x) + a_{n-3}(x)) for n up to stop, from the
+    three lowest a_n in ``first``; a_n is its coefficient tuple, index k
+    the coefficient of x^k, padded with zeros to length n + 1."""
+    a = {n: poly + (0,) * (n + 1 - len(poly)) for n, poly in first.items()}
+    for n in range(min(first) + 3, stop + 1):
+        a[n] = (0,) + tuple(u + v for u, v in zip(a[n - 2] + (0,), a[n - 3] + (0, 0)))
     return a
+
+
+# Per-size counts of P_n and C_n; TestCycleAndPathProfiles derives them.
+PATH_PROFILES = gap_recurrence({0: (1,), 1: (0, 1), 2: (0, 2)}, 40)
+CYCLE_PROFILES = gap_recurrence({3: (0, 3), 4: (0, 0, 2), 5: (0, 0, 5)}, 40)
 
 
 class TestCycleAndPathTotals:
@@ -308,15 +315,15 @@ class TestCycleAndPathTotals:
 
     A maximal independent set of a path skips one or two vertices between
     consecutive members, and also at each end one vertex at most; on a
-    cycle the gaps go all the way round.  So the totals follow
-    a(n) = a(n - 2) + a(n - 3): for C_n the Perrin numbers from
+    cycle the gaps go all the way round.  So the totals, the per-size
+    forms at x = 1, follow a(n) = a(n - 2) + a(n - 3): for C_n the Perrin numbers from
     P(3), P(4), P(5) = 3, 2, 5 (OEIS A001608), for P_n the Padovan numbers
     from 1, 2, 2 (OEIS A000931, shifted).  Both are first checked against
     the subset scan, where it applies.
     """
 
-    PERRIN = third_order_recurrence(3, (3, 2, 5), 40)
-    PADOVAN = third_order_recurrence(1, (1, 2, 2), 40)
+    PERRIN = {n: sum(c) for n, c in CYCLE_PROFILES.items()}
+    PADOVAN = {n: sum(p) for n, p in PATH_PROFILES.items()}
 
     def test_recurrences_match_the_subset_scan(self):
         for n in range(3, 15):
@@ -331,6 +338,41 @@ class TestCycleAndPathTotals:
     def test_paths_are_padovan(self):
         for n in range(1, 41):
             assert mis_profile(path_graph(n)).total == self.PADOVAN[n], n
+
+
+class TestCycleAndPathProfiles:
+    """The per-size counts behind the totals above, past the subset-scan cap.
+
+    On P_n (vertices 0..n-1) the last member of a maximal independent set
+    is n - 1 or n - 2, as n - 1 must be dominated; deleting it, the vertex
+    after it (if any) and the one before it leaves a maximal independent
+    set of P_{n-2} or of P_{n-3}, one for one.  So p_n(x) = x * (p_{n-2}(x)
+    + p_{n-3}(x)), with p_0 = 1, p_1 = x and p_2 = 2x.  On C_n the same
+    recurrence holds from n = 6, with c_3 = 3x, c_4 = 2x^2 and
+    c_5 = 5x^2; the subset scan checks both forms first.  A counter that
+    puts a set at the wrong size keeps every total; it fails these.
+    """
+
+    def test_forms_match_the_subset_scan(self):
+        for n in range(0, 15):
+            assert size_counts(n, mis_scan(path_graph(n))) == PATH_PROFILES[n], n
+        for n in range(3, 15):
+            assert size_counts(n, mis_scan(cycle_graph(n))) == CYCLE_PROFILES[n], n
+
+    def test_forms_match_mis_profile(self):
+        for n in range(0, 41):
+            assert mis_profile(path_graph(n)).counts == PATH_PROFILES[n], n
+        for n in range(3, 41):
+            assert mis_profile(cycle_graph(n)).counts == CYCLE_PROFILES[n], n
+
+    def test_forms_match_mis_of_size_at_every_size(self):
+        for forms, build, lo in ((PATH_PROFILES, path_graph, 0), (CYCLE_PROFILES, cycle_graph, 3)):
+            for n in range(lo, 25):
+                g = build(n)
+                for k in range(n + 1):
+                    size, sets = mis_of_size(g, k)
+                    assert size == k and len(sets) == forms[n][k], (n, k)
+                    assert all(m.bit_count() == k for m in sets)
 
 
 def window_slices(g, within, brute):
