@@ -296,10 +296,11 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
 
 
 class TwoSumWitness(NamedTuple):
-    eta: float
+    """The balance point xi and the two-sum report at the witness order
+    n, with p_cut = floor((1 + xi) n / 4); the report carries eta, n and
+    p_cut."""
+
     xi: float
-    n: int
-    p_cut: int
     report: TwoSumReport
 
     @property
@@ -308,13 +309,7 @@ class TwoSumWitness(NamedTuple):
         return r.ln_sum1 < r.ln_target and r.ln_sum2 < r.ln_target
 
 
-def _sums_below_target(n: int, xi: float, eta: float) -> tuple[bool, TwoSumReport]:
-    report = two_sum_estimate(n, math.floor((1.0 + xi) * n / 4.0), eta)
-    ok = report.ln_sum1 < report.ln_target and report.ln_sum2 < report.ln_target
-    return ok, report
-
-
-# Largest order the witness search tries before giving up.
+# Largest order the witness search tries before giving up (GuardError).
 TWO_SUM_N_CAP = 1 << 17
 
 
@@ -327,7 +322,8 @@ def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
     chosen in closed form to balance the two sums' linear-rate conditions:
     the first sum needs xi below (ln 12 - L(eta))/c1 where L is the
     per-quarter log base at k = n/4, the second benefits from larger xi.
-    The smallest admissible n is then located by doubling and bisection.
+    The smallest admissible n is then located by doubling and bisection;
+    past TWO_SUM_N_CAP the doubling stops with GuardError.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie strictly inside (0, 1), got {eta}")
@@ -341,25 +337,25 @@ def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
     # Balance point of the two linear admissibility conditions; always
     # strictly inside the first sum's budget gap/c1.
     xi = gap * tail2 / (c1 * tail2 + (-c2) * tail1)
-    n = 64
-    while n <= TWO_SUM_N_CAP:
-        ok, _ = _sums_below_target(n, xi, eta)
-        if ok:
-            break
-        n *= 2
-    else:
-        raise ValueError(f"no witness n found below {TWO_SUM_N_CAP}")
-    lo, hi = n // 2, n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        ok, _ = _sums_below_target(mid, xi, eta)
-        if ok:
-            hi = mid
+
+    def at(n: int) -> TwoSumWitness:
+        return TwoSumWitness(xi, two_sum_estimate(n, math.floor((1.0 + xi) * n / 4.0), eta))
+
+    best = at(64)
+    while not best.both_below_target:
+        n = 2 * best.report.n
+        if n > TWO_SUM_N_CAP:
+            raise GuardError(f"no witness n found below {TWO_SUM_N_CAP}")
+        best = at(n)
+    # Bisection moves best only to orders that pass, so it ends at the witness.
+    lo = best.report.n // 2
+    while best.report.n - lo > 1:
+        trial = at((lo + best.report.n) // 2)
+        if trial.both_below_target:
+            best = trial
         else:
-            lo = mid
-    # Bisection moves hi only to orders that pass, so hi is the witness.
-    _, report = _sums_below_target(hi, xi, eta)
-    return TwoSumWitness(eta, xi, hi, report.p_cut, report)
+            lo = trial.report.n
+    return best
 
 
 def curve_rows(eta: float, points: int = 28) -> list[dict]:

@@ -33,7 +33,7 @@ from .graphio import FormatError, decode_ascii, load_graphs
 from .graphs import Graph, GuardError
 from .mibs import mibs_counts
 from .misenum import mis_profile
-from .pipeline import analyze_instance, root_mask
+from .pipeline import analyze_instance
 
 CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe stops
@@ -245,8 +245,7 @@ def cmd_pipeline(args) -> int:
     s_list = _parse_vertex_list(args.s) or ()
     reports = []
     for g in _read_graphs(args):
-        i0 = root_mask(g, i0_list) if i0_list is not None else None
-        reports.append(analyze_instance(g, i0, s_list))
+        reports.append(analyze_instance(g, i0_list, s_list))
     _emit(_single_or_array(reports))
     return 1 if any(report["violations"] for report in reports) else 0
 

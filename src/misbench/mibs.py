@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .graphs import Graph, components, iter_bits
-from .misenum import enumerate_mis
+from .misenum import mis_sets
 
 
 class MibsCounts(NamedTuple):
@@ -65,13 +65,13 @@ def mibs_counts(g: Graph) -> MibsCounts:
     full: dict[tuple[int, int], int] = {(0, 0): 1}
     swap: dict[tuple[int, int], int] = {(0, 0): 1}
     for part in components(g.adj):
-        mis = set(enumerate_mis(g, part).sets)
+        mis = set(mis_sets(g, part))
         is_maximal: dict[int, bool] = {}
         part_full: Counter = Counter()
         part_swap: Counter = Counter()
         part_ordered = 0
         for a in mis:
-            for b in enumerate_mis(g, part & ~a).sets:
+            for b in mis_sets(g, part & ~a):
                 part_ordered += 1
                 union = a | b
                 if union not in is_maximal:

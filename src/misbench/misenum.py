@@ -7,9 +7,10 @@ soon as its pivot scan meets a vertex that no candidate can dominate,
 or when the vertices left to dominate outnumber what the window's
 remaining choices can dominate, and finishes a node one vertex short of
 the window's top by testing each possible last vertex, without a
-recursive call.  ``enumerate_mis`` runs it over every size;
-``mis_of_size`` over one size, where its size bounds prune every branch
-unable to end there, and the pipeline reads its root-size sets from it;
+recursive call.  ``mis_sets`` runs it over every size and returns the
+sorted masks, which ``mibs_counts`` reads; ``mis_of_size`` runs it over
+one size, where its size bounds prune every branch unable to end there,
+and the pipeline reads its root-size sets from it;
 for the minimum size it searches each connected component alone and
 multiplies the results.  ``mis_profile`` only counts: it searches each
 connected component, as a mask of the graph, with an emit that tallies
@@ -54,26 +55,6 @@ class SizeProfile(NamedTuple):
                 for j, b in enumerate(other.counts):
                     out[i + j] += a * b
         return SizeProfile(tuple(out))
-
-
-class MisFamily(NamedTuple):
-    """All maximal independent sets of one graph, as masks, with profile.
-    ``count`` is the number of sets; it shadows ``tuple.count``."""
-
-    n: int
-    sets: tuple[int, ...]
-    profile: SizeProfile
-
-    @property
-    def count(self) -> int:
-        return len(self.sets)
-
-
-def _family(n: int, masks: list[int]) -> MisFamily:
-    counts = [0] * (n + 1)
-    for m in masks:
-        counts[m.bit_count()] += 1
-    return MisFamily(n, tuple(sorted(masks)), SizeProfile(tuple(counts)))
 
 
 def _sets_between(
@@ -150,20 +131,19 @@ def _sets_between(
     del expand
 
 
-def enumerate_mis(g: Graph, within: int | None = None) -> MisFamily:
-    """All maximal independent sets of g[within], by the pivoting search.
+def mis_sets(g: Graph, within: int | None = None) -> list[int]:
+    """All maximal independent sets of g[within], as sorted masks.
 
-    Lists the maximal independent sets of the subgraph induced by
-    ``within`` (all of g by default) as masks in g's own labels, with a
-    profile over sizes 0..|within|: ``_sets_between`` over the full size
-    window, so a sub-problem needs no relabeled copy and no node is
-    pruned by size.
+    The subgraph induced by ``within`` (all of g by default) is searched
+    in g's own labels by ``_sets_between`` over the full size window, so a
+    sub-problem needs no relabeled copy and no node is pruned by size.
     """
     if within is None:
         within = g.full_mask
     out: list[int] = []
     _sets_between(g, within, 0, within.bit_count(), out.append)
-    return _family(within.bit_count(), out)
+    out.sort()
+    return out
 
 
 class _Overflow(Exception):
@@ -208,7 +188,7 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
     The largest list the pipeline benchmark and the test corpora produce
     is 1,024 sets (diamond_union(10)).  The cap bounds memory, not time:
     a search that holds few sets can still visit as many nodes as
-    ``enumerate_mis``.
+    ``mis_sets``.
     """
     reach = max_degree(g) + 1
     if k is not None:
@@ -254,7 +234,7 @@ def mis_profile(g: Graph) -> SizeProfile:
 def min_mis(sets) -> int:
     """The smallest of the given sets, first by size, then by sorted vertex tuple.
 
-    Given ``mis_of_size(g)[1]``, or all of ``enumerate_mis(g).sets``, this
+    Given ``mis_of_size(g)[1]``, or all of ``mis_sets(g)``, this
     is the minimum-size maximal independent set the pipeline roots at.
     Of two sets of one size, the one holding the lowest vertex of their
     symmetric difference has the smaller sorted tuple: the tuples agree

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .graphs import (
@@ -90,32 +91,29 @@ class Cell(NamedTuple):
     mask: int
 
 
-def root_mask(g: Graph, vertices: tuple[int, ...]) -> int:
-    """The mask of a root set given as vertices of g.  A vertex outside g
-    is refused as ``analyze_instance`` refuses it, before its bit is set."""
-    outside = [v for v in vertices if v >= g.n]
-    if outside:
-        _check_preconditions(g, outside=min(outside))
-    return mask_of(vertices)
+def _check_preconditions(g: Graph, root=None) -> int | None:
+    """The mask of the root set given as vertices of g, or None without one.
 
-
-def _check_preconditions(g: Graph, i0: int | None = None, outside: int | None = None) -> None:
-    """Raise DecompositionError, naming a witness, when g has a vertex of
-    degree above 3 or a 4-clique, or when a given I0 (or the vertex
-    ``outside``) names a vertex outside g or I0 is not a maximal
-    independent set of g.  The checks run in that order."""
+    Raises DecompositionError, naming a witness, when g has a vertex of
+    degree above 3 or a 4-clique, or when the root names a vertex outside
+    g or is not a maximal independent set of g.  The checks run in that
+    order, and a vertex outside g is refused before any mask is built.
+    """
     for v in range(g.n):
         if g.degree(v) > 3:
             raise DecompositionError(f"vertex {v} has degree {g.degree(v)} > 3")
     clique = k4_witness(g)
     if clique is not None:
         raise DecompositionError(f"4-clique on vertices {sorted(iter_bits(clique))}")
-    if i0 is not None and i0 >> g.n:
-        outside = lowest_bit(i0 >> g.n) + g.n
-    if outside is not None:
-        raise DecompositionError(f"root set vertex {outside} is not a vertex of the {g.n}-vertex graph")
-    if i0 is not None and not is_maximal_independent(g, i0):
+    if root is None:
+        return None
+    outside = [v for v in root if v >= g.n]
+    if outside:
+        raise DecompositionError(f"root set vertex {min(outside)} is not a vertex of the {g.n}-vertex graph")
+    i0 = mask_of(root)
+    if not is_maximal_independent(g, i0):
         raise DecompositionError(f"root set {sorted(iter_bits(i0))} is not a maximal independent set")
+    return i0
 
 
 def decompose(g: Graph, i0: int) -> Decomposition:
@@ -124,16 +122,9 @@ def decompose(g: Graph, i0: int) -> Decomposition:
     I1 holds the I0-vertices with at most 2 neighbors; J1 their outside
     neighbors; J2 the remaining outside vertices with at least 2
     I0-neighbors; I2 the I0-vertices touching J2; I3 the rest of I0 (the
-    cell centers).  Raises DecompositionError when the graph has a vertex
-    of degree above 3, contains a 4-clique, or I0 is not a maximal
-    independent set; the message names the witness.
+    cell centers).  Nothing is checked: g and I0 are taken to meet the
+    preconditions that ``analyze_instance`` checks first.
     """
-    _check_preconditions(g, i0)
-    return _decompose(g, i0)
-
-
-def _decompose(g: Graph, i0: int) -> Decomposition:
-    """``decompose`` on a graph and root set that passed its checks."""
     j0 = g.full_mask & ~i0
     i1 = 0
     for v in iter_bits(i0):
@@ -287,44 +278,6 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
     )
 
 
-def bad_event_probability(
-    g: Graph, cells: list[Cell], state: SelectionState, cell_index: int, side: str
-) -> tuple[Fraction, dict]:
-    """Exact probability that a uniform transversal picks ``side`` of a cell
-    while missing every neighbor of the opposite special vertex.
-
-    Only defined for I5 cells: there the opposite vertex's neighbors all
-    lie inside U, and the probability factors over the at most two other
-    cells containing them.  The factored pattern is returned alongside so
-    reports show which of the four cases (no outside neighbor; one; two
-    in a single cell; two in distinct cells) applied.
-    """
-    if cell_index not in state.I5:
-        raise ValueError(f"cell {cell_index} not in I5")
-    cell = cells[cell_index]
-    if side == "x":
-        opposite = cell.y
-    elif side == "y":
-        opposite = cell.x
-    else:
-        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    outside = g.adj[opposite] & ~cell.mask
-    num = 1
-    pattern = ["1/4"]
-    for j in iter_bits(state.cell_adj[cell_index]):
-        hits = (outside & cells[j].mask).bit_count()
-        if hits:
-            num *= 4 - hits
-            pattern.append(f"{4 - hits}/4")
-    # Each factor of the pattern, the 1/4 included, has denominator 4.
-    return Fraction(num, 4 ** len(pattern)), {
-        "cell": cell_index,
-        "side": side,
-        "outside_degree": outside.bit_count(),
-        "pattern": "*".join(pattern),
-    }
-
-
 class TransversalStats(NamedTuple):
     total: int
     good_count: int
@@ -346,30 +299,6 @@ def _is_good(rows, t_mask: int) -> bool:
     return True
 
 
-def _cell_stats(
-    g: Graph, cells: list[Cell], state: SelectionState, total: int, good: int
-) -> TransversalStats:
-    per_cell = []
-    bad_prob: dict[int, Fraction] = {}
-    for i in state.I5:
-        qx, info_x = bad_event_probability(g, cells, state, i, "x")
-        qy, info_y = bad_event_probability(g, cells, state, i, "y")
-        bad_prob[i] = qx + qy
-        per_cell.append({**info_x, "q": qx})
-        per_cell.append({**info_y, "q": qy})
-    product = Fraction(1)
-    for i in state.I6:
-        product *= 1 - bad_prob[i]
-    return TransversalStats(
-        total=total,
-        good_count=good,
-        p_good=Fraction(good, total) if total else Fraction(1),
-        per_cell=tuple(per_cell),
-        bad_probability=bad_prob,
-        product_bound=product,
-    )
-
-
 def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> TransversalStats:
     """Exact census of the 4^{|I4|} transversals of the cell partition.
 
@@ -383,6 +312,14 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
     ``good_rows`` of the component's I5 cells; a component with none has
     all its 4^c transversals good and is not scanned.  Guarded to
     components of at most CENSUS_CELL_CAP cells (4^11 states each).
+
+    Each I5 cell also gets its two exact bad-event probabilities: that a
+    uniform transversal picks x (resp. y) while missing every neighbor of
+    the opposite special vertex.  Those neighbors lie inside U, so the
+    probability factors over the at most two other cells holding them.
+    ``per_cell`` gives each with its factored pattern, which tells the four
+    cases apart (no outside neighbor; one; two in a single cell; two in
+    distinct cells), and ``bad_probability`` their sum per cell.
     """
     comps = components(state.cell_adj, mask_of(state.I4))
     largest = max(map(int.bit_count, comps), default=0)
@@ -399,7 +336,33 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
             continue
         slots = [tuple(1 << v for v in iter_bits(cells[i].mask)) for i in iter_bits(comp)]
         good *= sum(1 for choice in itertools.product(*slots) if _is_good(checked, sum(choice)))
-    return _cell_stats(g, cells, state, 4 ** len(state.I4), good)
+    per_cell = []
+    bad_prob: dict[int, Fraction] = {}
+    for i in state.I5:
+        cell = cells[i]
+        for side, opposite in (("x", cell.y), ("y", cell.x)):
+            outside = g.adj[opposite] & ~cell.mask
+            hits = [(outside & cells[j].mask).bit_count() for j in iter_bits(state.cell_adj[i])]
+            # The pattern's factors, the 1/4 included, each over 4.
+            factors = [1] + [4 - h for h in hits if h]
+            q = Fraction(prod(factors), 4 ** len(factors))
+            bad_prob[i] = bad_prob.get(i, 0) + q
+            pattern = "*".join(f"{f}/4" for f in factors)
+            per_cell.append(
+                {"cell": i, "side": side, "outside_degree": outside.bit_count(), "pattern": pattern, "q": q}
+            )
+    product = Fraction(1)
+    for i in state.I6:
+        product *= 1 - bad_prob[i]
+    total = 4 ** len(state.I4)
+    return TransversalStats(
+        total=total,
+        good_count=good,
+        p_good=Fraction(good, total) if total else Fraction(1),
+        per_cell=tuple(per_cell),
+        bad_probability=bad_prob,
+        product_bound=product,
+    )
 
 
 def verify_product_bound(
@@ -523,21 +486,22 @@ def verify_is_capture(
     return {"k": k, "families": rows, "holds": all_ok}
 
 
-def analyze_instance(g: Graph, i0: int | None = None, s_indices=()) -> dict:
+def analyze_instance(g: Graph, root=None, s_indices=()) -> dict:
     """Full instance report: decomposition, cells, census, capture.
 
-    When i0 is omitted the minimum-size maximal independent set is used
-    (smallest sorted vertex tuple among minimum sizes), matching the
-    regime the counting argument targets.  Only the maximal independent
-    sets of the root size are listed, after the preconditions of
-    ``decompose`` hold; they are checked once, as a root set picked from
-    those sets is a maximal independent set.
+    ``root`` gives the vertices of I0.  When it is omitted the
+    minimum-size maximal independent set is used (smallest sorted vertex
+    tuple among minimum sizes), matching the regime the counting argument
+    targets.  Only the maximal independent sets of the root size are
+    listed, after ``_check_preconditions`` holds; it runs once, as a root
+    set picked from those sets is a maximal independent set.  Rationals
+    stay Fractions, which the JSON writer prints as strings.
     """
-    _check_preconditions(g, i0)
+    i0 = _check_preconditions(g, root)
     k, sets = mis_of_size(g, None if i0 is None else i0.bit_count())
     if i0 is None:
         i0 = min_mis(sets)
-    dec = _decompose(g, i0)
+    dec = decompose(g, i0)
     cells = label_cells(g, dec)
     state = select(g, dec, cells, s_indices)
     stats = transversal_census(g, cells, state)
@@ -566,12 +530,10 @@ def analyze_instance(g: Graph, i0: int | None = None, s_indices=()) -> dict:
         "census": {
             "total": stats.total,
             "good": stats.good_count,
-            "p_good": str(stats.p_good),
-            "per_cell": [
-                {**row, "q": str(row["q"])} for row in stats.per_cell
-            ],
-            "product_bound": str(stats.product_bound),
-            "ceiling": str(product["ceiling"]),
+            "p_good": stats.p_good,
+            "per_cell": stats.per_cell,
+            "product_bound": stats.product_bound,
+            "ceiling": product["ceiling"],
         },
         "capture": capture,
         "violations": violations,

@@ -39,7 +39,7 @@ def mis_scan(g, within=None):
         # The next subset of within, in increasing order; 0 after the last.
         s = (s - within) & within
         if not s:
-            return tuple(out)
+            return out
 
 
 def size_counts(n, masks):

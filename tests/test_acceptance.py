@@ -27,8 +27,9 @@ from misbench.extremal import (
     generate_all,
     verify_equality_scan,
 )
+from misbench.graphs import iter_bits
 from misbench.mibs import mibs_counts
-from misbench.misenum import enumerate_mis
+from misbench.misenum import mis_profile, mis_sets
 from misbench.pipeline import CellConflictError, analyze_instance
 
 from fixtures import complete_graph, disjoint_union
@@ -66,9 +67,8 @@ class Budget:
 
 def test_k4_census():
     with Budget("k4-census", 1.0):
-        fam = enumerate_mis(complete_graph(4))
-        assert fam.count == 4
-        assert list(fam.profile.counts) == [0, 4, 0, 0, 0]
+        assert len(mis_sets(complete_graph(4))) == 4
+        assert list(mis_profile(complete_graph(4)).counts) == [0, 4, 0, 0, 0]
         counts = mibs_counts(complete_graph(4))
         assert counts.mibs == 6
         assert counts.ordered_pairs == 12
@@ -79,9 +79,9 @@ def test_triangle_union_attains_classic_bound():
     with Budget("triangle-unions", 1.0):
         g = complete_graph(3)
         for t in range(1, 7):
-            fam = enumerate_mis(g)
-            assert fam.count == 3**t == moon_moser(3 * t).exact
-            assert all(m.bit_count() == t for m in fam.sets)
+            sets = mis_sets(g)
+            assert len(sets) == 3**t == moon_moser(3 * t).exact
+            assert all(m.bit_count() == t for m in sets)
             g = disjoint_union(g, complete_graph(3))
 
 
@@ -115,7 +115,7 @@ def test_low_degree_slack_constants():
 def test_enumerator_oracle_equivalence():
     with Budget("oracle-equivalence", 600.0):
         for g in oracle_graphs(1000, max_n=14):
-            assert enumerate_mis(g).sets == mis_scan(g)
+            assert mis_sets(g) == mis_scan(g)
         for g in oracle_graphs(500, max_n=12):
             assert mibs_counts(g) == reference_mibs_counts(g)
 
@@ -125,7 +125,7 @@ def test_pipeline_corpus_zero_violations():
         instances = pipeline_instances(100)
         assert len(instances) == 100
         for g, i0 in instances:
-            report = analyze_instance(g, i0)
+            report = analyze_instance(g, tuple(iter_bits(i0)))
             assert report["violations"] == [], (
                 f"order {g.n}: {report['violations']}"
             )

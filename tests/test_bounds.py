@@ -246,17 +246,18 @@ class TestTwoSum:
 
     def test_witness_found_and_verified(self):
         w = find_two_sum_witness(0.4)
+        r = w.report
         assert w.both_below_target
-        assert w.report.ln_sum1 < w.report.ln_target
-        assert w.report.ln_sum2 < w.report.ln_target
-        assert w.p_cut == math.floor((1 + w.xi) * w.n / 4)
+        assert r.ln_sum1 < r.ln_target
+        assert r.ln_sum2 < r.ln_target
+        assert (r.eta, r.p_cut) == (0.4, math.floor((1 + w.xi) * r.n / 4))
         # Minimality: one step down fails at least one sum.
-        prev = two_sum_estimate(w.n - 1, math.floor((1 + w.xi) * (w.n - 1) / 4), w.eta)
+        prev = two_sum_estimate(r.n - 1, math.floor((1 + w.xi) * (r.n - 1) / 4), r.eta)
         assert prev.ln_sum1 >= prev.ln_target or prev.ln_sum2 >= prev.ln_target
 
     def test_witness_scale(self):
         w = find_two_sum_witness(0.4)
-        assert 3000 < w.n < 4500
+        assert 3000 < w.report.n < 4500
         assert 0.015 < w.xi < 0.020
 
     def test_sum_bounds_by_max_plus_tail(self):

@@ -141,7 +141,7 @@ class TestImportCost:
 
     RECORDS = {
         "bounds": ("ExactBound", "EpsDeltaWitness", "TwoSumReport", "TwoSumWitness"),
-        "misenum": ("SizeProfile", "MisFamily"),
+        "misenum": ("SizeProfile",),
         "mibs": ("MibsCounts",),
         "pipeline": ("Decomposition", "Cell", "SelectionState", "TransversalStats"),
     }
@@ -159,6 +159,10 @@ class TestImportCost:
         for name, records in self.RECORDS.items():
             for record in records:
                 assert issubclass(getattr(modules[name], record), tuple), record
+        assert sum(map(len, self.RECORDS.values())) == 10
+        # The enumeration returns a plain sorted list of masks, not a record.
+        assert not hasattr(modules["misenum"], "MisFamily")
+        assert not hasattr(modules["misenum"], "enumerate_mis")
 
 
 class TestMibs:
@@ -316,6 +320,13 @@ class TestSolve:
         assert payload["ln_sum1"] < payload["ln_target"]
         assert payload["ln_sum2"] < payload["ln_target"]
 
+    def test_two_sum_search_cap_exits_three(self, capsys):
+        # Near eta = 0 the witness order passes TWO_SUM_N_CAP: a resource
+        # guard, as the other caps are.
+        code, out, err = run(capsys, "solve", "--two-sum-eta", "1e-6")
+        assert (code, out) == (3, "")
+        assert err == f"error: no witness n found below {bounds.TWO_SUM_N_CAP}\n"
+
 
 class TestPipeline:
     def test_diamond_default_root(self, capsys, tmp_path):
@@ -369,6 +380,24 @@ class TestPipeline:
         path.write_text("8 7\n" + "".join(f"{v} {v + 1}\n" for v in range(7)))
         code, out, err = run(capsys, "pipeline", str(path), "--i0", "-1")
         assert (code, out, err) == (2, "", "error: expected nonnegative integers, got '-1'\n")
+
+    @pytest.mark.parametrize(
+        "graph, i0, message",
+        [
+            ("C~", "99", "4-clique on vertices [0, 1, 2, 3]"),
+            ("5 4\n0 1\n0 2\n0 3\n0 4", "99", "vertex 0 has degree 4 > 3"),
+            ("9 10\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n4 5\n4 6\n4 7\n4 8", "0", "vertex 4 has degree 4 > 3"),
+            ("3 2\n0 1\n1 2", "0,99", "root set vertex 99 is not a vertex of the 3-vertex graph"),
+        ],
+        ids=["clique-before-outside", "degree-before-outside", "degree-before-clique", "outside-before-maximal"],
+    )
+    def test_precondition_order(self, capsys, tmp_path, graph, i0, message):
+        # Degree, then 4-clique, then a root vertex outside the graph, then
+        # maximality: an input failing two checks names the earlier one.
+        # The {0, 99} root on a path fails both of the last two.
+        path = tmp_path / "g.txt"
+        path.write_text(graph + "\n")
+        assert run(capsys, "pipeline", "--i0", i0, str(path)) == (1, "", f"error: {message}\n")
 
     def test_precondition_refused_before_any_search(self, capsys, tmp_path, monkeypatch):
         # 12 disjoint triangles (3^12 maximal independent sets) and a claw

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from misbench.corpus import oracle_graphs, random_cubic_k4free
 from misbench.graphs import components, from_edges, mask_of
 from misbench.mibs import MibsCounts, _is_maximal_union, mibs_counts
-from misbench.misenum import enumerate_mis
+from misbench.misenum import mis_sets
 
 from fixtures import (
     complete_graph,
@@ -195,8 +195,8 @@ class TestPairCensus:
         for g in graphs_under_test():
             for part in components(g.adj):
                 seen = set()
-                for a in enumerate_mis(g, part).sets:
-                    for b in enumerate_mis(g, part & ~a).sets:
+                for a in mis_sets(g, part):
+                    for b in mis_sets(g, part & ~a):
                         if a | b in seen:
                             continue
                         seen.add(a | b)

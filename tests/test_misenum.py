@@ -19,7 +19,7 @@ from misbench.corpus import (
     random_cubic_k4free,
 )
 from misbench.graphs import GuardError, from_edges, is_maximal_independent, iter_bits
-from misbench.misenum import SizeProfile, enumerate_mis, min_mis, mis_of_size, mis_profile
+from misbench.misenum import SizeProfile, min_mis, mis_of_size, mis_profile, mis_sets
 
 from fixtures import (
     complete_graph,
@@ -40,15 +40,13 @@ class TestKnownProfiles:
     """Hand-countable families."""
 
     def test_k4(self):
-        fam = enumerate_mis(complete_graph(4))
-        assert fam.count == 4
-        assert list(fam.profile.counts) == [0, 4, 0, 0, 0]
+        assert len(mis_sets(complete_graph(4))) == 4
+        assert list(mis_profile(complete_graph(4)).counts) == [0, 4, 0, 0, 0]
 
     def test_c5(self):
         # C5: the five edges... every maximal independent set is a
         # non-adjacent pair, and there are exactly 5 of them.
-        fam = enumerate_mis(cycle_graph(5))
-        assert list(fam.profile.counts) == [0, 0, 5, 0, 0, 0]
+        assert list(mis_profile(cycle_graph(5)).counts) == [0, 0, 5, 0, 0, 0]
 
     def test_diamond(self):
         # K4 minus an edge: two singleton sets (the degree-3 vertices)
@@ -57,71 +55,62 @@ class TestKnownProfiles:
         assert list(mis_profile(g).counts) == [0, 2, 1, 0, 0]
 
     def test_empty_graph(self):
-        fam = enumerate_mis(empty_graph(4))
-        assert fam.sets == (15,)
+        assert mis_sets(empty_graph(4)) == [15]
 
     def test_order_zero(self):
-        fam = enumerate_mis(empty_graph(0))
-        assert fam.sets == (0,)
-        assert fam.profile.counts == (1,)
+        assert mis_sets(empty_graph(0)) == [0]
+        assert mis_profile(empty_graph(0)).counts == (1,)
 
     def test_path4(self):
         # P4 maximal independent sets: {0,2}, {0,3}, {1,3}, and nothing else.
-        fam = enumerate_mis(path_graph(4))
-        assert fam.count == 3
-        assert list(fam.profile.counts) == [0, 0, 3, 0, 0]
+        assert len(mis_sets(path_graph(4))) == 3
+        assert list(mis_profile(path_graph(4)).counts) == [0, 0, 3, 0, 0]
 
     def test_triangle_powers(self):
         g = complete_graph(3)
         for _ in range(3):
-            fam = enumerate_mis(g)
-            assert fam.count == 3 ** (g.n // 3)
-            assert all(m.bit_count() == g.n // 3 for m in fam.sets)
+            sets = mis_sets(g)
+            assert len(sets) == 3 ** (g.n // 3)
+            assert all(m.bit_count() == g.n // 3 for m in sets)
             g = disjoint_union(g, complete_graph(3))
 
 
 class TestAgreement:
     def test_oracle_corpus_small(self):
         for g in oracle_graphs(120, max_n=10):
-            assert enumerate_mis(g).sets == mis_scan(g)
+            assert mis_sets(g) == mis_scan(g)
 
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=9))
     def test_pivot_matches_bruteforce(self, g):
-        sets = enumerate_mis(g).sets
+        sets = mis_sets(g)
         assert sets == mis_scan(g)
         assert min_mis(sets) == tuple_key_min(sets)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_every_output_is_maximal_independent(self, g):
-        for m in enumerate_mis(g).sets:
+        for m in mis_sets(g):
             assert is_maximal_independent(g, m)
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=8))
     def test_no_duplicates(self, g):
-        fam = enumerate_mis(g)
-        assert len(set(fam.sets)) == len(fam.sets)
+        sets = mis_sets(g)
+        assert len(set(sets)) == len(sets)
 
 
 class TestWithinMask:
-    """enumerate_mis(g, within) is the enumeration of the induced copy, in g's labels."""
+    """mis_sets(g, within) is the enumeration of the induced copy, in g's labels."""
 
     def test_matches_induced_copy(self):
         rng = random.Random(53)
         graphs = oracle_graphs(80, max_n=14) + [random_union(rng) for _ in range(80)]
         for g in graphs:
             for within in (0, g.full_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
-                fam = enumerate_mis(g, within)
                 copy, labels = induced_subgraph(g, within)
-                local = enumerate_mis(copy)
-                mapped = tuple(
-                    sum(1 << labels[v] for v in iter_bits(mask)) for mask in local.sets
-                )
-                assert fam.sets == mapped
-                assert fam.profile == local.profile
-                assert len(fam.profile.counts) == within.bit_count() + 1
+                mapped = [sum(1 << labels[v] for v in iter_bits(mask)) for mask in mis_sets(copy)]
+                assert mis_sets(g, within) == mapped
 
 
 class TestProfileAlgebra:
@@ -138,7 +127,7 @@ class TestProfileAlgebra:
         rng = random.Random(41)
         for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
             profile = mis_profile(g)
-            assert profile == enumerate_mis(g).profile
+            assert profile.counts == size_counts(g.n, mis_sets(g))
             assert profile.counts == size_counts(g.n, mis_scan(g))
 
     def test_factorized_profile_up_to_twenty_vertices(self):
@@ -177,7 +166,7 @@ def assert_size_search_matches(g):
     """mis_of_size equals the size-k slice of the pivoting enumeration for
     every k in 0..n, and with k None gives the minimum size's slice;
     min_mis picks the tuple-key minimum of the family and of each slice."""
-    sets = enumerate_mis(g).sets
+    sets = mis_sets(g)
     assert min_mis(sets) == tuple_key_min(sets)
     for k in range(g.n + 1):
         expected = [m for m in sets if m.bit_count() == k]
@@ -214,7 +203,7 @@ class TestMisOfSize:
         # roots are the enumeration's minimum sets.
         for g, i0 in pipeline_instances(100):
             assert_size_search_matches(g)
-            assert i0 == min_mis(enumerate_mis(g).sets)
+            assert i0 == min_mis(mis_sets(g))
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=9))
@@ -234,7 +223,7 @@ class TestMisOfSize:
                 edges.pop(rng.randrange(len(edges)))
             parts.append(from_edges(24, edges))
         g = disjoint_union(*parts)
-        first, second = (enumerate_mis(part).sets for part in parts)
+        first, second = (mis_sets(part) for part in parts)
         k = max(first, key=int.bit_count).bit_count() + max(second, key=int.bit_count).bit_count()
         expected = sorted(
             a | b << 24 for a in first for b in second if a.bit_count() + b.bit_count() == k
@@ -247,7 +236,7 @@ class TestMisOfSize:
         # maximal independent sets each.
         for n in (32, 36, 40, 44):
             g = random_cubic_k4free(n, 7000 + n)
-            sets = enumerate_mis(g).sets
+            sets = mis_sets(g)
             k = min(map(int.bit_count, sets))
             assert mis_of_size(g) == (k, [m for m in sets if m.bit_count() == k])
 
@@ -256,7 +245,7 @@ class TestMisOfSize:
         # triangle and a lone vertex: 432 sets of size 7 in all.
         g = disjoint_union(disjoint_union(complete_graph(3), triangle_chain(5)), empty_graph(1))
         monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", 432)
-        assert mis_of_size(g) == (7, [m for m in enumerate_mis(g).sets if m.bit_count() == 7])
+        assert mis_of_size(g) == (7, [m for m in mis_sets(g) if m.bit_count() == 7])
         for cap in (431, 143):
             monkeypatch.setattr(misenum, "MIS_OF_SIZE_CAP", cap)
             with pytest.raises(GuardError, match=f"more than {cap} maximal independent sets of size 7"):
@@ -287,10 +276,10 @@ class TestTriangleChains:
             fib.append(fib[-1] + fib[-2])
         for t in range(1, 11):
             g = triangle_chain(t)
-            sets = enumerate_mis(g).sets
+            sets = mis_sets(g)
             assert len(sets) == fib[2 * t + 2]
             assert {m.bit_count() for m in sets} == {t}
-            assert mis_of_size(g) == (t, list(sets))
+            assert mis_of_size(g) == (t, sets)
             assert mis_of_size(g, t - 1) == (t - 1, [])
             assert min_mis(sets) == tuple_key_min(sets)
 
@@ -424,8 +413,8 @@ class TestWindows:
 class TestMinMis:
     def test_smallest_size_then_smallest_vertex_tuple(self):
         for g in [empty_graph(0), empty_graph(3), *oracle_graphs(120, max_n=10)]:
-            family = enumerate_mis(g)
-            assert min_mis(family.sets) == tuple_key_min(family.sets)
+            sets = mis_sets(g)
+            assert min_mis(sets) == tuple_key_min(sets)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), min_size=1, max_size=12))
@@ -442,7 +431,7 @@ class TestMinMis:
         # The 4-cycle 0-1-3-2 has two maximal independent sets: {0, 3}
         # (mask 9) and {1, 2} (mask 6).  (0, 3) < (1, 2) as vertex tuples.
         g = from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
-        assert min_mis(enumerate_mis(g).sets) == 0b1001
+        assert min_mis(mis_sets(g)) == 0b1001
 
 
 class TestGuards:

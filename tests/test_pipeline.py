@@ -23,12 +23,11 @@ from misbench.graphs import (
     iter_bits,
     mask_of,
 )
-from misbench.misenum import enumerate_mis, min_mis, mis_of_size
+from misbench.misenum import min_mis, mis_of_size, mis_sets
 from misbench.pipeline import (
     CellConflictError,
     DecompositionError,
     analyze_instance,
-    bad_event_probability,
     decompose,
     decomposition_inequalities,
     label_cells,
@@ -193,6 +192,19 @@ def cells_of(g, i0):
     return dec, label_cells(g, dec)
 
 
+def vertices(i0):
+    """The root mask i0 as the vertex tuple that analyze_instance takes."""
+    return tuple(iter_bits(i0))
+
+
+def bad_event(g, i0, cell, side):
+    """The census row of one side of one I5 cell, under the empty selection."""
+    dec, cells = cells_of(g, i0)
+    stats = transversal_census(g, cells, select(g, dec, cells, ()))
+    (row,) = [row for row in stats.per_cell if (row["cell"], row["side"]) == (cell, side)]
+    return row
+
+
 FIXTURES = (
     (diamond_union(1), mask_of((0,))),
     (diamond_union(2), mask_of((0, 4))),
@@ -278,22 +290,22 @@ class TestDecompose:
     def test_rejects_degree_above_three(self):
         star = from_edges(5, [(0, i) for i in range(1, 5)])
         with pytest.raises(DecompositionError, match="degree"):
-            decompose(star, mask_of((0,)))
+            analyze_instance(star, (0,))
 
     def test_rejects_k4(self):
         g = complete_graph(4)
         with pytest.raises(DecompositionError, match="clique"):
-            decompose(g, mask_of((0,)))
+            analyze_instance(g, (0,))
 
     def test_rejects_non_maximal_root(self):
         g = from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(DecompositionError, match="maximal"):
-            decompose(g, mask_of((0,)))
+            analyze_instance(g, (0,))
 
     def test_rejects_dependent_root(self):
         g = cycle_graph(5)
         with pytest.raises(DecompositionError, match="maximal"):
-            decompose(g, mask_of((0, 1)))
+            analyze_instance(g, (0, 1))
 
     def test_pendant_tail_layers(self):
         g = pendant_tail()
@@ -392,7 +404,7 @@ class TestSelect:
 
         monkeypatch.setattr(pipeline, "select", recording_select)
         for g, i0 in pipeline_instances(100):
-            analyze_instance(g, i0)
+            analyze_instance(g, vertices(i0))
         for n in range(1, GENERATION_CAP + 1):
             for g in generate_all(n, "both"):
                 try:
@@ -418,49 +430,25 @@ class TestSelect:
 
 class TestBadEvents:
     def test_pattern_no_outside_neighbor(self):
-        g = diamond_union(1)
-        dec = decompose(g, mask_of((0,)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        q, info = bad_event_probability(g, cells, state, 0, "x")
-        assert q == Fraction(1, 4)
-        assert info["pattern"] == "1/4"
+        row = bad_event(diamond_union(1), mask_of((0,)), 0, "x")
+        assert row["q"] == Fraction(1, 4)
+        assert row["pattern"] == "1/4"
 
     def test_pattern_single_outside_neighbor(self):
-        g = linked_diamonds()
-        dec = decompose(g, mask_of((0, 4)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        qx, info_x = bad_event_probability(g, cells, state, 0, "x")
-        qy, info_y = bad_event_probability(g, cells, state, 0, "y")
-        assert qx == Fraction(1, 4) and info_x["pattern"] == "1/4"
-        assert qy == Fraction(3, 16) and info_y["pattern"] == "1/4*3/4"
+        row_x = bad_event(linked_diamonds(), mask_of((0, 4)), 0, "x")
+        row_y = bad_event(linked_diamonds(), mask_of((0, 4)), 0, "y")
+        assert row_x["q"] == Fraction(1, 4) and row_x["pattern"] == "1/4"
+        assert row_y["q"] == Fraction(3, 16) and row_y["pattern"] == "1/4*3/4"
 
     def test_pattern_two_cells(self):
-        g = claw_two_diamonds((5, 9))
-        dec = decompose(g, mask_of((0, 4, 8)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        q, info = bad_event_probability(g, cells, state, 0, "x")
-        assert q == Fraction(9, 64)
-        assert info["pattern"] == "1/4*3/4*3/4"
+        row = bad_event(claw_two_diamonds((5, 9)), mask_of((0, 4, 8)), 0, "x")
+        assert row["q"] == Fraction(9, 64)
+        assert row["pattern"] == "1/4*3/4*3/4"
 
     def test_pattern_same_cell(self):
-        g = claw_two_diamonds((5, 6))
-        dec = decompose(g, mask_of((0, 4, 8)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        q, info = bad_event_probability(g, cells, state, 0, "x")
-        assert q == Fraction(1, 8)
-        assert info["pattern"] == "1/4*2/4"
-
-    def test_rejects_cell_outside_i5(self):
-        g = pendant_tail()
-        dec = decompose(g, mask_of((0, 4, 9)))
-        cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
-        with pytest.raises(ValueError):
-            bad_event_probability(g, cells, state, 1, "x")
+        row = bad_event(claw_two_diamonds((5, 6)), mask_of((0, 4, 8)), 0, "x")
+        assert row["q"] == Fraction(1, 8)
+        assert row["pattern"] == "1/4*2/4"
 
 
 class TestCensus:
@@ -550,7 +538,7 @@ class TestCensusOracle:
     def test_corpus_empty_and_capture_families(self):
         for g, i0 in pipeline_instances(30):
             dec, cells = cells_of(g, i0)
-            report = verify_is_capture(g, dec, cells, dec.k, enumerate_mis(g).sets)
+            report = verify_is_capture(g, dec, cells, dec.k, mis_sets(g))
             selections = {(), *(tuple(fam["S"]) for fam in report["families"])}
             for s_key in selections:
                 assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
@@ -645,7 +633,7 @@ class TestCapture:
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 1, enumerate_mis(g).sets)
+        report = verify_is_capture(g, dec, cells, 1, mis_sets(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 2
@@ -656,7 +644,7 @@ class TestCapture:
             g = diamond_union(t)
             dec = decompose(g, mask_of(tuple(4 * i for i in range(t))))
             cells = label_cells(g, dec)
-            report = verify_is_capture(g, dec, cells, t, enumerate_mis(g).sets)
+            report = verify_is_capture(g, dec, cells, t, mis_sets(g))
             assert report["holds"]
             (family,) = report["families"]
             assert family["family_size"] == 2**t == family["good_count"]
@@ -665,7 +653,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 2, enumerate_mis(g).sets)
+        report = verify_is_capture(g, dec, cells, 2, mis_sets(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 4
@@ -677,7 +665,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 3, enumerate_mis(g).sets)
+        report = verify_is_capture(g, dec, cells, 3, mis_sets(g))
         assert report["holds"]
         assert any(fam["S"] for fam in report["families"])
 
@@ -691,7 +679,7 @@ class TestCapture:
         instances += [(g, dec.I0) for g, dec, _ in irregular_instances(20) if g.n <= 24]
         non_minimum = 0
         for g, i0 in instances:
-            all_sets = enumerate_mis(g).sets
+            all_sets = mis_sets(g)
             for root in (i0, max(all_sets, key=lambda m: m.bit_count())):
                 try:
                     dec, cells = cells_of(g, root)
@@ -704,7 +692,7 @@ class TestCapture:
                 state = select(g, dec, cells, ())
                 known = (state, transversal_census(g, cells, state))
                 assert report == verify_is_capture(g, dec, cells, k, all_sets, known)
-                assert report == analyze_instance(g, root)["capture"]
+                assert report == analyze_instance(g, vertices(root))["capture"]
         assert non_minimum >= 20
 
 
@@ -718,13 +706,13 @@ class TestAnalyzeInstance:
     def test_full_report_shape(self):
         report = analyze_instance(linked_diamonds())
         assert report["selection"]["I6"] == [0]
-        assert report["census"]["p_good"] == "1/4"
-        assert report["census"]["product_bound"] == "9/16"
+        assert report["census"]["p_good"] == Fraction(1, 4)
+        assert report["census"]["product_bound"] == Fraction(9, 16)
         assert report["capture"]["holds"]
 
     def test_corpus_smoke(self):
         for g, i0 in pipeline_instances(8):
-            report = analyze_instance(g, i0)
+            report = analyze_instance(g, vertices(i0))
             assert report["violations"] == [], report["violations"]
 
     def test_each_selection_is_censused_once(self, monkeypatch):
@@ -750,7 +738,7 @@ class TestAnalyzeInstance:
                 if s_indices and not decompose(g, i0).ell:
                     continue
                 calls.clear()
-                report = analyze_instance(g, i0, s_indices)
+                report = analyze_instance(g, vertices(i0), s_indices)
                 own = tuple(report["selection"]["S"])
                 families = {tuple(fam["S"]) for fam in report["capture"]["families"]}
                 expected = [(name, s) for name in ("select", "census") for s in families | {own}]
@@ -760,13 +748,14 @@ class TestAnalyzeInstance:
 
     def test_explicit_root_respected(self):
         g = diamond_union(1)
-        report = analyze_instance(g, mask_of((3,)))
+        report = analyze_instance(g, (3,))
         assert report["root_set"] == [3]
         assert report["violations"] == []
 
     def test_preconditions_checked_once(self, monkeypatch):
-        # analyze_instance checks before its search and decomposes without
-        # checking again; decompose called alone still checks.
+        # analyze_instance checks before its search, and decompose does not
+        # check again; the degree check refuses a claw before any 4-clique
+        # search.
         real_witness = pipeline.k4_witness
         calls = []
 
@@ -778,25 +767,25 @@ class TestAnalyzeInstance:
         # Given roots on the fixtures, the default root on cubic instances.
         cubic = [g for g, _ in pipeline_instances(8)]
         for g, i0 in FIXTURES:
-            analyze_instance(g, i0)
+            analyze_instance(g, vertices(i0))
         for g in cubic:
             analyze_instance(g)
         assert calls == [g for g, _ in FIXTURES] + cubic
         star = from_edges(5, [(0, i) for i in range(1, 5)])
         with pytest.raises(DecompositionError, match="degree"):
-            decompose(star, mask_of((0,)))
+            analyze_instance(star, (0,))
         with pytest.raises(DecompositionError, match="clique"):
-            decompose(complete_graph(4), mask_of((0,)))
-        assert len(calls) == len(FIXTURES) + len(cubic) + 1
+            analyze_instance(complete_graph(4), (0,))
+        assert calls[len(FIXTURES) + len(cubic) :] == [complete_graph(4)]
 
 
 class TestCorpusHelpers:
     def test_min_mis_is_maximal_and_minimum(self):
         g = linked_diamonds()
-        family = enumerate_mis(g)
-        i0 = min_mis(family.sets)
+        sets = mis_sets(g)
+        i0 = min_mis(sets)
         assert is_maximal_independent(g, i0)
-        assert i0.bit_count() == min(m.bit_count() for m in family.sets)
+        assert i0.bit_count() == min(m.bit_count() for m in sets)
 
     def test_pipeline_instances_are_cubic_k4free(self):
         from misbench.graphs import is_k4_free

@@ -44,6 +44,7 @@ def test_exit_code_table_matches_the_code():
         "CENSUS_CELL_CAP": int(re.search(r"component above (\d+) cells", guards)[1]),
         "MIS_OF_SIZE_CAP": 2 ** int(re.search(r"more than 2\^(\d+) pipeline root-size sets", guards)[1]),
         "CURVE_POINTS_CAP": int(re.search(r"`curves` above ([\d,]+) points", guards)[1].replace(",", "")),
+        "TWO_SUM_N_CAP": 2 ** int(re.search(r"`solve --two-sum-eta` witness search past order 2\^(\d+)", guards)[1]),
     }
     assert cited == {
         "MAX_VERTICES": graphs.MAX_VERTICES,
@@ -51,6 +52,7 @@ def test_exit_code_table_matches_the_code():
         "CENSUS_CELL_CAP": pipeline.CENSUS_CELL_CAP,
         "MIS_OF_SIZE_CAP": misenum.MIS_OF_SIZE_CAP,
         "CURVE_POINTS_CAP": bounds.CURVE_POINTS_CAP,
+        "TWO_SUM_N_CAP": bounds.TWO_SUM_N_CAP,
     }
     assert cited == {
         "MAX_VERTICES": 64,
@@ -58,6 +60,7 @@ def test_exit_code_table_matches_the_code():
         "CENSUS_CELL_CAP": 11,
         "MIS_OF_SIZE_CAP": 2**17,
         "CURVE_POINTS_CAP": 100_000,
+        "TWO_SUM_N_CAP": 2**17,
     }
 
 
