@@ -103,6 +103,15 @@ def _interp_ln(n: float, k: float, eta: float) -> float:
     return _family_ln(4.0 - eta, 5.0 - eta, n, k)
 
 
+# ln of the bound family each ``search --selector`` choice names, at
+# (n, k, eta), in the order of the command's choices.
+SELECTORS = {
+    "eppstein": lambda n, k, eta: _family_ln(3, 4, n, k),
+    "nielsen": lambda n, k, eta: _family_ln(4, 5, n, k),
+    "corollary1": _interp_ln,
+}
+
+
 def interpolated(n: int, k: int, eta: float) -> ExactBound:
     """(4-eta)^{(5-eta)k-n} (5-eta)^{n-(4-eta)k} for eta in [0, 1].
 
@@ -212,16 +221,14 @@ def solve_eps_delta(margin: float = 0.0) -> EpsDeltaWitness:
     target = 1.0 - margin
     if transversal_exponent(0.0) > target:
         raise ValueError(f"margin {margin} admits no positive eps")
+    # f(hi) is about 4.18, above every target, so the crossing lies inside.
     lo, hi = 0.0, EPS_DOMAIN_END * (1.0 - 1e-12)
-    if transversal_exponent(hi) <= target:
-        lo = hi
-    else:
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if transversal_exponent(mid) <= target:
-                lo = mid
-            else:
-                hi = mid
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if transversal_exponent(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
     f_val = transversal_exponent(lo)
     base = 4.0 ** f_val
     return EpsDeltaWitness(lo, f_val, base, 4.0 - base, margin)
@@ -279,7 +286,7 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     terms1 = [_term1_ln(n, k, eta) for k in range(0, p_cut + 1)]
     # The second sum runs over k > p_cut; its maximum is taken from p_cut on.
     terms2 = [_term2_ln(n, k) for k in range(p_cut, n + 1)]
-    argmax1 = max(range(len(terms1)), key=terms1.__getitem__) if terms1 else 0
+    argmax1 = max(range(len(terms1)), key=terms1.__getitem__)
     argmax2 = max(range(len(terms2)), key=terms2.__getitem__) + p_cut
     return TwoSumReport(
         n=n,
@@ -287,7 +294,7 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
         eta=eta,
         ln_sum1=_log_sum_exp(terms1),
         ln_sum2=_log_sum_exp(terms2[1:]),
-        ln_max1=terms1[argmax1] if terms1 else float("-inf"),
+        ln_max1=terms1[argmax1],
         argmax1=argmax1,
         ln_max2=terms2[argmax2 - p_cut],
         argmax2=argmax2,

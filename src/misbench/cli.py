@@ -161,7 +161,7 @@ def cmd_mis(args) -> int:
     reports = []
     for g in _read_graphs(args):
         profile = mis_profile(g)
-        reports.append({"mis": profile.total, "profile": list(profile.counts)})
+        reports.append({"mis": sum(profile), "profile": list(profile)})
     _emit(_single_or_array(reports))
     return 0
 
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan isomorphism classes against a bound family")
     p.add_argument("-n", type=int, required=True, dest="n")
     p.add_argument("--filter", choices=sorted(extremal.FILTERS), default="none")
-    p.add_argument("--selector", choices=("eppstein", "nielsen", "corollary1"), default="eppstein")
+    p.add_argument("--selector", choices=tuple(bounds.SELECTORS), default="eppstein")
     p.add_argument("--eta", type=float, default=0.4)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--save-classes", default=None, help="write generated class list (graph6)")

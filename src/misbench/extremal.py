@@ -26,7 +26,7 @@ import math
 import os
 
 from . import bounds
-from .graphio import decode_ascii, parse_graph6, to_graph6
+from .graphio import decode_ascii, from_columns, parse_graph6, to_graph6
 from .graphs import Graph, GuardError, components, is_clique, iter_bits
 from .misenum import mis_profile
 
@@ -110,8 +110,8 @@ def canonical_key(
 
     Position j's segment holds the adjacency bits between the vertex
     placed at j and the vertices placed at 0..j-1 (bit for position 0 is
-    the most significant), so the tuple concatenates to the graph6 bit
-    order of the relabeled graph and ``graph_from_key`` rebuilds it.
+    the most significant), so the tuple holds the graph6 columns of the
+    relabeled graph and ``graphio.from_columns`` rebuilds it.
 
     Vertices are sorted by ``vertex_invariants`` (degree, number of
     neighbors of each degree), and position j may only take a vertex
@@ -194,20 +194,6 @@ def canonical_key(
     # by reference counting, not in a later pass of the cycle collector.
     del place
     return tuple(b >> (n - j) for j, b in enumerate(best))
-
-
-def graph_from_key(n: int, key: tuple[int, ...]) -> Graph:
-    adj = [0] * n
-    for j in range(1, n):
-        # Bit j - 1 - i of the segment is the edge to position i.
-        seg = key[j]
-        while seg:
-            low = seg & -seg
-            seg ^= low
-            i = j - low.bit_length()
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
 
 
 def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
@@ -332,7 +318,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
                     keys.update(part)
         else:
             keys = _augment_chunk((parents, n, filter_name))
-        reps = [graph_from_key(n, key) for key in sorted(keys)]
+        reps = [from_columns(n, key) for key in sorted(keys)]
     _class_cache[(n, filter_name)] = reps
     return reps
 
@@ -369,7 +355,7 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
         violations = []
         max_count = 0
         for g, profile, (structural, ncomp) in profiles:
-            count = profile.at_most(k)
+            count = sum(profile[: k + 1])
             max_count = max(max_count, count)
             is_extremal = structural and ncomp == k
             attained = integral and count == floor
@@ -393,14 +379,11 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
 
 def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -> list[dict]:
     """Empirical per-k maxima of mis_k over the order-n classes ``reps``
-    against a chosen bound family."""
-    evaluators = {
-        "eppstein": lambda k: bounds.eppstein(n, k).ln_value,
-        "nielsen": lambda k: bounds.nielsen(n, k).ln_value,
-        "corollary1": lambda k: bounds.interpolated(n, k, eta).ln_value,
-    }
-    if selector not in evaluators:
-        raise ValueError(f"unknown bound selector {selector!r}; options: {sorted(evaluators)}")
+    against the bound family ``bounds.SELECTORS[selector]``; only
+    corollary1 reads ``eta``, which the command checks beforehand."""
+    if selector not in bounds.SELECTORS:
+        raise ValueError(f"unknown bound selector {selector!r}; options: {sorted(bounds.SELECTORS)}")
+    bound_ln = bounds.SELECTORS[selector]
     profiles = [(g, mis_profile(g)) for g in reps]
     rows = []
     for k in range(n + 1):
@@ -410,7 +393,7 @@ def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -
             if profile[k] > best_count:
                 best_count = profile[k]
                 argmax = g
-        ln_bound = evaluators[selector](k)
+        ln_bound = bound_ln(n, k, eta)
         rows.append(
             {
                 "k": k,

@@ -11,7 +11,7 @@ The edge-list format is a header line ``n m`` followed by ``m`` lines
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph, GuardError, from_edges
+from .graphs import MAX_VERTICES, Graph, GuardError, from_edges, iter_bits
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -29,11 +29,25 @@ def decode_ascii(data: bytes) -> str:
         raise FormatError(f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII") from exc
 
 
-def _triangle_pairs(n: int):
-    """Upper-triangle pairs in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ..."""
+def from_columns(n: int, cols) -> Graph:
+    """The order-n graph with graph6 columns ``cols``.
+
+    Column j, for j = 1..n-1, holds the pairs (0, j) .. (j - 1, j) as a
+    j-bit int whose most significant bit is row 0, so bit j - 1 - i is the
+    edge i-j; ``cols[0]`` is not read.  This is the order in which graph6
+    writes the columns and in which ``extremal.canonical_key`` builds its
+    segments.
+    """
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            yield i, j
+        col = cols[j]
+        while col:
+            low = col & -col
+            col ^= low
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -72,24 +86,12 @@ def parse_graph6(line: str) -> Graph:
     if bits & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")
     bits >>= pad
-    adj = [0] * n
-    if n > 1:
-        # Column j, the pairs (0, j) .. (j - 1, j), is the j-bit slice at
-        # offset j(j - 1)/2 from the first bit.  In the reversed bit string
-        # it ends where column j - 1 begins, with row 0 last, so it reads
-        # as the mask of rows below j; each row gets bit j back.
-        rev = format(bits, f"0{nbits}b")[::-1]
-        end = nbits
-        for j in range(1, n):
-            col = int(rev[end - j:end], 2)
-            end -= j
-            adj[j] = col
-            bit = 1 << j
-            while col:
-                low = col & -col
-                col ^= low
-                adj[low.bit_length() - 1] |= bit
-    return Graph(n, tuple(adj))
+    # The last column sits in the lowest bits.
+    cols = [0] * n
+    for j in range(n - 1, 0, -1):
+        cols[j] = bits & ((1 << j) - 1)
+        bits >>= j
+    return from_columns(n, cols)
 
 
 def to_graph6(g: Graph) -> str:
@@ -101,8 +103,11 @@ def to_graph6(g: Graph) -> str:
         prefix = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     nbits = n * (n - 1) // 2
     bits = 0
-    for i, j in _triangle_pairs(n):
-        bits = (bits << 1) | (g.adj[i] >> j & 1)
+    for j in range(1, n):
+        col = 0
+        for i in iter_bits(g.adj[j] & ((1 << j) - 1)):
+            col |= 1 << (j - 1 - i)
+        bits = bits << j | col
     pad = -nbits % 6
     bits <<= pad
     body = []

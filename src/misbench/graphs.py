@@ -87,17 +87,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted (u, v) pairs with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list.  Duplicate edges are merged."""

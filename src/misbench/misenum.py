@@ -20,41 +20,24 @@ profiles.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from math import prod
-from typing import NamedTuple
 
 from .graphs import MAX_VERTICES, Graph, GuardError, components, max_degree
 
 MIS_OF_SIZE_CAP = 1 << 17  # sets of one size held by mis_of_size; see its docstring
 
 
-class SizeProfile(NamedTuple):
-    """Exact count of maximal independent sets per size k = 0..n.
-
-    ``profile[k]`` is the count at size k: it shadows the tuple's own
-    indexing, which would reach only the one field."""
-
-    counts: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts[k]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def at_most(self, k: int) -> int:
-        """Number of maximal independent sets of size <= k."""
-        return sum(self.counts[: k + 1])
-
-    def convolve(self, other: "SizeProfile") -> "SizeProfile":
-        out = [0] * (len(self.counts) + len(other.counts) - 1)
-        for i, a in enumerate(self.counts):
-            if a:
-                for j, b in enumerate(other.counts):
-                    out[i + j] += a * b
-        return SizeProfile(tuple(out))
+def convolve(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """The product of two count polynomials, coefficient k being the
+    count at size k: the size profile of a disjoint union from those of
+    its two parts."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _sets_between(
@@ -210,8 +193,9 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
     return k, sorted(out)
 
 
-def mis_profile(g: Graph) -> SizeProfile:
-    """Exact per-size counts of maximal independent sets, without the sets.
+def mis_profile(g: Graph) -> tuple[int, ...]:
+    """Exact per-size counts of maximal independent sets, without the sets:
+    entry k of the returned tuple, for k = 0..n, counts those of size k.
 
     A maximal independent set of a disjoint union is one per component,
     so the profile is the convolution of the component profiles.  Each
@@ -219,7 +203,7 @@ def mis_profile(g: Graph) -> SizeProfile:
     emit that only counts the set at its size: no set is held, listed
     or sorted.
     """
-    profile = SizeProfile((1,))
+    profile = (1,)
     for part in components(g.adj):
         counts = [0] * (part.bit_count() + 1)
 
@@ -227,7 +211,7 @@ def mis_profile(g: Graph) -> SizeProfile:
             counts[mask.bit_count()] += 1
 
         _sets_between(g, part, 0, part.bit_count(), tally)
-        profile = profile.convolve(SizeProfile(tuple(counts)))
+        profile = convolve(profile, counts)
     return profile
 
 

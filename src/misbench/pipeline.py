@@ -51,29 +51,14 @@ class CellConflictError(ValueError):
 
 
 class Decomposition(NamedTuple):
-    n: int
-    k: int
+    """The layers around a root set I0, as vertex masks (see ``decompose``)."""
+
     I0: int
-    J0: int
     I1: int
     J1: int
     J2: int
     I2: int
     I3: int
-    ell: int
-    edge_count_I0_J0: int
-
-    def layer_sizes(self) -> dict[str, int]:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "I1": self.I1.bit_count(),
-            "J1": self.J1.bit_count(),
-            "J2": self.J2.bit_count(),
-            "I2": self.I2.bit_count(),
-            "ell": self.ell,
-            "edges_I0_J0": self.edge_count_I0_J0,
-        }
 
 
 class Cell(NamedTuple):
@@ -142,28 +127,31 @@ def decompose(g: Graph, i0: int) -> Decomposition:
     for v in iter_bits(i0):
         if g.adj[v] & j2:
             i2 |= 1 << v
-    i3 = i0 & ~(i1 | i2)
-    edges = sum((g.adj[v] & j0).bit_count() for v in iter_bits(i0))
-    return Decomposition(
-        n=g.n,
-        k=i0.bit_count(),
-        I0=i0,
-        J0=j0,
-        I1=i1,
-        J1=j1,
-        J2=j2,
-        I2=i2,
-        I3=i3,
-        ell=i3.bit_count(),
-        edge_count_I0_J0=edges,
-    )
+    return Decomposition(I0=i0, I1=i1, J1=j1, J2=j2, I2=i2, I3=i0 & ~(i1 | i2))
 
 
-def decomposition_inequalities(dec: Decomposition) -> list[dict]:
-    """The integer forms of the layer-size inequalities, with slack."""
-    k, n = dec.k, dec.n
-    s = dec.layer_sizes()
-    i1, j1, j2, i2, e = s["I1"], s["J1"], s["J2"], s["I2"], s["edges_I0_J0"]
+def layer_counts(g: Graph, dec: Decomposition) -> dict[str, int]:
+    """The sizes the layer inequalities compare: n, k = |I0|, the layers
+    I1, J1, J2 and I2, ell = |I3| (the number of cells) and the number of
+    edges between I0 and the rest J0 of the graph."""
+    j0 = g.full_mask & ~dec.I0
+    return {
+        "n": g.n,
+        "k": dec.I0.bit_count(),
+        "I1": dec.I1.bit_count(),
+        "J1": dec.J1.bit_count(),
+        "J2": dec.J2.bit_count(),
+        "I2": dec.I2.bit_count(),
+        "ell": dec.I3.bit_count(),
+        "edges_I0_J0": sum((g.adj[v] & j0).bit_count() for v in iter_bits(dec.I0)),
+    }
+
+
+def decomposition_inequalities(dec: Decomposition, sizes: dict[str, int]) -> list[dict]:
+    """The integer forms of the layer-size inequalities, with slack, on
+    the sizes ``layer_counts(g, dec)``."""
+    n, k, e = sizes["n"], sizes["k"], sizes["edges_I0_J0"]
+    i1, j1, j2, i2 = sizes["I1"], sizes["J1"], sizes["J2"], sizes["I2"]
     recs = [
         ("j1_le_2i1", j1, 2 * i1),
         ("i2_le_3j2", i2, 3 * j2),
@@ -171,7 +159,7 @@ def decomposition_inequalities(dec: Decomposition) -> list[dict]:
         ("edges_lower", n - k + j2, e),
         ("edges_upper", e, 3 * k - i1),
         ("size_budget", i1 + j2, 4 * k - n),
-        ("ell_lower", k - i1 - 3 * j2, dec.ell),
+        ("ell_lower", k - i1 - 3 * j2, sizes["ell"]),
     ]
     return [
         {"name": name, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
@@ -233,14 +221,15 @@ class SelectionState(NamedTuple):
     good_rows: tuple[tuple[int, int, int, int], ...]
 
 
-def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> SelectionState:
+def select(g: Graph, cells: list[Cell], s_indices) -> SelectionState:
+    ell = len(cells)
     s_key = tuple(s_indices)
-    if s_key and not dec.ell:
+    if s_key and not ell:
         raise ValueError(f"selection {sorted(set(s_key))} refused: the root set has no cells")
-    if not all(0 <= i < dec.ell for i in s_key):
-        raise ValueError(f"selection {sorted(set(s_key))} outside 0..{dec.ell - 1}")
+    if not all(0 <= i < ell for i in s_key):
+        raise ValueError(f"selection {sorted(set(s_key))} outside 0..{ell - 1}")
     s_mask = mask_of(s_key)
-    i4 = tuple(i for i in range(dec.ell) if not s_mask >> i & 1)
+    i4 = tuple(i for i in range(ell) if not s_mask >> i & 1)
     u_mask = 0
     for i in i4:
         u_mask |= cells[i].mask
@@ -249,7 +238,7 @@ def select(g: Graph, dec: Decomposition, cells: list[Cell], s_indices) -> Select
         for i in i4
         if not ((g.adj[cells[i].x] | g.adj[cells[i].y]) & ~u_mask)
     )
-    cell_adj = [0] * dec.ell
+    cell_adj = [0] * ell
     for i in i4:
         reach = 0
         for v in iter_bits(cells[i].mask):
@@ -408,7 +397,6 @@ def verify_product_bound(
 
 def verify_is_capture(
     g: Graph,
-    dec: Decomposition,
     cells: list[Cell],
     k: int,
     sets,
@@ -460,12 +448,12 @@ def verify_is_capture(
         if known is not None and known[0].S == s_key:
             state, stats = known
         else:
-            state = select(g, dec, cells, s_key)
+            state = select(g, cells, s_key)
             stats = transversal_census(g, cells, state)
         meets_every_cell = s_key not in missing
         checks = {
             "meets_every_cell": meets_every_cell,
-            "k_ge_ell_plus_s": k >= dec.ell + len(s_key),
+            "k_ge_ell_plus_s": k >= len(cells) + len(s_key),
             "traces_are_good_transversals": meets_every_cell
             and all(_is_good(state.good_rows, mask & state.U) for mask in members),
             "family_within_envelope": len(members)
@@ -503,11 +491,12 @@ def analyze_instance(g: Graph, root=None, s_indices=()) -> dict:
         i0 = min_mis(sets)
     dec = decompose(g, i0)
     cells = label_cells(g, dec)
-    state = select(g, dec, cells, s_indices)
+    state = select(g, cells, s_indices)
     stats = transversal_census(g, cells, state)
     product = verify_product_bound(g, cells, state, stats)
-    capture = verify_is_capture(g, dec, cells, k, sets, (state, stats))
-    inequalities = decomposition_inequalities(dec)
+    capture = verify_is_capture(g, cells, k, sets, (state, stats))
+    layers = layer_counts(g, dec)
+    inequalities = decomposition_inequalities(dec, layers)
     violations = [rec["name"] for rec in inequalities if not rec["holds"]]
     violations += product["violations"]
     if not capture["holds"]:
@@ -515,7 +504,7 @@ def analyze_instance(g: Graph, root=None, s_indices=()) -> dict:
     return {
         "n": g.n,
         "root_set": sorted(iter_bits(i0)),
-        "layers": dec.layer_sizes(),
+        "layers": layers,
         "inequalities": inequalities,
         "cells": [
             {"u": c.u, "x": c.x, "y": c.y, "z": c.z} for c in cells

@@ -58,10 +58,19 @@ def relabel(g, perm):
     return Graph(g.n, tuple(rows))
 
 
+def edges(g):
+    """All edges as (u, v) pairs with u < v, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1))]
+
+
+def edge_count(g):
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
 def to_edge_list(g):
     """The ``n m`` / ``u v`` text that ``graphio.parse_edge_list`` reads."""
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines = [f"{g.n} {edge_count(g)}"]
+    lines.extend(f"{u} {v}" for u, v in edges(g))
     return "\n".join(lines) + "\n"
 
 

@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misbench.bounds import (
+    EPS_DOMAIN_END,
+    SELECTORS,
     binary_entropy,
     curve_rows,
     eppstein,
@@ -200,6 +202,11 @@ class TestTransversalExponent:
 
 
 class TestSolve:
+    def test_bracket_top_is_above_every_target(self):
+        # The bisection starts from this bracket with no test of its top:
+        # f there is about 4.18, above 1 - margin for every margin >= 0.
+        assert transversal_exponent(EPS_DOMAIN_END * (1.0 - 1e-12)) > 1.0
+
     def test_margin_zero(self):
         w = solve_eps_delta(0.0)
         assert w.eps_star == pytest.approx(5.1842660799863405e-05, rel=1e-6)
@@ -273,6 +280,27 @@ class TestTwoSum:
     def test_rejects_bad_cut(self):
         with pytest.raises(ValueError):
             two_sum_estimate(10, 11, 0.0)
+
+    def test_cut_at_the_ends(self):
+        # At p_cut = 0 the first sum is its one term; at p_cut = n the
+        # second sum is empty (ln 0) and its maximum is the term at n.
+        low = two_sum_estimate(10, 0, 0.3)
+        assert low.argmax1 == 0 and low.ln_max1 == low.ln_sum1
+        high = two_sum_estimate(10, 10, 0.3)
+        assert high.ln_sum2 == float("-inf") and high.argmax2 == 10
+
+
+class TestSelectors:
+    def test_order_is_the_command_choices(self):
+        assert list(SELECTORS) == ["eppstein", "nielsen", "corollary1"]
+
+    def test_same_floats_as_the_bound_functions(self):
+        for n in range(13):
+            for k in range(n + 1):
+                assert SELECTORS["eppstein"](n, k, 0.4) == eppstein(n, k).ln_value
+                assert SELECTORS["nielsen"](n, k, 0.4) == nielsen(n, k).ln_value
+                for eta in (0.0, 0.4, 0.5, 1.0):
+                    assert SELECTORS["corollary1"](n, k, eta) == interpolated(n, k, eta).ln_value
 
 
 class TestCurves:

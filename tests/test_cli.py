@@ -24,7 +24,7 @@ from misbench import bounds, extremal, pipeline
 from misbench.cli import CURVE_HEADER, _emit, build_parser, main
 from misbench.graphio import to_graph6
 from misbench.graphs import Graph, from_edges
-from misbench.misenum import SizeProfile
+from misbench.mibs import MibsCounts
 
 from fixtures import complete_graph, disjoint_union, empty_graph
 
@@ -141,7 +141,6 @@ class TestImportCost:
 
     RECORDS = {
         "bounds": ("ExactBound", "EpsDeltaWitness", "TwoSumReport", "TwoSumWitness"),
-        "misenum": ("SizeProfile",),
         "mibs": ("MibsCounts",),
         "pipeline": ("Decomposition", "Cell", "SelectionState", "TransversalStats"),
     }
@@ -159,7 +158,7 @@ class TestImportCost:
         for name, records in self.RECORDS.items():
             for record in records:
                 assert issubclass(getattr(modules[name], record), tuple), record
-        assert sum(map(len, self.RECORDS.values())) == 10
+        assert sum(map(len, self.RECORDS.values())) == 9
         # The enumeration returns a plain sorted list of masks, not a record.
         assert not hasattr(modules["misenum"], "MisFamily")
         assert not hasattr(modules["misenum"], "enumerate_mis")
@@ -434,8 +433,8 @@ class TestPipeline:
         real = pipeline.decomposition_inequalities
         calls = []
 
-        def fail_second_graph(dec):
-            recs = real(dec)
+        def fail_second_graph(dec, sizes):
+            recs = real(dec, sizes)
             calls.append(dec)
             if len(calls) == 2:
                 recs[-1] = {**recs[-1], "holds": False}
@@ -660,7 +659,7 @@ class TestWriter:
         with pytest.raises(TypeError):
             emitted({"a": [1, {2, 3}]})
 
-    @pytest.mark.parametrize("record", [SizeProfile((0, 2)), bounds.solve_eps_delta(0.001)])
+    @pytest.mark.parametrize("record", [MibsCounts(1, 1, 0, ((0, 1),)), bounds.solve_eps_delta(0.001)])
     def test_record_value_is_a_type_error(self, record):
         # A record is a tuple; written as one it would drop its field names.
         with pytest.raises(TypeError, match=type(record).__name__):

@@ -19,6 +19,7 @@ from misbench.graphs import MAX_VERTICES, Graph, GuardError, from_edges
 from fixtures import (
     complete_graph,
     cycle_graph,
+    edge_count,
     empty_graph,
     path_graph,
     random_graph_strategy,
@@ -31,7 +32,7 @@ class TestGraph6Anchors:
 
     def test_k1(self):
         g = parse_graph6("@")
-        assert g.n == 1 and g.edge_count() == 0
+        assert g.n == 1 and edge_count(g) == 0
 
     def test_order_zero(self):
         g = parse_graph6("?")
@@ -39,17 +40,17 @@ class TestGraph6Anchors:
 
     def test_k3(self):
         g = parse_graph6("Bw")
-        assert g.n == 3 and g.edge_count() == 3
+        assert g.n == 3 and edge_count(g) == 3
 
     def test_p3(self):
         g = parse_graph6("Bg")
         # Path on 3 vertices: edges 0-1 and 1-2 under the column-major bit order.
-        assert g.n == 3 and g.edge_count() == 2
+        assert g.n == 3 and edge_count(g) == 2
         assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
 
     def test_header_stripped(self):
         g = parse_graph6(">>graph6<<Bw")
-        assert g.n == 3 and g.edge_count() == 3
+        assert g.n == 3 and edge_count(g) == 3
 
     def test_known_encodings(self):
         assert to_graph6(complete_graph(3)) == "Bw"
@@ -107,7 +108,7 @@ class TestEdgeList:
 
     def test_parse(self):
         g = parse_edge_list("3 2\n0 1\n1 2\n")
-        assert g.n == 3 and g.edge_count() == 2
+        assert g.n == 3 and edge_count(g) == 2
 
     def test_bad_header(self):
         with pytest.raises(FormatError):

@@ -22,6 +22,8 @@ from fixtures import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edge_count,
+    edges,
     empty_graph,
     induced_subgraph,
     path_graph,
@@ -33,16 +35,16 @@ from fixtures import (
 class TestConstruction:
     def test_empty(self):
         g = empty_graph(5)
-        assert g.n == 5 and g.edge_count() == 0 and g.full_mask == 31
+        assert g.n == 5 and edge_count(g) == 0 and g.full_mask == 31
 
     def test_complete(self):
         g = complete_graph(4)
-        assert g.edge_count() == 6
+        assert edge_count(g) == 6
         assert all(g.degree(v) == 3 for v in range(4))
 
     def test_order_zero(self):
         g = empty_graph(0)
-        assert g.full_mask == 0 and g.edges() == []
+        assert g.full_mask == 0 and edges(g) == []
 
     def test_order_cap(self):
         assert complete_graph(64).n == 64
@@ -80,11 +82,11 @@ class TestConstruction:
 
     def test_from_edges_dedupes(self):
         g = from_edges(3, [(0, 1), (1, 0), (0, 1)])
-        assert g.edge_count() == 1
+        assert edge_count(g) == 1
 
     def test_cycle_path(self):
-        assert cycle_graph(5).edge_count() == 5
-        assert path_graph(5).edge_count() == 4
+        assert edge_count(cycle_graph(5)) == 5
+        assert edge_count(path_graph(5)) == 4
         assert max_degree(path_graph(2)) == 1
 
 
@@ -111,12 +113,12 @@ class TestStructure:
         g = cycle_graph(5)
         sub, keep = induced_subgraph(g, mask_of((0, 1, 3)))
         assert sub.n == 3 and keep == [0, 1, 3]
-        assert sub.edge_count() == 1  # only the 0-1 edge survives
+        assert edge_count(sub) == 1  # only the 0-1 edge survives
 
     def test_relabel_preserves_edges(self):
         g = path_graph(4)
         h = relabel(g, [3, 2, 1, 0])
-        assert h.edge_count() == g.edge_count()
+        assert edge_count(h) == edge_count(g)
         assert h.has_edge(3, 2) and h.has_edge(1, 0)
 
 

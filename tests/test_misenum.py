@@ -19,12 +19,13 @@ from misbench.corpus import (
     random_cubic_k4free,
 )
 from misbench.graphs import GuardError, from_edges, is_maximal_independent, iter_bits
-from misbench.misenum import SizeProfile, min_mis, mis_of_size, mis_profile, mis_sets
+from misbench.misenum import convolve, min_mis, mis_of_size, mis_profile, mis_sets
 
 from fixtures import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    edges,
     empty_graph,
     induced_subgraph,
     path_graph,
@@ -41,30 +42,30 @@ class TestKnownProfiles:
 
     def test_k4(self):
         assert len(mis_sets(complete_graph(4))) == 4
-        assert list(mis_profile(complete_graph(4)).counts) == [0, 4, 0, 0, 0]
+        assert list(mis_profile(complete_graph(4))) == [0, 4, 0, 0, 0]
 
     def test_c5(self):
         # C5: the five edges... every maximal independent set is a
         # non-adjacent pair, and there are exactly 5 of them.
-        assert list(mis_profile(cycle_graph(5)).counts) == [0, 0, 5, 0, 0, 0]
+        assert list(mis_profile(cycle_graph(5))) == [0, 0, 5, 0, 0, 0]
 
     def test_diamond(self):
         # K4 minus an edge: two singleton sets (the degree-3 vertices)
         # and one pair (the degree-2 vertices).
         g = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-        assert list(mis_profile(g).counts) == [0, 2, 1, 0, 0]
+        assert list(mis_profile(g)) == [0, 2, 1, 0, 0]
 
     def test_empty_graph(self):
         assert mis_sets(empty_graph(4)) == [15]
 
     def test_order_zero(self):
         assert mis_sets(empty_graph(0)) == [0]
-        assert mis_profile(empty_graph(0)).counts == (1,)
+        assert mis_profile(empty_graph(0)) == (1,)
 
     def test_path4(self):
         # P4 maximal independent sets: {0,2}, {0,3}, {1,3}, and nothing else.
         assert len(mis_sets(path_graph(4))) == 3
-        assert list(mis_profile(path_graph(4)).counts) == [0, 0, 3, 0, 0]
+        assert list(mis_profile(path_graph(4))) == [0, 0, 3, 0, 0]
 
     def test_triangle_powers(self):
         g = complete_graph(3)
@@ -118,7 +119,7 @@ class TestProfileAlgebra:
         a, b = cycle_graph(5), path_graph(4)
         pa, pb = mis_profile(a), mis_profile(b)
         direct = mis_profile(disjoint_union(a, b))
-        assert pa.convolve(pb).counts == direct.counts
+        assert convolve(pa, pb) == direct
 
     def test_factorized_profile_matches_enumeration(self):
         # Unions of 1..4 parts on at most 14 vertices, and the empty graph:
@@ -127,8 +128,8 @@ class TestProfileAlgebra:
         rng = random.Random(41)
         for g in [empty_graph(0)] + [random_union(rng) for _ in range(200)]:
             profile = mis_profile(g)
-            assert profile.counts == size_counts(g.n, mis_sets(g))
-            assert profile.counts == size_counts(g.n, mis_scan(g))
+            assert profile == size_counts(g.n, mis_sets(g))
+            assert profile == size_counts(g.n, mis_scan(g))
 
     def test_factorized_profile_up_to_twenty_vertices(self):
         rng = random.Random(43)
@@ -136,25 +137,28 @@ class TestProfileAlgebra:
             g = empty_graph(0)
             while g.n < 16:
                 g = random_union(rng, max_n=20, max_parts=8)
-            assert mis_profile(g).counts == size_counts(g.n, mis_scan(g))
+            assert mis_profile(g) == size_counts(g.n, mis_scan(g))
 
     def test_profile_builds_no_graph(self, monkeypatch):
         # The components are enumerated as masks of the union itself.
         g = disjoint_union(disjoint_union(cycle_graph(5), complete_graph(4)), path_graph(3))
         expected = size_counts(g.n, mis_scan(g))
         built = record_graph_builds(monkeypatch)
-        assert mis_profile(g).counts == expected
+        assert mis_profile(g) == expected
         assert built == []
 
     def test_at_most_monotone(self):
         p = mis_profile(cycle_graph(7))
-        values = [p.at_most(k) for k in range(8)]
+        values = [sum(p[: k + 1]) for k in range(8)]
         assert values == sorted(values)
-        assert values[-1] == p.total
+        assert values[-1] == sum(p)
 
     def test_getitem(self):
-        p = SizeProfile((0, 2, 1))
-        assert p[1] == 2 and p.total == 3 and p.at_most(1) == 2
+        # A profile is a plain tuple: entry k counts the sets of size k.
+        p = mis_profile(from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]))  # diamond
+        assert type(p) is tuple
+        assert p[1] == 2 and sum(p) == 3 and sum(p[:2]) == 2
+        assert convolve(p, (0, 1)) == (0, 0, 2, 1, 0, 0)
 
 
 def tuple_key_min(sets):
@@ -218,10 +222,10 @@ class TestMisOfSize:
         rng = random.Random(3)
         parts = []
         for _ in range(2):
-            edges = random_cubic_k4free(24, rng.randrange(1 << 30)).edges()
+            kept = edges(random_cubic_k4free(24, rng.randrange(1 << 30)))
             for _ in range(4):
-                edges.pop(rng.randrange(len(edges)))
-            parts.append(from_edges(24, edges))
+                kept.pop(rng.randrange(len(kept)))
+            parts.append(from_edges(24, kept))
         g = disjoint_union(*parts)
         first, second = (mis_sets(part) for part in parts)
         k = max(first, key=int.bit_count).bit_count() + max(second, key=int.bit_count).bit_count()
@@ -322,11 +326,11 @@ class TestCycleAndPathTotals:
 
     def test_cycles_are_perrin(self):
         for n in range(3, 41):
-            assert mis_profile(cycle_graph(n)).total == self.PERRIN[n], n
+            assert sum(mis_profile(cycle_graph(n))) == self.PERRIN[n], n
 
     def test_paths_are_padovan(self):
         for n in range(1, 41):
-            assert mis_profile(path_graph(n)).total == self.PADOVAN[n], n
+            assert sum(mis_profile(path_graph(n))) == self.PADOVAN[n], n
 
 
 class TestCycleAndPathProfiles:
@@ -350,9 +354,9 @@ class TestCycleAndPathProfiles:
 
     def test_forms_match_mis_profile(self):
         for n in range(0, 41):
-            assert mis_profile(path_graph(n)).counts == PATH_PROFILES[n], n
+            assert mis_profile(path_graph(n)) == PATH_PROFILES[n], n
         for n in range(3, 41):
-            assert mis_profile(cycle_graph(n)).counts == CYCLE_PROFILES[n], n
+            assert mis_profile(cycle_graph(n)) == CYCLE_PROFILES[n], n
 
     def test_forms_match_mis_of_size_at_every_size(self):
         for forms, build, lo in ((PATH_PROFILES, path_graph, 0), (CYCLE_PROFILES, cycle_graph, 3)):

@@ -31,13 +31,14 @@ from misbench.pipeline import (
     decompose,
     decomposition_inequalities,
     label_cells,
+    layer_counts,
     select,
     transversal_census,
     verify_is_capture,
     verify_product_bound,
 )
 
-from fixtures import complete_graph, cycle_graph, disjoint_union
+from fixtures import complete_graph, cycle_graph, disjoint_union, edges
 
 
 def linked_diamonds():
@@ -101,21 +102,21 @@ def reference_census(g, cells, state):
     return total, good
 
 
-def reference_capture_rows(g, dec, cells, k, sets):
+def reference_capture_rows(g, cells, k, sets):
     """The capture rows built member by member: each size-k set's family
     key, whether it meets every cell, whether its trace on U is a
     transversal of the I4 cells, and whether that trace is good."""
     families = {}
     for mask in sets:
         if mask.bit_count() == k:
-            key = tuple(i for i in range(dec.ell) if len(set(iter_bits(mask & cells[i].mask))) >= 2)
+            key = tuple(i for i in range(len(cells)) if len(set(iter_bits(mask & cells[i].mask))) >= 2)
             families.setdefault(key, []).append(mask)
     rows = []
     for key in sorted(families):
         members = families[key]
-        state = select(g, dec, cells, key)
+        state = select(g, cells, key)
         good_count = transversal_census(g, cells, state).good_count
-        meets = all(mask & cells[i].mask for mask in members for i in range(dec.ell))
+        meets = all(mask & cells[i].mask for mask in members for i in range(len(cells)))
         transversal = all(
             len(set(iter_bits(mask & state.U & cells[i].mask))) == 1
             for mask in members
@@ -125,7 +126,7 @@ def reference_capture_rows(g, dec, cells, k, sets):
         leftover = g.n - state.U.bit_count()
         checks = {
             "meets_every_cell": meets,
-            "k_ge_ell_plus_s": k >= dec.ell + len(key),
+            "k_ge_ell_plus_s": k >= len(cells) + len(key),
             "traces_are_good_transversals": transversal and good,
             "family_within_envelope": len(members) <= good_count * 2**leftover,
         }
@@ -142,14 +143,14 @@ def reference_capture_rows(g, dec, cells, k, sets):
     return rows
 
 
-def assert_capture_matches_reference(g, dec, cells, k, sets):
-    report = verify_is_capture(g, dec, cells, k, sets)
-    rows = reference_capture_rows(g, dec, cells, k, sets)
+def assert_capture_matches_reference(g, cells, k, sets):
+    report = verify_is_capture(g, cells, k, sets)
+    rows = reference_capture_rows(g, cells, k, sets)
     assert report == {"k": k, "families": rows, "holds": all(row["holds"] for row in rows)}
     return report
 
 
-def altered_member_lists(g, dec, cells, k, sets):
+def altered_member_lists(g, cells, k, sets):
     """Size-k member lists that some capture check must fail on.
 
     Each adds one mask to the maximal independent sets of size k: k
@@ -166,16 +167,16 @@ def altered_member_lists(g, dec, cells, k, sets):
     free = [v for v in range(g.n) if not cells[0].mask >> v & 1]
     if len(free) >= k:
         altered.append(members + [mask_of(free[:k])])
-    state = select(g, dec, cells, ())
-    if state.I5 and k - dec.ell <= len(outside):
+    state = select(g, cells, ())
+    if state.I5 and k - len(cells) <= len(outside):
         i = state.I5[0]
         picks = [cells[i].x] + [
             next(v for v in iter_bits(c.mask) if not g.adj[cells[i].y] >> v & 1)
             for j, c in enumerate(cells)
             if j != i
         ]
-        altered.append(members + [mask_of(picks + outside[: k - dec.ell])])
-    if k % 2 == 0 and k // 2 < dec.ell:
+        altered.append(members + [mask_of(picks + outside[: k - len(cells)])])
+    if k % 2 == 0 and k // 2 < len(cells):
         altered.append(members + [mask_of(v for c in cells[: k // 2] for v in (c.x, c.y))])
     return altered
 
@@ -200,7 +201,7 @@ def vertices(i0):
 def bad_event(g, i0, cell, side):
     """The census row of one side of one I5 cell, under the empty selection."""
     dec, cells = cells_of(g, i0)
-    stats = transversal_census(g, cells, select(g, dec, cells, ()))
+    stats = transversal_census(g, cells, select(g, cells, ()))
     (row,) = [row for row in stats.per_cell if (row["cell"], row["side"]) == (cell, side)]
     return row
 
@@ -232,10 +233,10 @@ def irregular_instances(count, min_cells=2, max_cells=8, seed=9100):
 
     def draw():
         n = rng.choice((16, 20, 24))
-        edges = random_cubic_k4free(n, rng.randrange(1 << 30)).edges()
+        kept = edges(random_cubic_k4free(n, rng.randrange(1 << 30)))
         for _ in range(rng.randint(1, 2)):
-            edges.pop(rng.randrange(len(edges)))
-        g = from_edges(n, edges)
+            kept.pop(rng.randrange(len(kept)))
+        g = from_edges(n, kept)
         return g, min_mis(mis_of_size(g)[1])
 
     out = []
@@ -249,7 +250,7 @@ def irregular_instances(count, min_cells=2, max_cells=8, seed=9100):
             cells = label_cells(g, dec)
         except CellConflictError:
             continue
-        if min_cells <= dec.ell <= max_cells:
+        if min_cells <= len(cells) <= max_cells:
             out.append((g, dec, cells))
             if len(out) == count:
                 return out
@@ -260,15 +261,16 @@ class TestDecompose:
     def test_single_diamond_layers(self):
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
-        assert dec.k == 1 and dec.ell == 1
         assert dec.I1 == 0 and dec.J1 == 0 and dec.J2 == 0 and dec.I2 == 0
         assert dec.I3 == 1
-        assert dec.edge_count_I0_J0 == 3
+        assert layer_counts(g, dec) == {
+            "n": 4, "k": 1, "I1": 0, "J1": 0, "J2": 0, "I2": 0, "ell": 1, "edges_I0_J0": 3
+        }
 
     def test_inequalities_hold_and_report_slack(self):
         g = diamond_union(2)
         dec = decompose(g, mask_of((0, 4)))
-        recs = decomposition_inequalities(dec)
+        recs = decomposition_inequalities(dec, layer_counts(g, dec))
         assert all(rec["holds"] for rec in recs)
         names = {rec["name"] for rec in recs}
         assert names == {
@@ -284,7 +286,7 @@ class TestDecompose:
     def test_cycle_has_no_cells(self):
         g = cycle_graph(5)
         dec = decompose(g, mask_of((0, 2)))
-        assert dec.ell == 0
+        assert dec.I3 == 0
         assert dec.I1 == mask_of((0, 2))
 
     def test_rejects_degree_above_three(self):
@@ -313,7 +315,7 @@ class TestDecompose:
         assert dec.I1 == mask_of((9,))
         assert dec.J1 == mask_of((8,))
         assert dec.J2 == 0
-        assert dec.ell == 2
+        assert dec.I3.bit_count() == 2
 
 
 class TestCells:
@@ -358,7 +360,7 @@ class TestSelect:
         g = diamond_union(2)
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         assert state.I4 == (0, 1)
         assert state.I5 == (0, 1)
         assert state.I6 == (0, 1)  # disjoint diamonds: no cell adjacency
@@ -368,7 +370,7 @@ class TestSelect:
         g = diamond_union(2)
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, (0,))
+        state = select(g, cells, (0,))
         assert state.S == (0,)
         assert state.I4 == (1,)
         assert state.U == mask_of((4, 5, 6, 7))
@@ -378,13 +380,13 @@ class TestSelect:
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
         with pytest.raises(ValueError):
-            select(g, dec, cells, (1,))
+            select(g, cells, (1,))
 
     def test_linked_diamonds_cell_graph(self):
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         assert state.cell_adj == (0b10, 0b01)
         assert state.I5 == (0, 1)
         # Distance-2 greedy: picking cell 0 removes its neighbor too.
@@ -398,8 +400,8 @@ class TestSelect:
         # produce keeps both.
         real_select, states = pipeline.select, []
 
-        def recording_select(g, dec, cells, s_indices):
-            states.append(real_select(g, dec, cells, s_indices))
+        def recording_select(g, cells, s_indices):
+            states.append(real_select(g, cells, s_indices))
             return states[-1]
 
         monkeypatch.setattr(pipeline, "select", recording_select)
@@ -420,7 +422,7 @@ class TestSelect:
         g = pendant_tail()
         dec = decompose(g, mask_of((0, 4, 9)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         assert state.I4 == (0, 1)
         # Cell 1's x vertex reaches outside the cell union, so only cell 0
         # supports the bad-event analysis.
@@ -456,7 +458,7 @@ class TestCensus:
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         stats = transversal_census(g, cells, state)
         assert stats.total == 4 and stats.good_count == 2
         assert stats.p_good == Fraction(1, 2)
@@ -468,7 +470,7 @@ class TestCensus:
             g = diamond_union(t)
             dec = decompose(g, mask_of(tuple(4 * i for i in range(t))))
             cells = label_cells(g, dec)
-            state = select(g, dec, cells, ())
+            state = select(g, cells, ())
             stats = transversal_census(g, cells, state)
             assert stats.total == 4**t
             assert stats.good_count == 2**t
@@ -478,7 +480,7 @@ class TestCensus:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         stats = transversal_census(g, cells, state)
         assert stats.total == 16 and stats.good_count == 4
         assert stats.p_good == Fraction(1, 4)
@@ -490,7 +492,7 @@ class TestCensus:
         g = cycle_graph(5)
         dec = decompose(g, mask_of((0, 2)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         stats = transversal_census(g, cells, state)
         assert stats.total == 1 and stats.p_good == 1
 
@@ -498,7 +500,7 @@ class TestCensus:
         # One connected 12-cell component: 4^12 states trip the guard.
         g = diamond_chain(12)
         dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(12))))
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         with pytest.raises(GuardError, match="component of 12 cells"):
             transversal_census(g, cells, state)
 
@@ -507,7 +509,7 @@ class TestCensus:
         for t, tripped in ((3, False), (4, True)):
             g = disjoint_union(diamond_chain(t), diamond_union(3))
             dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(t + 3))))
-            state = select(g, dec, cells, ())
+            state = select(g, cells, ())
             if tripped:
                 with pytest.raises(GuardError):
                     transversal_census(g, cells, state)
@@ -519,7 +521,7 @@ class TestCensus:
         # t one-cell components: exact at any t up to the order cap.
         g = diamond_union(t)
         dec, cells = cells_of(g, mask_of(tuple(4 * i for i in range(t))))
-        stats = transversal_census(g, cells, select(g, dec, cells, ()))
+        stats = transversal_census(g, cells, select(g, cells, ()))
         assert stats.good_count == 2**t
         assert stats.total == 4**t
         assert stats.p_good == Fraction(1, 2**t)
@@ -531,17 +533,17 @@ class TestCensusOracle:
     def test_fixtures_every_selection(self):
         for g, i0 in FIXTURES:
             dec, cells = cells_of(g, i0)
-            for r in range(dec.ell + 1):
-                for s_key in itertools.combinations(range(dec.ell), r):
-                    assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
+            for r in range(len(cells) + 1):
+                for s_key in itertools.combinations(range(len(cells)), r):
+                    assert_census_matches_reference(g, cells, select(g, cells, s_key))
 
     def test_corpus_empty_and_capture_families(self):
         for g, i0 in pipeline_instances(30):
             dec, cells = cells_of(g, i0)
-            report = verify_is_capture(g, dec, cells, dec.k, mis_sets(g))
+            report = verify_is_capture(g, cells, dec.I0.bit_count(), mis_sets(g))
             selections = {(), *(tuple(fam["S"]) for fam in report["families"])}
             for s_key in selections:
-                assert_census_matches_reference(g, cells, select(g, dec, cells, s_key))
+                assert_census_matches_reference(g, cells, select(g, cells, s_key))
 
     def test_irregular_with_and_without_selections(self):
         rng = random.Random(9200)
@@ -549,9 +551,9 @@ class TestCensusOracle:
         for g, dec, cells in irregular_instances(60):
             selections = {()}
             for _ in range(3):
-                selections.add(tuple(i for i in range(dec.ell) if rng.random() < 0.3))
+                selections.add(tuple(i for i in range(len(cells)) if rng.random() < 0.3))
             for s_key in selections:
-                state = select(g, dec, cells, s_key)
+                state = select(g, cells, s_key)
                 multi_component += len(components(state.cell_adj, mask_of(state.I4))) > 1
                 assert_census_matches_reference(g, cells, state)
         assert multi_component > 0
@@ -562,12 +564,14 @@ class TestCaptureOracle:
 
     def test_corpus(self):
         for g, i0 in pipeline_instances(100):
-            dec, cells = cells_of(g, i0)
-            assert_capture_matches_reference(g, dec, cells, dec.k, mis_of_size(g, dec.k)[1])
+            _, cells = cells_of(g, i0)
+            k = i0.bit_count()
+            assert_capture_matches_reference(g, cells, k, mis_of_size(g, k)[1])
 
     def test_irregular_instances(self):
         for g, dec, cells in irregular_instances(60):
-            assert_capture_matches_reference(g, dec, cells, dec.k, mis_of_size(g, dec.k)[1])
+            k = dec.I0.bit_count()
+            assert_capture_matches_reference(g, cells, k, mis_of_size(g, k)[1])
 
     def test_both_sweep(self):
         for n in range(1, GENERATION_CAP + 1):
@@ -578,7 +582,7 @@ class TestCaptureOracle:
                     cells = label_cells(g, dec)
                 except CellConflictError:
                     continue
-                assert_capture_matches_reference(g, dec, cells, k, sets)
+                assert_capture_matches_reference(g, cells, k, sets)
 
     def test_altered_member_lists_fail_each_check(self):
         instances = [(g, *cells_of(g, i0)) for g, i0 in FIXTURES + tuple(pipeline_instances(30))]
@@ -590,9 +594,9 @@ class TestCaptureOracle:
         for g, dec, cells in instances:
             if not cells:
                 continue
-            k = dec.k
-            for sets in altered_member_lists(g, dec, cells, k, mis_of_size(g, k)[1]):
-                report = assert_capture_matches_reference(g, dec, cells, k, sets)
+            k = dec.I0.bit_count()
+            for sets in altered_member_lists(g, cells, k, mis_of_size(g, k)[1]):
+                report = assert_capture_matches_reference(g, cells, k, sets)
                 assert not report["holds"]
                 for row in report["families"]:
                     for name, ok in row["checks"].items():
@@ -612,7 +616,7 @@ class TestProductBound:
         ):
             dec = decompose(g, i0)
             cells = label_cells(g, dec)
-            state = select(g, dec, cells, ())
+            state = select(g, cells, ())
             stats = transversal_census(g, cells, state)
             report = verify_product_bound(g, cells, state, stats)
             assert report["holds"], report["violations"]
@@ -622,7 +626,7 @@ class TestProductBound:
         g = claw_two_diamonds((5, 9))
         dec = decompose(g, mask_of((0, 4, 8)))
         cells = label_cells(g, dec)
-        state = select(g, dec, cells, ())
+        state = select(g, cells, ())
         stats = transversal_census(g, cells, state)
         for p in stats.bad_probability.values():
             assert p >= Fraction(1, 4)
@@ -633,7 +637,7 @@ class TestCapture:
         g = diamond_union(1)
         dec = decompose(g, mask_of((0,)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 1, mis_sets(g))
+        report = verify_is_capture(g, cells, 1, mis_sets(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 2
@@ -644,7 +648,7 @@ class TestCapture:
             g = diamond_union(t)
             dec = decompose(g, mask_of(tuple(4 * i for i in range(t))))
             cells = label_cells(g, dec)
-            report = verify_is_capture(g, dec, cells, t, mis_sets(g))
+            report = verify_is_capture(g, cells, t, mis_sets(g))
             assert report["holds"]
             (family,) = report["families"]
             assert family["family_size"] == 2**t == family["good_count"]
@@ -653,7 +657,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 2, mis_sets(g))
+        report = verify_is_capture(g, cells, 2, mis_sets(g))
         assert report["holds"]
         (family,) = report["families"]
         assert family["S"] == [] and family["family_size"] == 4
@@ -665,7 +669,7 @@ class TestCapture:
         g = linked_diamonds()
         dec = decompose(g, mask_of((0, 4)))
         cells = label_cells(g, dec)
-        report = verify_is_capture(g, dec, cells, 3, mis_sets(g))
+        report = verify_is_capture(g, cells, 3, mis_sets(g))
         assert report["holds"]
         assert any(fam["S"] for fam in report["families"])
 
@@ -685,13 +689,13 @@ class TestCapture:
                     dec, cells = cells_of(g, root)
                 except CellConflictError:
                     continue
-                k = dec.k
+                k = dec.I0.bit_count()
                 non_minimum += k > i0.bit_count()
-                report = verify_is_capture(g, dec, cells, k, mis_of_size(g, k)[1])
-                assert report == verify_is_capture(g, dec, cells, k, all_sets)
-                state = select(g, dec, cells, ())
+                report = verify_is_capture(g, cells, k, mis_of_size(g, k)[1])
+                assert report == verify_is_capture(g, cells, k, all_sets)
+                state = select(g, cells, ())
                 known = (state, transversal_census(g, cells, state))
-                assert report == verify_is_capture(g, dec, cells, k, all_sets, known)
+                assert report == verify_is_capture(g, cells, k, all_sets, known)
                 assert report == analyze_instance(g, vertices(root))["capture"]
         assert non_minimum >= 20
 
@@ -721,8 +725,8 @@ class TestAnalyzeInstance:
         real_select, real_census = pipeline.select, pipeline.transversal_census
         calls = []
 
-        def counted_select(g, dec, cells, s_indices):
-            state = real_select(g, dec, cells, s_indices)
+        def counted_select(g, cells, s_indices):
+            state = real_select(g, cells, s_indices)
             calls.append(("select", state.S))
             return state
 
@@ -735,7 +739,7 @@ class TestAnalyzeInstance:
         reused = 0
         for g, i0 in [*FIXTURES, *pipeline_instances(8)]:
             for s_indices in ((), (0,)):
-                if s_indices and not decompose(g, i0).ell:
+                if s_indices and not decompose(g, i0).I3:
                     continue
                 calls.clear()
                 report = analyze_instance(g, vertices(i0), s_indices)
