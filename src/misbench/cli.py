@@ -11,11 +11,11 @@ Subcommands::
     search           exhaustive scan of small-graph isomorphism classes
     verify-theorem2  size-capped bound with equality classification
 
-Graphs are read as ASCII from a file argument (or stdin with ``-``), in
-graph6 or edge-list format told apart by the first line.  Results are JSON
-on stdout (CSV for ``curves``); floats carry 12 significant digits.  Exit
-codes: 0 success, 1 semantic failure, 2 input/parse error, 3 resource guard,
-141 stdout closed by its reader.
+Graphs, also a ``search --classes`` list, are read as ASCII from a file
+argument (or stdin with ``-``), in graph6 or edge-list format told apart by
+the first line.  Results are JSON on stdout (CSV for ``curves``); floats
+carry 12 significant digits.  Exit codes: 0 success, 1 semantic failure,
+2 input/parse error, 3 resource guard, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 from math import inf
 
 from . import bounds, extremal
-from .graphio import FormatError, decode_ascii, load_graphs
+from .graphio import FormatError, decode_ascii, load_graphs, to_graph6
 from .graphs import Graph, GuardError
 from .mibs import mibs_counts
 from .misenum import mis_profile
@@ -129,11 +129,11 @@ def _emit(payload) -> None:
     print("".join(out))
 
 
-def _read_graphs(args) -> list[Graph]:
-    if args.path == "-":
+def _read_graphs(path: str) -> list[Graph]:
+    if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(args.path, "rb") as fh:
+        with open(path, "rb") as fh:
             data = fh.read()
     return load_graphs(decode_ascii(data))
 
@@ -158,28 +158,16 @@ def _parse_vertex_list(text: str | None) -> tuple[int, ...] | None:
 
 
 def cmd_mis(args) -> int:
-    reports = []
-    for g in _read_graphs(args):
-        profile = mis_profile(g)
-        reports.append({"mis": sum(profile), "profile": list(profile)})
+    reports = [{"mis": sum(p), "profile": p} for p in map(mis_profile, _read_graphs(args.path))]
     _emit(_single_or_array(reports))
     return 0
 
 
 def cmd_mibs(args) -> int:
     reports = []
-    for g in _read_graphs(args):
-        counts = mibs_counts(g)
-        reports.append(
-            {
-                "mibs": counts.mibs,
-                "ordered_pairs": counts.ordered_pairs,
-                "nonmaximal_pairs": counts.nonmaximal_pairs,
-                "a_size_histogram": [
-                    {"a_size": size, "records": cnt} for size, cnt in counts.a_size_histogram
-                ],
-            }
-        )
+    for counts in map(mibs_counts, _read_graphs(args.path)):
+        histogram = [{"a_size": a, "records": r} for a, r in counts.a_size_histogram]
+        reports.append({**counts._asdict(), "a_size_histogram": histogram})
     _emit(_single_or_array(reports))
     return 0
 
@@ -211,15 +199,10 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    rows = bounds.curve_rows(args.eta, args.points)
+    columns = CURVE_HEADER.split(",")
     lines = [CURVE_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                f"{row[col]:.12g}"
-                for col in ("x", "eppstein", "nielsen", "interp", "corollary1_eta")
-            )
-        )
+    for row in bounds.curve_rows(args.eta, args.points):
+        lines.append(",".join(f"{row[col]:.12g}" for col in columns))
     print("\n".join(lines))
     return 0
 
@@ -243,24 +226,22 @@ def cmd_solve(args) -> int:
 def cmd_pipeline(args) -> int:
     i0_list = _parse_vertex_list(args.i0)
     s_list = _parse_vertex_list(args.s) or ()
-    reports = []
-    for g in _read_graphs(args):
-        reports.append(analyze_instance(g, i0_list, s_list))
+    reports = [analyze_instance(g, i0_list, s_list) for g in _read_graphs(args.path)]
     _emit(_single_or_array(reports))
     return 1 if any(report["violations"] for report in reports) else 0
 
 
 def cmd_search(args) -> int:
-    if args.selector == "corollary1":
-        bounds.check_eta(args.eta)
+    bounds.check_eta(args.eta)
     if args.classes:
-        reps = extremal.load_class_list(args.classes)
+        reps = _read_graphs(args.classes)
         if any(g.n != args.n for g in reps):
             raise FormatError(f"class list {args.classes} contains graphs of order != {args.n}")
     else:
         reps = extremal.generate_all(args.n, args.filter, args.workers)
     if args.save_classes:
-        extremal.write_class_list(args.save_classes, reps)
+        with open(args.save_classes, "w", encoding="ascii") as fh:
+            fh.writelines(to_graph6(g) + "\n" for g in reps)
     rows = extremal.tightness_scan(args.n, reps, args.selector, args.eta)
     _emit(
         {
@@ -279,7 +260,7 @@ def cmd_verify_theorem2(args) -> int:
     extremal.check_order(args.max_n)
     rows = []
     for n in range(1, args.max_n + 1):
-        rows += extremal.verify_equality_scan(n, args.workers)
+        rows += extremal.verify_equality_scan(n, extremal.generate_all(n, "none", args.workers))
     ok = not any(row["violations"] for row in rows)
     _emit({"max_n": args.max_n, "holds": ok, "rows": rows})
     return 0 if ok else 1

@@ -26,7 +26,7 @@ import math
 import os
 
 from . import bounds
-from .graphio import decode_ascii, from_columns, parse_graph6, to_graph6
+from .graphio import from_columns, to_graph6
 from .graphs import Graph, GuardError, components, is_clique, iter_bits
 from .misenum import mis_profile
 
@@ -332,8 +332,8 @@ def is_clique_union(g: Graph) -> tuple[bool, int]:
     return True, len(comps)
 
 
-def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
-    """Check mis_{<=k} <= 3^{4k-n} 4^{n-3k} over every class, every k.
+def verify_equality_scan(n: int, reps: list[Graph]) -> list[dict]:
+    """Check mis_{<=k} <= 3^{4k-n} 4^{n-3k} over the order-n classes ``reps``, every k.
 
     Exact rationals throughout.  A class violates when it exceeds the
     bound, attains equality without being a disjoint union of exactly k
@@ -343,7 +343,6 @@ def verify_equality_scan(n: int, workers: int = 1) -> list[dict]:
     number of ``attainers`` and the graph6 list of ``violations``.
     """
     rows = []
-    reps = generate_all(n, "none", workers)
     profiles = [(g, mis_profile(g), is_clique_union(g)) for g in reps]
     for k in range(n + 1):
         bound = bounds.eppstein(n, k).exact
@@ -404,17 +403,3 @@ def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -
             }
         )
     return rows
-
-
-def write_class_list(path: str, reps: list[Graph]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for g in reps:
-            fh.write(to_graph6(g) + "\n")
-
-
-def load_class_list(path: str) -> list[Graph]:
-    """The graphs of a class list, one graph6 line each; a byte that is not
-    ASCII raises FormatError, as it does in every other graph input."""
-    with open(path, "rb") as fh:
-        text = decode_ascii(fh.read())
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

@@ -463,6 +463,41 @@ class TestSearch:
         )
         assert reloaded["rows"] == payload["rows"]
 
+    @pytest.mark.parametrize("filter_name", sorted(extremal.FILTERS))
+    def test_saved_classes_reload_to_the_same_report(self, capsys, tmp_path, filter_name):
+        saved = tmp_path / "n6.g6"
+        argv = ("search", "-n", "6", "--filter", filter_name)
+        generated = run(capsys, *argv, "--save-classes", str(saved))
+        assert generated[0] == 0
+        assert run(capsys, *argv, "--classes", str(saved)) == generated
+
+    def test_empty_class_list_is_two(self, capsys, tmp_path):
+        # A class list is a graph input: it must hold at least one graph.
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        code, out, err = run(capsys, "search", "-n", "4", "--classes", str(empty))
+        assert (code, out, err) == (2, "", "error: no graphs in input\n")
+        done = run_module("search", "-n", "4", "--classes", "-", stdin=b"")
+        assert (done.returncode, done.stdout, done.stderr) == (2, b"", b"error: no graphs in input\n")
+
+    def test_header_line_is_skipped(self, capsys, tmp_path):
+        plain = tmp_path / "plain.g6"
+        plain.write_text("CF\nC~\n")
+        headed = tmp_path / "headed.g6"
+        headed.write_text(">>graph6<<\nCF\nC~\n")
+        expected = run(capsys, "search", "-n", "4", "--classes", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, "search", "-n", "4", "--classes", str(headed)) == expected
+
+    def test_edge_list_is_a_one_class_list(self, capsys, tmp_path):
+        path = tmp_path / "p2.edges"
+        path.write_text("4 1\n0 1\n")
+        payload = run_json(capsys, "search", "-n", "4", "--classes", str(path))
+        assert payload["class_count"] == 1
+        code, out, err = run(capsys, "search", "-n", "5", "--classes", str(path))
+        message = f"error: class list {path} contains graphs of order != 5\n"
+        assert (code, out, err) == (2, "", message)
+
     def test_worker_pool_prints_serial_output(self, capsys, monkeypatch):
         serial = run(capsys, "search", "-n", "7", "--workers", "1")
         monkeypatch.setattr(extremal, "_class_cache", {})
@@ -526,6 +561,11 @@ class TestExitCodes:
             (("verify-theorem2", "--max-n", "-3"), 1, "order must be nonnegative, got -3"),
             (
                 ("search", "-n", "8", "--selector", "corollary1", "--eta", "1.5"),
+                1,
+                "eta must lie in [0, 1], got 1.5",
+            ),
+            (
+                ("search", "-n", "8", "--selector", "eppstein", "--eta", "1.5"),
                 1,
                 "eta must lie in [0, 1], got 1.5",
             ),

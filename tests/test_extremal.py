@@ -18,12 +18,10 @@ from misbench.extremal import (
     canonical_key,
     generate_all,
     is_clique_union,
-    load_class_list,
     lower_twins,
     tightness_scan,
     verify_equality_scan,
     vertex_invariants,
-    write_class_list,
 )
 from misbench.graphio import from_columns, to_graph6
 from misbench.graphs import Graph, components, from_edges, is_k4_free, iter_bits, max_degree
@@ -487,13 +485,6 @@ class TestGeneration:
         with pytest.raises(GuardError):
             generate_all(9, "none")
 
-    def test_class_list_roundtrip(self, tmp_path):
-        reps = generate_all(5, "k4free")
-        path = tmp_path / "classes.g6"
-        write_class_list(str(path), reps)
-        loaded = load_class_list(str(path))
-        assert [canonical_key(g.adj) for g in loaded] == [canonical_key(g.adj) for g in reps]
-
 
 class TestEqualityScan:
     def test_clique_union_detector(self):
@@ -505,19 +496,19 @@ class TestEqualityScan:
 
     def test_small_orders_no_violations(self):
         for n in range(1, 6):
-            for row in verify_equality_scan(n):
+            for row in verify_equality_scan(n, generate_all(n, "none")):
                 assert row["violations"] == [], (
                     f"n={row['n']} k={row['k']}: {row['violations']}"
                 )
 
     def test_attainers_at_triangle(self):
-        rows = verify_equality_scan(3)
+        rows = verify_equality_scan(3, generate_all(3, "none"))
         by_k = {row["k"]: row for row in rows}
         assert by_k[1]["attainers"] == 1  # K3 is the unique attainer
         assert by_k[1]["bound"] == 3
 
     def test_attainers_at_order_four(self):
-        by_k = {row["k"]: row for row in verify_equality_scan(4)}
+        by_k = {row["k"]: row for row in verify_equality_scan(4, generate_all(4, "none"))}
         assert by_k[1]["bound"] == 4
         assert by_k[1]["attainers"] == 1  # K4
 
