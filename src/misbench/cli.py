@@ -237,6 +237,11 @@ def cmd_search(args) -> int:
         reps = _read_graphs(args.classes)
         if any(g.n != args.n for g in reps):
             raise FormatError(f"class list {args.classes} contains graphs of order != {args.n}")
+        for g in reps:
+            if not extremal.admits(g, args.filter):
+                raise FormatError(
+                    f"class list {args.classes} holds {to_graph6(g)}, outside filter {args.filter}"
+                )
     else:
         reps = extremal.generate_all(args.n, args.filter, args.workers)
     if args.save_classes:

@@ -8,11 +8,13 @@ labels, so the form stays canonical although it is not the minimum over
 all permutations (see ``canonical_key``).  Generation augments the order
 n-1 class list with one new vertex per possible neighborhood mask.  A
 candidate is only a list of adjacency rows, never a ``Graph``, and the
-mask is tested before those rows are built: the filter becomes a test on
-the mask, masks that differ only by swapping twins of the parent are
-tried once (the cheap, exact part of orbit pruning), and an extension is
-keyed only when its new vertex has the maximum of a vertex invariant
-(canonical deletion, after McKay's canonical construction path).  A dict
+mask is tested before those rows are built: masks are drawn by size,
+from the parent's maximum degree up to the filter's degree cap,
+K4-freeness becomes a test on the mask, masks that differ only by
+swapping twins of the parent are tried once (the cheap, exact part of
+orbit pruning), and an extension is keyed only when its new vertex has
+the maximum of a vertex invariant (canonical deletion, after McKay's
+canonical construction path).  A dict
 on the canonical key removes the classes still reached more than once,
 so no automorphism groups are needed.  This covers every class of any
 hereditary filter.  On top of that sit the exhaustive bound checks: the
@@ -22,12 +24,13 @@ empirical tightness tables.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 from . import bounds
 from .graphio import from_columns, to_graph6
-from .graphs import Graph, GuardError, components, is_clique, iter_bits
+from .graphs import Graph, GuardError, components, is_clique, iter_bits, k4_witness, max_degree
 from .misenum import mis_profile
 
 GENERATION_CAP = 8
@@ -43,17 +46,33 @@ def _triangle_free_within(padj: tuple[int, ...], mask: int) -> bool:
     return True
 
 
-# Hereditary filters as tests on a one-vertex extension, given the parent's
-# rows, the new vertex's neighborhood mask and its degree d.  The parent
-# passes the filter and, past the degree gate of ``_augment_chunk``, d is
-# the maximum degree, so "maxdeg3" reads d alone and "k4free" asks that
-# the new vertex close no triangle of the parent into a K4.
+# Hereditary filters as data: (degree cap, K4-free), a cap of None leaving
+# the degree free.  ``_augment_chunk`` reads the cap as a loop bound and
+# asks of a K4-free filter's masks that the new vertex close no triangle
+# of the parent into a K4; ``admits`` tests a whole graph.
 FILTERS = {
-    "none": lambda padj, mask, d: True,
-    "k4free": lambda padj, mask, d: _triangle_free_within(padj, mask),
-    "maxdeg3": lambda padj, mask, d: d <= 3,
-    "both": lambda padj, mask, d: d <= 3 and _triangle_free_within(padj, mask),
+    "none": (None, False),
+    "k4free": (None, True),
+    "maxdeg3": (3, False),
+    "both": (3, True),
 }
+
+
+def admits(g: Graph, filter_name: str) -> bool:
+    """Whether ``g`` is in the class of the filter ``filter_name``."""
+    cap, k4free = FILTERS[filter_name]
+    if cap is not None and max_degree(g) > cap:
+        return False
+    return not k4free or k4_witness(g) is None
+
+
+@functools.cache
+def _masks_by_size(m: int) -> tuple[tuple[int, ...], ...]:
+    """The masks of ``m`` bits grouped by size: entry d holds those of d bits."""
+    groups: list[list[int]] = [[] for _ in range(m + 1)]
+    for mask in range(1 << m):
+        groups[mask.bit_count()].append(mask)
+    return tuple(map(tuple, groups))
 
 
 def vertex_invariants(adj: tuple[int, ...] | list[int]) -> list[int]:
@@ -203,7 +222,11 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
     tested on the mask and the parent's rows; no ``Graph`` is built:
 
     - Degree gate: the new vertex, of degree d, must reach the maximum
-      degree.
+      degree.  It bounds the loop: d runs from the parent's maximum
+      degree up to the filter's degree cap (n - 1 without one), over the
+      masks of d vertices from ``_masks_by_size``, so no mask of another
+      size is tried.  A mask of size d still fails when it holds a parent
+      vertex of degree d, which would end at d + 1.
     - Twin gate: the mask takes, of each class of the parent's twins, a
       prefix in label order (it holds no vertex without all of its
       ``lower_twins``).  This is exact.  A twin class holds only false
@@ -215,7 +238,8 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
       to an isomorphism of the two extensions.  Every gate here depends
       on the graph and the new vertex only, not on labels, so the
       prefix mask passes exactly when the skipped one would.
-    - Filter: the mask test ``FILTERS[filter_name]``.
+    - Filter: its degree cap is the loop bound above; a K4-free filter
+      also asks that no triangle of the parent lie inside the mask.
     - Canonical deletion: the new vertex must have the maximum
       ``vertex_invariants`` entry, compared first on degree (the degree
       gate) and then, among the vertices of that degree, on the full
@@ -230,7 +254,9 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
     deduplicates.
     """
     parent_adjs, n, filter_name = args
-    admits = FILTERS[filter_name]
+    cap, k4free = FILTERS[filter_name]
+    top = n - 1 if cap is None else min(cap, n - 1)
+    by_size = _masks_by_size(n - 1)
     seen: dict[tuple[int, ...], None] = {}
     new_bit = 1 << (n - 1)
     for padj in parent_adjs:
@@ -240,26 +266,28 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
             for d in range(row.bit_count() + 1):
                 geq[d] |= 1 << v
         twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
-        for mask in range(1 << (n - 1)):
-            # The new vertex has degree d; a parent vertex ends above d if
-            # it has degree > d, or degree >= d and gains the new edge.
-            d = mask.bit_count()
-            if geq[d + 1] or mask & geq[d]:
-                continue
-            if any(mask & v and low & ~mask for v, low in twins):
-                continue
-            if not admits(padj, mask, d):
-                continue
-            rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
-            rows.append(mask)
-            invariant = None
-            # Parent vertices that end at degree d tie with the new vertex
-            # (mask is 0 when d is 0, so geq[-1] never counts).
-            if geq[d] | mask & geq[d - 1]:
-                invariant = vertex_invariants(rows)
-                if invariant[-1] < max(invariant):
+        # The new vertex has degree d, from the parent's maximum degree (a
+        # parent vertex of degree > d would end above d) up to the cap.
+        for d in range(max(row.bit_count() for row in padj), top + 1):
+            # Parent vertices of degree d end above d if they gain the new
+            # edge; those that end at d tie with the new vertex (mask is 0
+            # when d is 0, so geq[-1] never counts).
+            at_d, below = geq[d], geq[d - 1]
+            for mask in by_size[d]:
+                if mask & at_d:
                     continue
-            seen.setdefault(canonical_key(rows, invariant))
+                if any(mask & v and low & ~mask for v, low in twins):
+                    continue
+                if k4free and not _triangle_free_within(padj, mask):
+                    continue
+                rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
+                rows.append(mask)
+                invariant = None
+                if at_d | mask & below:
+                    invariant = vertex_invariants(rows)
+                    if invariant[-1] < max(invariant):
+                        continue
+                seen.setdefault(canonical_key(rows, invariant))
     return seen
 
 

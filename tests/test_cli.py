@@ -530,6 +530,38 @@ class TestSearch:
         code, _, err = run(capsys, "search", "-n", "5", "--classes", str(saved))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n, filter_name, listed, refused",
+        [
+            ("4", "k4free", "C~\nCF\n", "C~"),
+            ("4", "both", "CF\nC~\n", "C~"),
+            # K_{1,4} (Ds_) has degree 4 and no K4; K5 (D~{) has both.
+            ("5", "maxdeg3", "Ds_\nD~{\n", "Ds_"),
+            ("5", "both", "Ds_\n", "Ds_"),
+            ("5", "k4free", "Ds_\nD~{\n", "D~{"),
+        ],
+    )
+    def test_class_outside_the_filter_is_two(self, capsys, tmp_path, n, filter_name, listed, refused):
+        # A class list is checked against --filter as a whole; the first
+        # class outside it is named.
+        path = tmp_path / "classes.g6"
+        path.write_text(listed, encoding="ascii")
+        code, out, err = run(capsys, "search", "-n", n, "--filter", filter_name, "--classes", str(path))
+        message = f"error: class list {path} holds {refused}, outside filter {filter_name}\n"
+        assert (code, out, err) == (2, "", message)
+
+    def test_class_list_inside_the_filter_is_scanned(self, capsys, tmp_path):
+        # K4 minus an edge, a 4-cycle and the empty graph pass every filter.
+        path = tmp_path / "classes.g6"
+        path.write_text("Cz\nCr\nC?\n", encoding="ascii")
+        payload = run_json(capsys, "search", "-n", "4", "--filter", "both", "--classes", str(path))
+        assert (payload["filter"], payload["class_count"]) == ("both", 3)
+        # The same list with K4 added passes only the filters without K4-freeness.
+        path.write_text("Cz\nCr\nC?\nC~\n", encoding="ascii")
+        for filter_name in ("none", "maxdeg3"):
+            argv = ("search", "-n", "4", "--filter", filter_name, "--classes", str(path))
+            assert run_json(capsys, *argv)["class_count"] == 4
+
     def test_non_ascii_class_list_is_two(self, capsys, tmp_path):
         # The class list is read as the graph inputs are: bytes, then ASCII.
         saved = tmp_path / "classes.g6"

@@ -71,6 +71,49 @@ def extensions(parent: Graph):
         yield mask, Graph(n, tuple(rows) + (mask,))
 
 
+def full_loop_degree_gate(padj: tuple[int, ...], n: int) -> list[int]:
+    """Masks of a new vertex for order n whose vertex reaches the maximum degree.
+
+    The reference loop: every mask of ``range(1 << (n - 1))`` in turn,
+    kept when no parent vertex ends above the new vertex's degree d
+    (``geq[d]`` holds the parent vertices of degree at least d).
+    """
+    geq = [0] * (n + 1)
+    for v, row in enumerate(padj):
+        for d in range(row.bit_count() + 1):
+            geq[d] |= 1 << v
+    out = []
+    for mask in range(1 << (n - 1)):
+        d = mask.bit_count()
+        if geq[d + 1] or mask & geq[d]:
+            continue
+        out.append(mask)
+    return out
+
+
+class _TriedGroup:
+    """One size group of the mask table that records each mask it hands out."""
+
+    def __init__(self, masks: tuple[int, ...], tried: list[int]) -> None:
+        self.masks = masks
+        self.tried = tried
+
+    def __iter__(self):
+        for mask in self.masks:
+            self.tried.append(mask)
+            yield mask
+
+
+def record_tried_masks(monkeypatch) -> list[int]:
+    """A list that gets every mask the generator tries from now on."""
+    tried: list[int] = []
+    table = extremal._masks_by_size
+    monkeypatch.setattr(
+        extremal, "_masks_by_size", lambda m: [_TriedGroup(g, tried) for g in table(m)]
+    )
+    return tried
+
+
 def transposition(n: int, v: int, w: int) -> list[int]:
     perm = list(range(n))
     perm[v], perm[w] = w, v
@@ -344,8 +387,11 @@ class TestGeneration:
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
     def test_mask_filters_match_graph_predicates(self, filter_name):
         # Every extension past the degree gate of every filtered class of
-        # orders 2..7: the mask test agrees with the filter on the graph.
-        admits = FILTERS[filter_name]
+        # orders 2..7: the filter's data, read as the generator reads it
+        # (the degree cap bounds d, a K4-free filter tests the mask for a
+        # parent triangle), agrees with the filter on the graph, and so
+        # does the whole-graph test ``admits``.
+        cap, k4free = FILTERS[filter_name]
         predicate = GRAPH_FILTERS[filter_name]
         checked = 0
         for order in range(2, 8):
@@ -356,9 +402,61 @@ class TestGeneration:
                         continue
                     rows = [row | (mask >> v & 1) << order for v, row in enumerate(parent.adj)]
                     g = Graph(order + 1, tuple(rows) + (mask,))
-                    assert admits(parent.adj, mask, d) == predicate(g), (parent.adj, mask)
+                    passes = (cap is None or d <= cap) and (
+                        not k4free or extremal._triangle_free_within(parent.adj, mask)
+                    )
+                    assert passes == predicate(g), (parent.adj, mask)
+                    assert extremal.admits(g, filter_name) == predicate(g), (parent.adj, mask)
                     checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_tried_masks_match_the_full_loop(self, monkeypatch, filter_name):
+        # For every class of orders 1..7 as the only parent: the masks the
+        # generator tries are distinct, their sizes lie between the parent's
+        # maximum degree and the filter's cap, and they hold every mask of
+        # the full loop that passes its degree gate and the cap.  A tried
+        # mask goes on to the twin gate when none of its vertices has its
+        # size as degree, so exactly the full loop's masks get there.
+        cap, _ = FILTERS[filter_name]
+        # Keys are not needed here; a constant keeps the runs short.
+        monkeypatch.setattr(extremal, "canonical_key", lambda rows, invariant=None: ())
+        tried = record_tried_masks(monkeypatch)
+        for order in range(1, 8):
+            n = order + 1
+            top = n - 1 if cap is None else cap
+            for parent in generate_all(order, filter_name):
+                tried.clear()
+                extremal._augment_chunk(([parent.adj], n, filter_name))
+                low = max_degree(parent)
+                assert len(tried) == len(set(tried))
+                assert all(low <= mask.bit_count() <= top for mask in tried), parent.adj
+                expected = [m for m in full_loop_degree_gate(parent.adj, n) if m.bit_count() <= top]
+                assert set(expected) <= set(tried), parent.adj
+
+    def test_masks_tried_at_eight_maxdeg3(self, monkeypatch):
+        tried = record_tried_masks(monkeypatch)
+        extremal._augment_chunk(([g.adj for g in generate_all(7, "maxdeg3")], 8, "maxdeg3"))
+        # The full loop tried all 128 masks of each of the 150 parents,
+        # 19,200; sizes from the parent's maximum degree up to 3 leave at
+        # most 64 of them.
+        assert len(tried) == 5888
+
+    @pytest.mark.parametrize(
+        "filter_name, count, digest",
+        [
+            ("maxdeg3", 1165, "84b835a3f05c1c49195d6955931d8b6f77bd057dac73840bd2e25166ad60ff19"),
+            ("both", 1142, "dde72b11dd18a334e5f8c046fc574c0753294d5631b2288e20e672451fac5bae"),
+        ],
+    )
+    def test_class_lists_at_nine(self, monkeypatch, filter_name, count, digest):
+        # Past the cap, from an empty cache: every order 2..9 runs the loop.
+        monkeypatch.setattr(extremal, "GENERATION_CAP", 9)
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        reps = generate_all(9, filter_name)
+        assert len(reps) == count
+        text = "".join(to_graph6(g) + "\n" for g in reps)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
 
     def test_lower_twins_are_transposition_automorphisms(self):
         rnd = random.Random(8)
