@@ -39,51 +39,36 @@ CURVE_HEADER = "x,eppstein,nielsen,interp,corollary1_eta"
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a program a closed pipe stops
 
 
-# The text of a value of exactly these types, written inline by the dict
-# and list loops of _write; True and False, of type bool, have their own
-# entry, so they never print as 1 and 0.
-_SCALAR_TEXT = {
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
-
-
 def _write(obj, out: list[str], indent: str) -> None:
     """Append obj to out as the text ``json.dumps(..., indent=2)`` gives.
 
     indent is the newline and spaces that begin a line at obj's depth.
-    Keys are sorted, strings escaped to ASCII, floats rounded to 12
-    significant digits (NaN and the infinities as ``json`` writes them),
-    Fractions written as strings and tuples as lists.  A key that is not
-    a str, or a value of any other type, raises TypeError; so does a
-    subclass of list or tuple, such as a result record, which would
-    otherwise lose its field names and print as a bare list.  Inside a dict
-    or a list, a value whose exact type is in _SCALAR_TEXT is written in
-    the loop; only containers and rarer types (None, floats, Fractions,
-    subclasses of int or str) recurse.
+    One branch per exact type: keys sorted, strings escaped to ASCII,
+    floats rounded to 12 significant digits (NaN and the infinities as
+    ``json`` writes them), Fractions written as strings and tuples as
+    lists.  Any other type raises TypeError, and so does a subclass of
+    one of these: a result record would lose its field names and print as
+    a bare list.  A key that is not a str raises TypeError too.
     """
-    if isinstance(obj, dict):
+    kind = type(obj)
+    if kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
         inner = indent + "  "
         sep = "{" + inner
         for key in sorted(obj):
-            if not isinstance(key, str):
+            if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            value = obj[key]
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                _write(value, out, inner)
-            else:
-                out.append(text(value))
+            _write(obj[key], out, inner)
             sep = "," + inner
         out.append(indent + "}")
-    elif type(obj) in (list, tuple):
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
@@ -91,24 +76,16 @@ def _write(obj, out: list[str], indent: str) -> None:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                _write(value, out, inner)
-            else:
-                out.append(text(value))
+            _write(value, out, inner)
             sep = "," + inner
         out.append(indent + "]")
-    elif isinstance(obj, str):
+    elif kind is str:
         out.append(encode_basestring_ascii(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
+    elif kind is float:
         if obj != obj:
             out.append("NaN")
         elif obj == inf:
@@ -117,10 +94,10 @@ def _write(obj, out: list[str], indent: str) -> None:
             out.append("-Infinity")
         else:
             out.append(float.__repr__(float(f"{obj:.12g}")))
-    elif isinstance(obj, Fraction):
+    elif kind is Fraction:
         out.append(encode_basestring_ascii(str(obj)))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(payload) -> None:
@@ -208,18 +185,20 @@ def cmd_curves(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.two_sum_eta is not None:
-        witness = bounds.find_two_sum_witness(args.two_sum_eta)
-        # The report carries the witness's eta, n and p_cut.
-        _emit(
-            {
-                **witness.report._asdict(),
-                "xi": witness.xi,
-                "both_below_target": witness.both_below_target,
-            }
-        )
+    if args.two_sum_eta is None:
+        _emit(bounds.solve_eps_delta(0.0 if args.margin is None else args.margin)._asdict())
         return 0
-    _emit(bounds.solve_eps_delta(args.margin)._asdict())
+    if args.margin is not None:
+        raise FormatError("--margin has no effect with --two-sum-eta")
+    witness = bounds.find_two_sum_witness(args.two_sum_eta)
+    # The report carries the witness's eta, n and p_cut.
+    _emit(
+        {
+            **witness.report._asdict(),
+            "xi": witness.xi,
+            "both_below_target": witness.both_below_target,
+        }
+    )
     return 0
 
 
@@ -232,6 +211,8 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.classes and args.workers != 1:
+        raise FormatError("--workers has no effect with --classes: a loaded class list is not generated")
     bounds.check_eta(args.eta)
     if args.classes:
         reps = _read_graphs(args.classes)
@@ -304,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("solve", help="numeric witnesses for the analytic estimates")
-    p.add_argument("--margin", type=float, default=0.0)
+    p.add_argument("--margin", type=float, default=None, help="margin of the eps/delta solve (default: 0)")
     p.add_argument(
         "--two-sum-eta",
         type=float,
@@ -324,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=sorted(extremal.FILTERS), default="none")
     p.add_argument("--selector", choices=tuple(bounds.SELECTORS), default="eppstein")
     p.add_argument("--eta", type=float, default=0.4)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="class generation processes (only 1 with --classes)")
     p.add_argument("--save-classes", default=None, help="write generated class list (graph6)")
     p.add_argument("--classes", default=None, help="load class list instead of generating")
     p.set_defaults(func=cmd_search)

@@ -174,20 +174,14 @@ def canonical_key(
 
     def place(level: int, used: int) -> None:
         free = cells[level] & ~used
-        if free & (free - 1):
-            cands = []
-            while free:
-                low = free & -free
-                free ^= low
-                v = low.bit_length() - 1
-                if not twins[v] & ~used:
-                    cands.append((segs[v], v))
-            cands.sort()
-        else:
-            # The cell's last free vertex: its twins share its cell, so
-            # they are all placed.
-            v = free.bit_length() - 1
-            cands = ((segs[v], v),)
+        cands = []
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            if not twins[v] & ~used:
+                cands.append((segs[v], v))
+        cands.sort()
         top = best[level]
         bit = 1 << (last - level)
         for seg, v in cands:

@@ -347,7 +347,7 @@ def transversal_census(g: Graph, cells: list[Cell], state: SelectionState) -> Tr
     return TransversalStats(
         total=total,
         good_count=good,
-        p_good=Fraction(good, total) if total else Fraction(1),
+        p_good=Fraction(good, total),
         per_cell=tuple(per_cell),
         bad_probability=bad_prob,
         product_bound=product,

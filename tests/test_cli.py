@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import misbench
 from misbench import bounds, extremal, pipeline
 from misbench.cli import CURVE_HEADER, _emit, build_parser, main
+from misbench.corpus import diamond_union
 from misbench.graphio import to_graph6
 from misbench.graphs import Graph, from_edges
 from misbench.mibs import MibsCounts
@@ -448,6 +449,18 @@ class TestPipeline:
         assert code == 1
         assert [r["violations"] for r in reports] == [[], ["ell_lower"]]
 
+    def test_capture_violation_exits_one(self, capsys, tmp_path, monkeypatch):
+        # A doctored root-size set on the two-diamond union (cells {0..3}
+        # and {4..7}): {0, 1} meets cell 0 twice and misses cell 1, so its
+        # family fails the capture check.
+        real = pipeline.mis_of_size
+        monkeypatch.setattr(pipeline, "mis_of_size", lambda g, k: (k, [*real(g, k)[1], 0b11]))
+        path = tmp_path / "diamonds.g6"
+        path.write_text(to_graph6(diamond_union(2)) + "\n")
+        code, out, _ = run(capsys, "pipeline", "--i0", "0,4", str(path))
+        assert code == 1
+        assert json.loads(out)["violations"] == ["is_capture"]
+
 
 class TestSearch:
     def test_scan_and_class_persistence(self, capsys, tmp_path):
@@ -523,6 +536,11 @@ class TestSearch:
             code, out, err = run(capsys, *argv, "--workers", workers)
             message = f"error: workers must be at least 1, got {workers}\n"
             assert (code, out, err) == (1, "", message)
+
+    def test_one_worker_with_class_list_is_scanned(self, capsys, tmp_path):
+        k4 = tmp_path / "k4.g6"
+        k4.write_text("C~\n", encoding="ascii")
+        assert run_json(capsys, "search", "-n", "4", "--classes", str(k4), "--workers", "1")["class_count"] == 1
 
     def test_class_order_mismatch(self, capsys, tmp_path):
         saved = tmp_path / "n4.g6"
@@ -601,13 +619,45 @@ class TestExitCodes:
                 1,
                 "eta must lie in [0, 1], got 1.5",
             ),
+            # Options the command would ignore: the class list (a file that
+            # does not exist) is never opened, and no witness is searched.
+            (
+                ("search", "-n", "4", "--classes", "missing.g6", "--workers", "2"),
+                2,
+                "--workers has no effect with --classes: a loaded class list is not generated",
+            ),
+            (("solve", "--margin", "0", "--two-sum-eta", "0.4"), 2, "--margin has no effect with --two-sum-eta"),
         ],
     )
     def test_option_values_refused_before_generation(self, capsys, monkeypatch, argv, code, err):
-        monkeypatch.setattr(extremal, "_class_cache", {})
+        def no_work(*args):
+            raise AssertionError("generated classes or searched for a witness")
+
+        monkeypatch.setattr(extremal, "generate_all", no_work)
+        monkeypatch.setattr(bounds, "find_two_sum_witness", no_work)
         start = time.perf_counter()
         assert run(capsys, *argv) == (code, "", f"error: {err}\n")
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "argv, graph, code, err",
+        [
+            (("bounds", "-1", "0"), None, 1, "order must be nonnegative"),
+            (("solve", "--two-sum-eta", "0"), None, 1, "eta must lie strictly inside (0, 1), got 0.0"),
+            (("solve", "--two-sum-eta", "1"), None, 1, "eta must lie strictly inside (0, 1), got 1.0"),
+            (("curves", "--points", "1"), None, 1, "need at least 2 grid points"),
+            (("pipeline", "--i0", "a"), "Cv\n", 2, "expected comma-separated integers, got 'a'"),
+            (("mis",), "-1 0\n", 2, "negative order or size"),
+            (("mis",), "3 1\n0 1 2\n", 2, "edge line must be 'u v', got '0 1 2'"),
+            (("mis",), "3 1\n0 x\n", 2, "non-integer edge line '0 x'"),
+        ],
+    )
+    def test_input_refusals(self, capsys, tmp_path, argv, graph, code, err):
+        if graph is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(graph, encoding="ascii")
+            argv = (*argv, str(path))
+        assert run(capsys, *argv) == (code, "", f"error: {err}\n")
 
     def test_parse_error_is_two(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"
@@ -694,34 +744,46 @@ class TestWriter:
         assert "0.3,\n    -0.0,\n    NaN,\n    Infinity,\n    -Infinity" in emitted(payload)
 
     def test_bools_ints_and_empty_containers(self):
-        # Values of exact type int, str or bool are written inline; an int
-        # or str subclass and empty containers go through the recursive
-        # call.  Each sits at every position a value can take.
+        # True and False are not written as 1 and 0, and empty containers
+        # close on their own line.  Each sits at every position a value can
+        # take.
+        payload = {
+            "t": True,
+            "f": False,
+            "zero": 0,
+            "one": 1,
+            "empty_dict": {},
+            "empty_list": [],
+            "name": "n\u00e9",
+            "list": [True, False, 0, 1, -2, {}, [], "s", {"d": {}, "l": []}],
+            "nested": {"in": [[], {}, [{}], {"e": []}]},
+        }
+        text = emitted(payload)
+        assert text == reference_json(payload)
+        assert '"t": true' in text and '"f": false' in text
+        assert '"zero": 0' in text and '"one": 1' in text
+        assert "    true,\n    false,\n    0,\n    1,\n    -2,\n    {},\n    []," in text
+        for top in ([True, 0], [3, {}], [[], [{}]], True, 1, "u"):
+            assert emitted(top) == reference_json(top)
+
+    def test_int_str_and_float_subclasses_are_type_errors(self):
+        # The writer dispatches on the exact type; no report holds a
+        # subclass, and one is refused wherever it sits.
         class Count(int):
             pass
 
         class Name(str):
             pass
 
-        payload = {
-            "t": True,
-            "f": False,
-            "zero": 0,
-            "one": 1,
-            "sub": Count(7),
-            "empty_dict": {},
-            "empty_list": [],
-            "name": Name("n\u00e9"),
-            "list": [True, False, 0, 1, Count(-2), {}, [], "s", Name("t"), {"d": {}, "l": []}],
-            "nested": {"in": [[], {}, [{}], {"e": []}]},
-        }
-        text = emitted(payload)
-        assert text == reference_json(payload)
-        assert '"t": true' in text and '"f": false' in text
-        assert '"zero": 0' in text and '"one": 1' in text and '"sub": 7' in text
-        assert "    true,\n    false,\n    0,\n    1,\n    -2,\n    {},\n    []," in text
-        for top in ([True, 0], [Count(3), {}], [[], [{}]], True, 1, Count(5), Name("u")):
-            assert emitted(top) == reference_json(top)
+        class Ratio(float):
+            pass
+
+        for value in (Count(7), Name("t"), Ratio(0.5)):
+            for payload in (value, {"a": value}, [1, value]):
+                with pytest.raises(TypeError, match=type(value).__name__):
+                    emitted(payload)
+        with pytest.raises(TypeError):
+            emitted({Name("k"): 1})
 
     def test_non_string_key_is_a_type_error(self):
         with pytest.raises(TypeError):

@@ -610,6 +610,32 @@ class TestEqualityScan:
         assert by_k[1]["bound"] == 4
         assert by_k[1]["attainers"] == 1  # K4
 
+    # The classes of order 3 are B? (empty), BG (an edge), BW (a path) and
+    # Bw (the triangle); the bound at k = 1 is 3, which only Bw attains.
+    def test_count_above_the_bound_is_a_violation(self, monkeypatch):
+        real = extremal.mis_profile
+
+        def inflate_triangle(g):
+            return (0, 4, 0, 0) if to_graph6(g) == "Bw" else real(g)
+
+        monkeypatch.setattr(extremal, "mis_profile", inflate_triangle)
+        rows = verify_equality_scan(3, generate_all(3, "none"))
+        # 4 exceeds 3 at k = 1 and floor(243/64) = 3 at k = 2, not
+        # floor(19683/4096) = 4 at k = 3.
+        assert [row["violations"] for row in rows] == [[], ["Bw"], ["Bw"], []]
+
+    @pytest.mark.parametrize(
+        "structure, violations",
+        [
+            ((False, 0), [[], ["Bw"], [], []]),  # equality without the structure
+            ((True, 1), [[], ["B?", "BG", "BW"], [], []]),  # the structure without equality
+        ],
+    )
+    def test_equality_off_the_structure_is_a_violation(self, monkeypatch, structure, violations):
+        monkeypatch.setattr(extremal, "is_clique_union", lambda g: structure)
+        rows = verify_equality_scan(3, generate_all(3, "none"))
+        assert [row["violations"] for row in rows] == violations
+
     def test_nielsen_report_empty_small(self):
         # The path of `search --selector nielsen`: no class of order n has
         # more than 4^{5k-n} 5^{n-4k} maximal independent sets of size k.

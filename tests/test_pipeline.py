@@ -631,6 +631,39 @@ class TestProductBound:
         for p in stats.bad_probability.values():
             assert p >= Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "g, state_fields, stats_fields, violation",
+        [
+            (linked_diamonds(), {}, {"bad_probability": {0: Fraction(7, 16), 1: Fraction(1, 5)}}, "P(B_1) = 1/5 < 1/4"),
+            (linked_diamonds(), {}, {"p_good": Fraction(5, 8)}, "p_good 5/8 > product 9/16"),
+            (linked_diamonds(), {}, {"product_bound": Fraction(4, 5)}, "product 4/5 > (3/4)^1"),
+            # x of cell 0 and x of cell 1 are joined by the edge 1-5; the
+            # cell graph is cleared to leave only the vertex certificate.
+            (
+                linked_diamonds(),
+                {"I6": (0, 1), "cell_adj": (0, 0)},
+                {},
+                "closed neighborhoods of 1 (cell 0) and 5 (cell 1) intersect",
+            ),
+            # Two unlinked diamonds have disjoint closed neighborhoods; a
+            # doctored cell graph joins the cells.
+            (
+                diamond_union(2),
+                {"I6": (0, 1), "cell_adj": (0b10, 0b01)},
+                {},
+                "I6 cells 0, 1 share dependency cells [0, 1]",
+            ),
+        ],
+    )
+    def test_each_violation_is_named(self, g, state_fields, stats_fields, violation):
+        # Each certificate fails alone on a selection or census with the
+        # named fields replaced, at the root set {0, 4}.
+        cells = label_cells(g, decompose(g, mask_of((0, 4))))
+        state = select(g, cells, ())
+        stats = transversal_census(g, cells, state)
+        report = verify_product_bound(g, cells, state._replace(**state_fields), stats._replace(**stats_fields))
+        assert (report["holds"], report["violations"]) == (False, [violation])
+
 
 class TestCapture:
     def test_single_diamond_tight(self):
