@@ -10,13 +10,14 @@ n-1 class list with one new vertex per possible neighborhood mask.  A
 candidate is only a list of adjacency rows, never a ``Graph``, and the
 mask is tested before those rows are built: masks are drawn by size,
 from the parent's maximum degree up to the filter's degree cap,
-K4-freeness becomes a test on the mask, masks that differ only by
-swapping twins of the parent are tried once (the cheap, exact part of
-orbit pruning), and an extension is keyed only when its new vertex has
-the maximum of a vertex invariant (canonical deletion, after McKay's
-canonical construction path).  A dict
-on the canonical key removes the classes still reached more than once,
-so no automorphism groups are needed.  This covers every class of any
+K4-freeness becomes a test on the mask, and a mask goes on only when
+it takes the lowest-numbered twins of each class of the parent's twins
+and is the least of its orbit under the automorphisms that the
+parent's ``canonical_key`` search met on its way (orbit pruning, after
+McKay's canonical construction path; each orbit under the parent's
+whole automorphism group keeps a mask).  An extension is keyed only when its new vertex
+has the maximum of a vertex invariant (canonical deletion); a dict on
+the canonical key removes the classes still reached more than once.  This covers every class of any
 hereditary filter.  On top of that sit the exhaustive bound checks: the
 size-capped count bound with its exact equality characterization, and
 empirical tightness tables.
@@ -34,6 +35,10 @@ from .graphs import Graph, GuardError, components, is_clique, iter_bits, k4_witn
 from .misenum import mis_profile
 
 GENERATION_CAP = 8
+
+# Generators of an automorphism group, each a permutation as the tuple of
+# images of the labels 0..n-1.
+Generators = tuple[tuple[int, ...], ...]
 
 
 def _triangle_free_within(padj: tuple[int, ...], mask: int) -> bool:
@@ -124,12 +129,13 @@ def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
 
 def canonical_key(
     adj: tuple[int, ...] | list[int], invariant: list[int] | None = None
-) -> tuple[int, ...]:
-    """Canonical per-position adjacency segments of the graph with rows ``adj``.
+) -> tuple[tuple[int, ...], Generators]:
+    """Canonical per-position adjacency segments of the graph with rows
+    ``adj``, with automorphisms of the graph they rebuild.
 
     Position j's segment holds the adjacency bits between the vertex
     placed at j and the vertices placed at 0..j-1 (bit for position 0 is
-    the most significant), so the tuple holds the graph6 columns of the
+    the most significant), so the key holds the graph6 columns of the
     relabeled graph and ``graphio.from_columns`` rebuilds it.
 
     Vertices are sorted by ``vertex_invariants`` (degree, number of
@@ -146,16 +152,30 @@ def canonical_key(
     when given, must be ``vertex_invariants(adj)``; the generator passes
     the list its deletion gate already computed.
 
-    The search only ever descends along placements that realize the best
-    known prefix exactly; a placement whose segment beats the best prefix
-    rewrites it and invalidates the deeper levels.  A vertex is skipped
-    while one of its ``lower_twins`` is still unused: swapping the two is
-    an automorphism fixing every placed vertex, so both subtrees yield the
-    same segments.
+    The search picks, at each level, the candidates whose segment is the
+    least, and descends only when that segment does not exceed the best
+    known one at the level; a lower segment rewrites the best and
+    invalidates the deeper levels.  A vertex is skipped while one of its
+    ``lower_twins`` is still unused: swapping the two is an automorphism
+    fixing every placed vertex, so both subtrees yield the same segments.
+
+    So a leaf (a full placement) is reached only with every segment equal
+    to the best one, and the first leaf reached after each lowering is
+    recorded.  Each later leaf reached before the next lowering yields
+    the same segments, so the map from the recorded leaf to it is an
+    automorphism.  It is stored at once as images of the input labels: a
+    later lowering makes the recorded leaf stale, not the map.  The maps
+    come back rewritten on the key's positions through the final recorded
+    leaf, so that perm[j] is the image of position j in
+    ``from_columns(n, key)``.  With the transpositions of lower twins
+    they generate its whole automorphism group: every leaf with the final
+    segments is either reached after the last lowering or skipped by the
+    twin rule, so every automorphism is a product of twin swaps and one
+    found map.
     """
     n = len(adj)
     if n == 0:
-        return ()
+        return (), ()
     if invariant is None:
         invariant = vertex_invariants(adj)
     cell_of: dict[int, int] = {}
@@ -171,45 +191,103 @@ def canonical_key(
     best = [unset] * n
     segs = [0] * n
     last = n - 1
+    path = [0] * n
+    # The first leaf reached since best last fell, None until one is.
+    leaf: list[int] | None = None
+    found: list[list[int]] = []
 
     def place(level: int, used: int) -> None:
+        nonlocal leaf
         free = cells[level] & ~used
-        cands = []
+        least = unset
+        ties = 0
         while free:
             low = free & -free
             free ^= low
             v = low.bit_length() - 1
-            if not twins[v] & ~used:
-                cands.append((segs[v], v))
-        cands.sort()
+            if twins[v] & ~used:
+                continue
+            seg = segs[v]
+            if seg < least:
+                least = seg
+                ties = low
+            elif seg == least:
+                ties |= low
         top = best[level]
+        if least > top:
+            return
+        if least < top:
+            best[level] = least
+            best[level + 1 :] = [unset] * (last - level)
+            leaf = None
+        if level == last:
+            # One vertex is left, and the placement is a leaf.
+            path[last] = ties.bit_length() - 1
+            if leaf is None:
+                leaf = path[:]
+            else:
+                image = [0] * n
+                for u, w in zip(leaf, path):
+                    image[u] = w
+                found.append(image)
+            return
         bit = 1 << (last - level)
-        for seg, v in cands:
-            if seg > top:
-                break
-            if seg < top:
-                best[level] = top = seg
-                best[level + 1 :] = [unset] * (last - level)
-            if level < last:
-                nbrs = rest = adj[v] & ~used
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    segs[low.bit_length() - 1] |= bit
-                place(level + 1, used | 1 << v)
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    segs[low.bit_length() - 1] ^= bit
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
+            path[level] = v
+            nbrs = rest = adj[v] & ~used
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                segs[low.bit_length() - 1] |= bit
+            place(level + 1, used | 1 << v)
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                segs[low.bit_length() - 1] ^= bit
 
     place(0, 0)
     # place reaches itself through its closure; dropping the name frees it
     # by reference counting, not in a later pass of the cycle collector.
     del place
-    return tuple(b >> (n - j) for j, b in enumerate(best))
+    key = tuple(b >> (n - j) for j, b in enumerate(best))
+    if not found:
+        return key, ()
+    pos = [0] * n
+    for j, v in enumerate(leaf):
+        pos[v] = j
+    return key, tuple(tuple([pos[image[v]] for v in leaf]) for image in found)
 
 
-def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[int, ...], None]:
+def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
+    """Whether ``mask`` is the least int of its orbit under the generators
+    given as ``images``: images[i][v] is the bit of generator i's image of
+    vertex v.  The orbit is walked with a stack, stopping at the first
+    smaller image."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        rest = stack.pop()
+        for image in images:
+            moved = 0
+            bits = rest
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                moved |= image[low.bit_length() - 1]
+            if moved < mask:
+                return False
+            if moved not in orbit:
+                orbit.add(moved)
+                stack.append(moved)
+    return True
+
+
+def _augment_chunk(
+    args: tuple[list[tuple[tuple[int, ...], Generators]], int, str],
+) -> dict[tuple[int, ...], Generators]:
     """Canonical keys of the filtered one-vertex extensions of each parent.
 
     Each mask is a candidate neighborhood of the new vertex, and it is
@@ -232,6 +310,15 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
       to an isomorphism of the two extensions.  Every gate here depends
       on the graph and the new vertex only, not on labels, so the
       prefix mask passes exactly when the skipped one would.
+    - Orbit gate: the mask is the least int of its orbit under the
+      parent's generators (``_least_in_orbit``), the automorphisms its
+      ``canonical_key`` search met.  With the twin swaps they generate
+      the parent's whole automorphism group, and any automorphism, as
+      above, carries a mask to an isomorphic extension that passes the
+      same gates.  The least mask of an orbit under that whole group
+      takes twin prefixes (a mask holding a twin without its lower twin
+      has a smaller image under their swap), and it is also the least of
+      its orbit under the generators alone, so each orbit keeps a mask.
     - Filter: its degree cap is the loop bound above; a K4-free filter
       also asks that no triangle of the parent lie inside the mask.
     - Canonical deletion: the new vertex must have the maximum
@@ -240,26 +327,29 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
       invariant.  Every class of order n keeps at least one extension:
       deleting a vertex of maximum invariant leaves a graph of the
       hereditary class, isomorphic to a parent, and adding the vertex
-      back is one of that parent's masks, or a twin-prefix image of one.
+      back is, through that isomorphism, a mask of the parent whose orbit
+      keeps a mask.
 
-    A survivor's rows are keyed as they are, reusing the invariant list
-    of the deletion gate when it was computed.  A class
+    Each parent comes as its rows with its generators, permutations of
+    its labels.  A survivor's rows are keyed as they are, reusing the
+    invariant list of the deletion gate when it was computed.  A class
     can still arise from several parents or masks, so the returned dict
-    deduplicates.
+    maps each key to the generators its first keying returned.
     """
-    parent_adjs, n, filter_name = args
+    parents, n, filter_name = args
     cap, k4free = FILTERS[filter_name]
     top = n - 1 if cap is None else min(cap, n - 1)
     by_size = _masks_by_size(n - 1)
-    seen: dict[tuple[int, ...], None] = {}
+    seen: dict[tuple[int, ...], Generators] = {}
     new_bit = 1 << (n - 1)
-    for padj in parent_adjs:
+    for padj, generators in parents:
         # geq[d]: parent vertices of degree >= d (geq[n] stays 0).
         geq = [0] * (n + 1)
         for v, row in enumerate(padj):
             for d in range(row.bit_count() + 1):
                 geq[d] |= 1 << v
         twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
+        images = [[1 << w for w in perm] for perm in generators]
         # The new vertex has degree d, from the parent's maximum degree (a
         # parent vertex of degree > d would end above d) up to the cap.
         for d in range(max(row.bit_count() for row in padj), top + 1):
@@ -272,6 +362,8 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
                     continue
                 if any(mask & v and low & ~mask for v, low in twins):
                     continue
+                if images and not _least_in_orbit(mask, images):
+                    continue
                 if k4free and not _triangle_free_within(padj, mask):
                     continue
                 rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
@@ -281,11 +373,13 @@ def _augment_chunk(args: tuple[list[tuple[int, ...]], int, str]) -> dict[tuple[i
                     invariant = vertex_invariants(rows)
                     if invariant[-1] < max(invariant):
                         continue
-                seen.setdefault(canonical_key(rows, invariant))
+                seen.setdefault(*canonical_key(rows, invariant))
     return seen
 
 
-_class_cache: dict[tuple[int, str], list[Graph]] = {}
+# Per (order, filter): the class representatives, and beside each the
+# generators of its automorphism group that ``canonical_key`` returned.
+_class_cache: dict[tuple[int, str], tuple[list[Graph], list[Generators]]] = {}
 
 
 def check_order(n: int) -> None:
@@ -301,13 +395,17 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
 
     ``filter_name`` must be a hereditary filter from FILTERS ("none",
     "k4free", "maxdeg3", "both").  Each order extends the order n-1
-    classes by one vertex; ``_augment_chunk`` keys only the extensions
-    whose new vertex has the maximum invariant, and the keys are merged
-    in a dict and sorted, so the representatives and their order do not
-    depend on which extension reached a class.  Results are memoized per
-    process; ``workers`` > 1 splits the augmentation of the parent list
-    across a process pool of at most ``os.cpu_count()`` processes
-    (deterministic output either way); fewer than 1 is a ValueError.
+    classes by one vertex; ``_augment_chunk`` keys, of each parent, only
+    the extensions whose mask is the least of its orbit under the
+    automorphisms the parent's labelling met and whose new vertex has
+    the maximum invariant, and the keys are merged in a dict and sorted, so the
+    representatives and their order do not depend on which extension
+    reached a class.  Results are memoized per process, with each class's
+    generators for the next order; ``workers`` > 1 splits the
+    augmentation of the parent list across a process pool of at most
+    ``os.cpu_count()`` processes (deterministic output either way: the
+    parts merge in parent order, so a class keeps the generators a serial
+    run finds first); fewer than 1 is a ValueError.
     """
     check_order(n)
     if workers < 1:
@@ -316,13 +414,12 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
         raise ValueError(f"unknown filter {filter_name!r}; options: {sorted(FILTERS)}")
     cached = _class_cache.get((n, filter_name))
     if cached is not None:
-        return cached
-    if n == 0:
-        reps = [Graph(0, ())]
-    elif n == 1:
-        reps = [Graph(1, (0,))]
+        return cached[0]
+    if n <= 1:
+        reps, groups = [Graph(n, (0,) * n)], [()]
     else:
-        parents = [g.adj for g in generate_all(n - 1, filter_name, workers)]
+        parent_reps = generate_all(n - 1, filter_name, workers)
+        parents = list(zip([g.adj for g in parent_reps], _class_cache[n - 1, filter_name][1]))
         # More processes than CPUs only add start-up cost and memory.
         procs = min(workers, os.cpu_count() or 1)
         if procs > 1 and len(parents) > 1:
@@ -334,14 +431,17 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
             # Imported here so that serial runs do not pay for loading it.
             from multiprocessing import Pool
 
-            keys: dict[tuple[int, ...], None] = {}
+            keys: dict[tuple[int, ...], Generators] = {}
             with Pool(min(procs, len(jobs))) as pool:
                 for part in pool.map(_augment_chunk, jobs):
-                    keys.update(part)
+                    for key, generators in part.items():
+                        keys.setdefault(key, generators)
         else:
             keys = _augment_chunk((parents, n, filter_name))
-        reps = [from_columns(n, key) for key in sorted(keys)]
-    _class_cache[(n, filter_name)] = reps
+        order = sorted(keys)
+        reps = [from_columns(n, key) for key in order]
+        groups = [keys[key] for key in order]
+    _class_cache[(n, filter_name)] = reps, groups
     return reps
 
 

@@ -51,6 +51,7 @@ CLASS_LIST_DIGESTS = {
     (8, "maxdeg3"): "500632179fbc004e3e9da4bc8c9b976c19bed96cafc76fdecd754d25f2367162",
     (8, "both"): "c84b009c91293464ff99a0890e2746e50344d4999c201a6821ec7659f8d163b7",
     (8, "k4free"): "acf348d711a4af7d983eaa847ea84d5decd3f65093caa191bfc9ab886e16c700",
+    (8, "none"): "46cf22f499c0d336a903b3e9ae7618f2e04c8280facd144991e016c9b1a6f383",
 }
 
 # The hereditary filters as predicates on whole graphs: the oracle of the
@@ -104,6 +105,19 @@ class _TriedGroup:
             yield mask
 
 
+def count_keys(monkeypatch) -> list[int]:
+    """A one-item list that counts the ``canonical_key`` calls from now on."""
+    calls = [0]
+    key = extremal.canonical_key
+
+    def counting(adj, invariant=None):
+        calls[0] += 1
+        return key(adj, invariant)
+
+    monkeypatch.setattr(extremal, "canonical_key", counting)
+    return calls
+
+
 def record_tried_masks(monkeypatch) -> list[int]:
     """A list that gets every mask the generator tries from now on."""
     tried: list[int] = []
@@ -122,6 +136,61 @@ def transposition(n: int, v: int, w: int) -> list[int]:
 
 def is_automorphism(g: Graph, perm: list[int]) -> bool:
     return relabel(g, perm) == g
+
+
+def moved(mask: int, perm) -> int:
+    """The image of a vertex set under ``perm``."""
+    return sum(1 << perm[v] for v in iter_bits(mask))
+
+
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of ``g``, by a scan of all n! permutations."""
+    return [
+        perm
+        for perm in itertools.permutations(range(g.n))
+        if all(moved(row, perm) == g.adj[perm[v]] for v, row in enumerate(g.adj))
+    ]
+
+
+def group_order(n: int, generators) -> int:
+    """Order of the permutation group on n points that ``generators`` generate."""
+    identity = tuple(range(n))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        perm = frontier.pop()
+        for gen in generators:
+            product = tuple(gen[i] for i in perm)
+            if product not in elements:
+                elements.add(product)
+                frontier.append(product)
+    return len(elements)
+
+
+def twin_swaps(g: Graph) -> list[list[int]]:
+    """The transposition of each vertex with each of its ``lower_twins``."""
+    return [transposition(g.n, v, w) for v, low in enumerate(lower_twins(g.adj)) for w in iter_bits(low)]
+
+
+def check_generators(g: Graph, order: int) -> tuple[int, ...]:
+    """Assert that ``canonical_key(g.adj)`` returns automorphisms of the
+    class representative that generate, with its twin swaps, a group of
+    ``order`` elements; returns the key."""
+    key, generators = canonical_key(g.adj)
+    rep = from_columns(g.n, key)
+    for perm in generators:
+        assert sorted(perm) == list(range(g.n))
+        assert is_automorphism(rep, list(perm)), (g.adj, perm)
+    assert group_order(g.n, list(generators) + twin_swaps(rep)) == order, g.adj
+    return key
+
+
+def parents_of(order: int, filter_name: str) -> list[tuple[tuple[int, ...], tuple]]:
+    """The order-``order`` classes as ``_augment_chunk`` takes its parents:
+    each representative's rows with its generators."""
+    generate_all(order, filter_name)
+    reps, groups = extremal._class_cache[order, filter_name]
+    return [(g.adj, generators) for g, generators in zip(reps, groups)]
 
 
 def reference_key(g: Graph) -> tuple[int, ...]:
@@ -219,6 +288,9 @@ SYMMETRIC = {
     "2k4": disjoint_union(complete_graph(4), complete_graph(4)),
 }
 
+# Their automorphism group orders.
+SYMMETRIC_GROUP_ORDERS = {"petersen": 120, "q3": 48, "k33": 72, "k222": 48, "c8": 16, "k15": 120, "2k4": 1152}
+
 
 class TestCanonicalForm:
     @settings(max_examples=100, deadline=None)
@@ -226,31 +298,34 @@ class TestCanonicalForm:
     def test_relabel_invariance(self, g, rnd):
         perm = list(range(g.n))
         rnd.shuffle(perm)
-        assert canonical_key(relabel(g, perm).adj) == canonical_key(g.adj)
+        assert canonical_key(relabel(g, perm).adj)[0] == canonical_key(g.adj)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_reconstruction_roundtrip(self, g):
-        key = canonical_key(g.adj)
+        key = canonical_key(g.adj)[0]
         rebuilt = from_columns(g.n, key)
-        assert canonical_key(rebuilt.adj) == key
+        assert canonical_key(rebuilt.adj)[0] == key
         assert edge_count(rebuilt) == edge_count(g)
         assert sorted(map(rebuilt.degree, range(g.n))) == sorted(map(g.degree, range(g.n)))
 
     def test_idempotent(self):
         g = disjoint_union(cycle_graph(5), path_graph(3))
-        c = from_columns(g.n, canonical_key(g.adj))
-        assert from_columns(c.n, canonical_key(c.adj)) == c
+        c = from_columns(g.n, canonical_key(g.adj)[0])
+        assert from_columns(c.n, canonical_key(c.adj)[0]) == c
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_relabel_invariance_on_symmetric_graphs(self, name):
+        # Every relabeling gives the same key, and generators that with
+        # the twin swaps give the whole automorphism group.
         g = SYMMETRIC[name]
-        key = canonical_key(g.adj)
+        order = SYMMETRIC_GROUP_ORDERS[name]
+        key = check_generators(g, order)
         rnd = random.Random(name)
         for _ in range(20):
             perm = list(range(g.n))
             rnd.shuffle(perm)
-            assert canonical_key(relabel(g, perm).adj) == key
+            assert check_generators(relabel(g, perm), order) == key
         assert reference_key(from_columns(g.n, key)) == reference_key(g)
 
     @pytest.mark.parametrize("n", range(6))
@@ -261,10 +336,22 @@ class TestCanonicalForm:
         ref_to_key = {}
         for bits in range(1 << len(pairs)):
             g = from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
-            key, ref = canonical_key(g.adj), reference_key(g)
+            key, ref = canonical_key(g.adj)[0], reference_key(g)
             assert key_to_ref.setdefault(key, ref) == ref
             assert ref_to_key.setdefault(ref, key) == key
         assert len(key_to_ref) == CLASS_COUNTS.get(n, 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_generators_are_exact_on_every_class(self, n):
+        # Each class as generated and once relabeled: the same key, and
+        # generators that with the twin swaps give the whole group, whose
+        # order a scan of all n! permutations counts.
+        rnd = random.Random(n)
+        for g in generate_all(n, "none"):
+            order = len(automorphisms(g))
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            assert check_generators(g, order) == check_generators(relabel(g, perm), order)
 
     @settings(max_examples=200, deadline=None)
     @given(random_graph_strategy(max_n=12))
@@ -278,11 +365,11 @@ class TestCanonicalForm:
         assert order == sorted(range(g.n), key=tuples.__getitem__)
 
     def test_distinguishes_nonisomorphic(self):
-        assert canonical_key(path_graph(4).adj) != canonical_key(cycle_graph(4).adj)
+        assert canonical_key(path_graph(4).adj)[0] != canonical_key(cycle_graph(4).adj)[0]
         # Same degree sequence, different graphs: C6 vs two triangles.
-        assert canonical_key(cycle_graph(6).adj) != canonical_key(
+        assert canonical_key(cycle_graph(6).adj)[0] != canonical_key(
             disjoint_union(complete_graph(3), complete_graph(3)).adj
-        )
+        )[0]
 
 
 class TestGeneration:
@@ -292,7 +379,7 @@ class TestGeneration:
 
     def test_no_duplicate_classes(self):
         reps = generate_all(6, "none")
-        assert len({canonical_key(g.adj) for g in reps}) == len(reps)
+        assert len({canonical_key(g.adj)[0] for g in reps}) == len(reps)
 
     def test_k4free_counts(self):
         # All 11 classes on 4 vertices except K4 itself; on 5 vertices the
@@ -312,7 +399,7 @@ class TestGeneration:
         # graph6 body is the key's columns, packed here bit by bit.
         for n in range(8):
             for g in generate_all(n):
-                key = canonical_key(g.adj)
+                key = canonical_key(g.adj)[0]
                 bits = "".join(format(key[j], f"0{j}b") for j in range(1, n))
                 bits += "0" * (-len(bits) % 6)
                 body = "".join(chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6))
@@ -355,18 +442,22 @@ class TestGeneration:
         # Oracle on validated graphs: an extension survives when its new
         # vertex has the maximum degree, its mask takes a prefix of each
         # class of the parent's twins (found as transpositions that are
-        # automorphisms) and it passes the graph filter; it is keyed when
-        # its new vertex also has the maximum invariant.
+        # automorphisms), it passes the graph filter and its new vertex
+        # has the maximum invariant.  Survivors whose masks lie in one
+        # orbit of the parent's automorphism group (a scan of all
+        # permutations) give isomorphic graphs, and one key per orbit is
+        # kept.
         survivors = 0
-        expected = 0
+        orbits = set()
         for n in range(2, 7):
-            for parent in generate_all(n - 1, filter_name):
+            for index, parent in enumerate(generate_all(n - 1, filter_name)):
                 twin_pairs = [
                     (v, w)
                     for v in range(n - 1)
                     for w in range(v)
                     if is_automorphism(parent, transposition(n - 1, v, w))
                 ]
+                group = automorphisms(parent)
                 for mask, g in extensions(parent):
                     if max_degree(g) > mask.bit_count():
                         continue
@@ -376,11 +467,14 @@ class TestGeneration:
                         continue
                     survivors += 1
                     invariant = extremal.vertex_invariants(g.adj)
-                    expected += invariant[-1] == max(invariant)
-        # One key per max-invariant survivor, and at most one invariant
+                    if invariant[-1] == max(invariant):
+                        orbits.add((n, index, min(moved(mask, perm) for perm in group)))
+        # Every orbit is keyed (the orbit gate is complete), and only once
+        # (the generators reach the whole orbit); at most one invariant
         # pass per candidate, keyed or not.
-        assert len(keyed) == expected
-        assert expected <= invariant_calls[0] <= survivors
+        assert len(orbits) <= len(keyed)
+        assert len(keyed) == len(orbits)
+        assert len(orbits) <= invariant_calls[0] <= survivors
         for adj in keyed:
             Graph(len(adj), adj)  # full validation raises on a bad table
 
@@ -419,24 +513,25 @@ class TestGeneration:
         # mask goes on to the twin gate when none of its vertices has its
         # size as degree, so exactly the full loop's masks get there.
         cap, _ = FILTERS[filter_name]
+        classes = {order: parents_of(order, filter_name) for order in range(1, 8)}
         # Keys are not needed here; a constant keeps the runs short.
-        monkeypatch.setattr(extremal, "canonical_key", lambda rows, invariant=None: ())
+        monkeypatch.setattr(extremal, "canonical_key", lambda rows, invariant=None: ((), ()))
         tried = record_tried_masks(monkeypatch)
-        for order in range(1, 8):
+        for order, parents in classes.items():
             n = order + 1
             top = n - 1 if cap is None else cap
-            for parent in generate_all(order, filter_name):
+            for padj, generators in parents:
                 tried.clear()
-                extremal._augment_chunk(([parent.adj], n, filter_name))
-                low = max_degree(parent)
+                extremal._augment_chunk(([(padj, generators)], n, filter_name))
+                low = max(row.bit_count() for row in padj)
                 assert len(tried) == len(set(tried))
-                assert all(low <= mask.bit_count() <= top for mask in tried), parent.adj
-                expected = [m for m in full_loop_degree_gate(parent.adj, n) if m.bit_count() <= top]
-                assert set(expected) <= set(tried), parent.adj
+                assert all(low <= mask.bit_count() <= top for mask in tried), padj
+                expected = [m for m in full_loop_degree_gate(padj, n) if m.bit_count() <= top]
+                assert set(expected) <= set(tried), padj
 
     def test_masks_tried_at_eight_maxdeg3(self, monkeypatch):
         tried = record_tried_masks(monkeypatch)
-        extremal._augment_chunk(([g.adj for g in generate_all(7, "maxdeg3")], 8, "maxdeg3"))
+        extremal._augment_chunk((parents_of(7, "maxdeg3"), 8, "maxdeg3"))
         # The full loop tried all 128 masks of each of the 150 parents,
         # 19,200; sizes from the parent's maximum degree up to 3 leave at
         # most 64 of them.
@@ -489,23 +584,23 @@ class TestGeneration:
         # Oracle without canonical deletion or twin pruning: every filtered
         # extension of every order-6 class, keyed by canonical_key.
         expected = {
-            canonical_key(g.adj)
+            canonical_key(g.adj)[0]
             for parent in generate_all(6, filter_name)
             for _, g in extensions(parent)
             if GRAPH_FILTERS[filter_name](g)
         }
-        assert {canonical_key(g.adj) for g in generate_all(7, filter_name)} == expected
+        assert {canonical_key(g.adj)[0] for g in generate_all(7, filter_name)} == expected
 
     @pytest.mark.parametrize("filter_name, count", [("maxdeg3", 424), ("both", 413)])
     def test_class_sets_match_exhaustive_augmentation_at_eight(self, filter_name, count):
         expected = {
-            canonical_key(g.adj)
+            canonical_key(g.adj)[0]
             for parent in generate_all(7, filter_name)
             for _, g in extensions(parent)
             if GRAPH_FILTERS[filter_name](g)
         }
         assert len(expected) == count
-        assert {canonical_key(g.adj) for g in generate_all(8, filter_name)} == expected
+        assert {canonical_key(g.adj)[0] for g in generate_all(8, filter_name)} == expected
 
     @pytest.mark.parametrize(
         "filter_name, count",
@@ -558,20 +653,27 @@ class TestGeneration:
         # Orders 3..6 have more than one parent to split; order 3 has two.
         assert sizes == [2, 3, 3, 3]
 
-    def test_keys_only_max_invariant_extensions(self, monkeypatch):
-        calls = [0]
-        key = extremal.canonical_key
-
-        def counting(adj, invariant=None):
-            calls[0] += 1
-            return key(adj, invariant)
-
-        monkeypatch.setattr(extremal, "canonical_key", counting)
+        # A pooled run merges the parts in parent order, so every class
+        # keeps the generators of a serial run and the same masks are tried.
+        calls = count_keys(monkeypatch)
         monkeypatch.setattr(extremal, "_class_cache", {})
-        assert len(generate_all(7, "none")) == 1044
-        # Keying every extension of orders 2..7 took 11,290 calls, and
-        # every max-invariant extension 2,377.
-        assert calls[0] <= 1564
+        pooled = generate_all(7, "none", workers=3)
+        pooled_groups = [extremal._class_cache[n, "none"][1] for n in range(1, 8)]
+        assert calls[0] == 1286
+        monkeypatch.undo()
+        assert pooled == generate_all(7, "none")
+        assert pooled_groups == [extremal._class_cache[n, "none"][1] for n in range(1, 8)]
+
+    def test_keys_only_max_invariant_extensions(self, monkeypatch):
+        # Keying every extension of orders 2..7 took 11,290 calls, every
+        # max-invariant extension 2,377, and one per twin prefix 1,564 at
+        # (7, none) and 951 at (8, maxdeg3).
+        calls = count_keys(monkeypatch)
+        for n, filter_name, count, keys in [(7, "none", 1044, 1286), (8, "maxdeg3", 424, 731)]:
+            monkeypatch.setattr(extremal, "_class_cache", {})
+            calls[0] = 0
+            assert len(generate_all(n, filter_name)) == count
+            assert calls[0] == keys
 
     def test_unknown_filter(self):
         with pytest.raises(ValueError):
