@@ -12,15 +12,16 @@ mask is tested before those rows are built: masks are drawn by size,
 from the parent's maximum degree up to the filter's degree cap,
 K4-freeness becomes a test on the mask, and a mask goes on only when
 it takes the lowest-numbered twins of each class of the parent's twins
-and is the least of its orbit under the automorphisms that the
-parent's ``canonical_key`` search met on its way (orbit pruning, after
-McKay's canonical construction path; each orbit under the parent's
-whole automorphism group keeps a mask).  An extension is keyed only when its new vertex
-has the maximum of a vertex invariant (canonical deletion); a dict on
-the canonical key removes the classes still reached more than once.  This covers every class of any
-hereditary filter.  On top of that sit the exhaustive bound checks: the
-size-capped count bound with its exact equality characterization, and
-empirical tightness tables.
+and no automorphism that the parent's ``canonical_key`` search met maps
+it to a smaller mask (orbit pruning, after McKay's canonical
+construction path).  With the twin swaps those automorphisms reach the
+parent's whole automorphism group, so each orbit keeps exactly one
+mask.  An extension is keyed only when its new vertex has the maximum
+of a vertex invariant (canonical deletion); a dict on the canonical key
+removes the classes still reached more than once.  This covers every
+class of any hereditary filter.  On top of that sit the exhaustive
+bound checks: the size-capped count bound with its exact equality
+characterization, and empirical tightness tables.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .misenum import mis_profile
 
 GENERATION_CAP = 8
 
-# Generators of an automorphism group, each a permutation as the tuple of
-# images of the labels 0..n-1.
+# Automorphisms that, with the identity, meet every coset of the group
+# the twin swaps generate, each a permutation as the tuple of images of
+# the labels 0..n-1 (see ``canonical_key``).
 Generators = tuple[tuple[int, ...], ...]
 
 
@@ -160,18 +162,19 @@ def canonical_key(
     fixing every placed vertex, so both subtrees yield the same segments.
 
     So a leaf (a full placement) is reached only with every segment equal
-    to the best one, and the first leaf reached after each lowering is
-    recorded.  Each later leaf reached before the next lowering yields
-    the same segments, so the map from the recorded leaf to it is an
-    automorphism.  It is stored at once as images of the input labels: a
-    later lowering makes the recorded leaf stale, not the map.  The maps
-    come back rewritten on the key's positions through the final recorded
-    leaf, so that perm[j] is the image of position j in
-    ``from_columns(n, key)``.  With the transpositions of lower twins
-    they generate its whole automorphism group: every leaf with the final
-    segments is either reached after the last lowering or skipped by the
-    twin rule, so every automorphism is a product of twin swaps and one
-    found map.
+    to the best one, and the leaves reached since the last lowering all
+    have the final segments.  The map from the first of them to each
+    later one is an automorphism, one per leaf, returned on the key's
+    positions: perm[j] is the image of position j in
+    ``from_columns(n, key)``.  Every leaf with the final segments is
+    either reached after the last lowering or skipped by the twin rule,
+    and each reached leaf places every class of twins in label order.
+    So each map is increasing on every twin class, and with the identity
+    they hold one map of each coset of the group T that the twin swaps
+    generate (T is normal: an automorphism maps twin classes onto twin
+    classes; a coset holds one map increasing on every twin class).  A
+    leaf reached before the last lowering has other segments and gives
+    no map.
     """
     n = len(adj)
     if n == 0:
@@ -192,12 +195,10 @@ def canonical_key(
     segs = [0] * n
     last = n - 1
     path = [0] * n
-    # The first leaf reached since best last fell, None until one is.
-    leaf: list[int] | None = None
-    found: list[list[int]] = []
+    # The leaves reached since best last fell.
+    leaves: list[list[int]] = []
 
     def place(level: int, used: int) -> None:
-        nonlocal leaf
         free = cells[level] & ~used
         least = unset
         ties = 0
@@ -219,17 +220,11 @@ def canonical_key(
         if least < top:
             best[level] = least
             best[level + 1 :] = [unset] * (last - level)
-            leaf = None
+            leaves.clear()
         if level == last:
             # One vertex is left, and the placement is a leaf.
             path[last] = ties.bit_length() - 1
-            if leaf is None:
-                leaf = path[:]
-            else:
-                image = [0] * n
-                for u, w in zip(leaf, path):
-                    image[u] = w
-                found.append(image)
+            leaves.append(path[:])
             return
         bit = 1 << (last - level)
         while ties:
@@ -253,35 +248,24 @@ def canonical_key(
     # by reference counting, not in a later pass of the cycle collector.
     del place
     key = tuple(b >> (n - j) for j, b in enumerate(best))
-    if not found:
-        return key, ()
     pos = [0] * n
-    for j, v in enumerate(leaf):
+    for j, v in enumerate(leaves[0]):
         pos[v] = j
-    return key, tuple(tuple([pos[image[v]] for v in leaf]) for image in found)
+    return key, tuple(tuple([pos[v] for v in leaf]) for leaf in leaves[1:])
 
 
 def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
-    """Whether ``mask`` is the least int of its orbit under the generators
-    given as ``images``: images[i][v] is the bit of generator i's image of
-    vertex v.  The orbit is walked with a stack, stopping at the first
-    smaller image."""
-    orbit = {mask}
-    stack = [mask]
-    while stack:
-        rest = stack.pop()
-        for image in images:
-            moved = 0
-            bits = rest
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                moved |= image[low.bit_length() - 1]
-            if moved < mask:
-                return False
-            if moved not in orbit:
-                orbit.add(moved)
-                stack.append(moved)
+    """Whether no map given as ``images`` takes ``mask`` to a smaller int:
+    images[i][v] is the bit of map i's image of vertex v."""
+    for image in images:
+        moved = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            moved |= image[low.bit_length() - 1]
+        if moved < mask:
+            return False
     return True
 
 
@@ -310,15 +294,19 @@ def _augment_chunk(
       to an isomorphism of the two extensions.  Every gate here depends
       on the graph and the new vertex only, not on labels, so the
       prefix mask passes exactly when the skipped one would.
-    - Orbit gate: the mask is the least int of its orbit under the
-      parent's generators (``_least_in_orbit``), the automorphisms its
-      ``canonical_key`` search met.  With the twin swaps they generate
-      the parent's whole automorphism group, and any automorphism, as
-      above, carries a mask to an isomorphic extension that passes the
-      same gates.  The least mask of an orbit under that whole group
-      takes twin prefixes (a mask holding a twin without its lower twin
-      has a smaller image under their swap), and it is also the least of
-      its orbit under the generators alone, so each orbit keeps a mask.
+    - Orbit gate: no map of the parent's generators F, the automorphisms
+      its ``canonical_key`` search met, takes the mask to a smaller int
+      (``_least_in_orbit``).  Every automorphism is t f with t in the
+      group T of the twin swaps and f in F or the identity, and each f
+      is increasing on every twin class, so it carries a mask that takes
+      twin prefixes to another one.  Let M pass the twin gate and M0 be
+      the least mask of its orbit under the whole group; M0 takes twin
+      prefixes (a mask holding a twin without its lower twin has a
+      smaller image under their swap).  Then M0 = t(f(M)), and f(M)
+      takes prefixes in the T-orbit of M0, which holds no other such
+      mask, so f(M) = M0: M passes exactly when it is M0, and each orbit
+      keeps one mask.  Any automorphism, as above, carries a mask to an
+      isomorphic extension that passes the same gates.
     - Filter: its degree cap is the loop bound above; a K4-free filter
       also asks that no triangle of the parent lie inside the mask.
     - Canonical deletion: the new vertex must have the maximum
@@ -378,7 +366,7 @@ def _augment_chunk(
 
 
 # Per (order, filter): the class representatives, and beside each the
-# generators of its automorphism group that ``canonical_key`` returned.
+# automorphisms that ``canonical_key`` returned for it.
 _class_cache: dict[tuple[int, str], tuple[list[Graph], list[Generators]]] = {}
 
 
@@ -396,9 +384,9 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     ``filter_name`` must be a hereditary filter from FILTERS ("none",
     "k4free", "maxdeg3", "both").  Each order extends the order n-1
     classes by one vertex; ``_augment_chunk`` keys, of each parent, only
-    the extensions whose mask is the least of its orbit under the
-    automorphisms the parent's labelling met and whose new vertex has
-    the maximum invariant, and the keys are merged in a dict and sorted, so the
+    the extensions whose mask no automorphism that the parent's labelling
+    met takes to a smaller mask and whose new vertex has the maximum
+    invariant, and the keys are merged in a dict and sorted, so the
     representatives and their order do not depend on which extension
     reached a class.  Results are memoized per process, with each class's
     generators for the next order; ``workers`` > 1 splits the

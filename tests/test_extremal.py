@@ -144,44 +144,46 @@ def moved(mask: int, perm) -> int:
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of ``g``, by a scan of all n! permutations."""
-    return [
-        perm
-        for perm in itertools.permutations(range(g.n))
-        if all(moved(row, perm) == g.adj[perm[v]] for v, row in enumerate(g.adj))
-    ]
+    """Every automorphism of ``g``, by a search over all n! permutations
+    that drops a partial map as soon as it breaks an adjacency."""
+    out = []
+    perm = [0] * g.n
+
+    def extend(v: int, used: int) -> None:
+        if v == g.n:
+            out.append(tuple(perm))
+            return
+        for w in range(g.n):
+            if not used >> w & 1 and all(
+                (g.adj[v] >> u & 1) == (g.adj[w] >> perm[u] & 1) for u in range(v)
+            ):
+                perm[v] = w
+                extend(v + 1, used | 1 << w)
+
+    extend(0, 0)
+    return out
 
 
-def group_order(n: int, generators) -> int:
-    """Order of the permutation group on n points that ``generators`` generate."""
-    identity = tuple(range(n))
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        perm = frontier.pop()
-        for gen in generators:
-            product = tuple(gen[i] for i in perm)
-            if product not in elements:
-                elements.add(product)
-                frontier.append(product)
-    return len(elements)
-
-
-def twin_swaps(g: Graph) -> list[list[int]]:
-    """The transposition of each vertex with each of its ``lower_twins``."""
-    return [transposition(g.n, v, w) for v, low in enumerate(lower_twins(g.adj)) for w in iter_bits(low)]
-
-
-def check_generators(g: Graph, order: int) -> tuple[int, ...]:
+def check_generators(g: Graph) -> tuple[int, ...]:
     """Assert that ``canonical_key(g.adj)`` returns automorphisms of the
-    class representative that generate, with its twin swaps, a group of
-    ``order`` elements; returns the key."""
+    class representative, each increasing on every class of its twins,
+    that with the identity hold one map of each coset of the group the
+    twin swaps generate: every automorphism agrees with exactly one of
+    them up to twin classes.  Returns the key."""
     key, generators = canonical_key(g.adj)
     rep = from_columns(g.n, key)
+    twins = lower_twins(rep.adj)
+    # Per vertex, the least vertex of its twin class.
+    least = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(twins)]
+    identity = tuple(range(g.n))
     for perm in generators:
-        assert sorted(perm) == list(range(g.n))
+        assert sorted(perm) == list(identity)
         assert is_automorphism(rep, list(perm)), (g.adj, perm)
-    assert group_order(g.n, list(generators) + twin_swaps(rep)) == order, g.adj
+        assert all(perm[w] < perm[v] for v, low in enumerate(twins) for w in iter_bits(low)), (g.adj, perm)
+    cosets = {tuple(least[w] for w in perm) for perm in (identity, *generators)}
+    assert len(cosets) == len(generators) + 1, g.adj
+    for perm in automorphisms(rep):
+        assert tuple(least[w] for w in perm) in cosets, (g.adj, perm)
     return key
 
 
@@ -316,16 +318,16 @@ class TestCanonicalForm:
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_relabel_invariance_on_symmetric_graphs(self, name):
-        # Every relabeling gives the same key, and generators that with
-        # the twin swaps give the whole automorphism group.
+        # Every relabeling gives the same key, and maps that hold one
+        # automorphism of each coset of the twin swaps.
         g = SYMMETRIC[name]
-        order = SYMMETRIC_GROUP_ORDERS[name]
-        key = check_generators(g, order)
+        assert len(automorphisms(g)) == SYMMETRIC_GROUP_ORDERS[name]
+        key = check_generators(g)
         rnd = random.Random(name)
         for _ in range(20):
             perm = list(range(g.n))
             rnd.shuffle(perm)
-            assert check_generators(relabel(g, perm), order) == key
+            assert check_generators(relabel(g, perm)) == key
         assert reference_key(from_columns(g.n, key)) == reference_key(g)
 
     @pytest.mark.parametrize("n", range(6))
@@ -344,14 +346,13 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_generators_are_exact_on_every_class(self, n):
         # Each class as generated and once relabeled: the same key, and
-        # generators that with the twin swaps give the whole group, whose
-        # order a scan of all n! permutations counts.
+        # maps that hold one automorphism of each coset of the twin swaps
+        # in the whole group, found by a search over all n! permutations.
         rnd = random.Random(n)
         for g in generate_all(n, "none"):
-            order = len(automorphisms(g))
             perm = list(range(n))
             rnd.shuffle(perm)
-            assert check_generators(g, order) == check_generators(relabel(g, perm), order)
+            assert check_generators(g) == check_generators(relabel(g, perm))
 
     @settings(max_examples=200, deadline=None)
     @given(random_graph_strategy(max_n=12))
@@ -477,6 +478,25 @@ class TestGeneration:
         assert len(orbits) <= invariant_calls[0] <= survivors
         for adj in keyed:
             Graph(len(adj), adj)  # full validation raises on a bad table
+
+    def test_twin_and_orbit_gates_keep_the_least_mask_of_each_orbit(self):
+        # For every class of orders 1..6 as parent, every mask before the
+        # degree gate: it passes the twin gate and ``_least_in_orbit``
+        # exactly when it is the least of its orbit under the parent's
+        # whole automorphism group.
+        checked = kept = 0
+        for order in range(1, 7):
+            for padj, generators in parents_of(order, "none"):
+                group = automorphisms(Graph(order, padj))
+                twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
+                images = [[1 << w for w in perm] for perm in generators]
+                for mask in range(1 << order):
+                    prefix = not any(mask & v and low & ~mask for v, low in twins)
+                    passes = prefix and extremal._least_in_orbit(mask, images)
+                    assert passes == all(moved(mask, perm) >= mask for perm in group), (padj, mask)
+                    checked += 1
+                    kept += passes
+        assert (checked, kept) == (11290, 5758)
 
     @pytest.mark.parametrize("filter_name", sorted(FILTERS))
     def test_mask_filters_match_graph_predicates(self, filter_name):
