@@ -175,6 +175,14 @@ def canonical_key(
     classes; a coset holds one map increasing on every twin class).  A
     leaf reached before the last lowering has other segments and gives
     no map.
+
+    Each frame of the search holds its own list of segments.  A forced
+    level (one candidate) adds its vertex's bits to that list and goes on
+    to the next level in the same frame; a branching level gives each
+    candidate a copy of the list and one deeper frame.  So nothing is
+    undone on the way back; the leaves are reached in the order of a
+    depth-first search that takes the candidates of each level in label
+    order.
     """
     n = len(adj)
     if n == 0:
@@ -188,66 +196,76 @@ def canonical_key(
     twins = lower_twins(adj)
 
     # Segments are kept top-aligned (position i weighs 1 << (n-1-i)) and
-    # shifted down at the end; segs[v] is v's segment against the placed
-    # vertices.
+    # shifted down at the end; in each frame's list segs, segs[v] is v's
+    # segment against the vertices placed so far.
     unset = 1 << n
     best = [unset] * n
-    segs = [0] * n
     last = n - 1
     path = [0] * n
     # The leaves reached since best last fell.
     leaves: list[list[int]] = []
 
-    def place(level: int, used: int) -> None:
-        free = cells[level] & ~used
-        least = unset
-        ties = 0
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            if twins[v] & ~used:
-                continue
-            seg = segs[v]
-            if seg < least:
-                least = seg
-                ties = low
-            elif seg == least:
-                ties |= low
-        top = best[level]
-        if least > top:
-            return
-        if least < top:
-            best[level] = least
-            best[level + 1 :] = [unset] * (last - level)
-            leaves.clear()
-        if level == last:
-            # One vertex is left, and the placement is a leaf.
-            path[last] = ties.bit_length() - 1
-            leaves.append(path[:])
-            return
-        bit = 1 << (last - level)
-        while ties:
-            low = ties & -ties
-            ties ^= low
-            v = low.bit_length() - 1
+    def place(level: int, used: int, segs: list[int]) -> None:
+        while True:
+            free = cells[level] & ~used
+            least = unset
+            ties = 0
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                if twins[v] & ~used:
+                    continue
+                seg = segs[v]
+                if seg < least:
+                    least = seg
+                    ties = low
+                elif seg == least:
+                    ties |= low
+            top = best[level]
+            if least > top:
+                return
+            if least < top:
+                best[level] = least
+                best[level + 1 :] = [unset] * (last - level)
+                leaves.clear()
+            if level == last:
+                # One vertex is left, and the placement is a leaf.
+                path[last] = ties.bit_length() - 1
+                leaves.append(path[:])
+                return
+            bit = 1 << (last - level)
+            if ties & (ties - 1):
+                # A branching level: each tie goes on in its own copy.
+                while ties:
+                    low = ties & -ties
+                    ties ^= low
+                    v = low.bit_length() - 1
+                    path[level] = v
+                    child = segs[:]
+                    rest = adj[v] & ~used
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        child[low.bit_length() - 1] |= bit
+                    place(level + 1, used | 1 << v, child)
+                return
+            # A forced level: its one tie goes on in this frame.
+            v = ties.bit_length() - 1
             path[level] = v
-            nbrs = rest = adj[v] & ~used
+            rest = adj[v] & ~used
             while rest:
                 low = rest & -rest
                 rest ^= low
                 segs[low.bit_length() - 1] |= bit
-            place(level + 1, used | 1 << v)
-            while nbrs:
-                low = nbrs & -nbrs
-                nbrs ^= low
-                segs[low.bit_length() - 1] ^= bit
+            used |= ties
+            level += 1
 
-    place(0, 0)
+    place(0, 0, [0] * n)
     # place reaches itself through its closure; dropping the name frees it
     # by reference counting, not in a later pass of the cycle collector.
     del place
-    key = tuple(b >> (n - j) for j, b in enumerate(best))
+    key = tuple([b >> (n - j) for j, b in enumerate(best)])
     pos = [0] * n
     for j, v in enumerate(leaves[0]):
         pos[v] = j
@@ -348,20 +366,22 @@ def _augment_chunk(
             for mask in by_size[d]:
                 if mask & at_d:
                     continue
-                if any(mask & v and low & ~mask for v, low in twins):
-                    continue
-                if images and not _least_in_orbit(mask, images):
-                    continue
-                if k4free and not _triangle_free_within(padj, mask):
-                    continue
-                rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
-                rows.append(mask)
-                invariant = None
-                if at_d | mask & below:
-                    invariant = vertex_invariants(rows)
-                    if invariant[-1] < max(invariant):
+                for v, low in twins:
+                    if mask & v and low & ~mask:
+                        break
+                else:
+                    if images and not _least_in_orbit(mask, images):
                         continue
-                seen.setdefault(*canonical_key(rows, invariant))
+                    if k4free and not _triangle_free_within(padj, mask):
+                        continue
+                    rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
+                    rows.append(mask)
+                    invariant = None
+                    if at_d | mask & below:
+                        invariant = vertex_invariants(rows)
+                        if invariant[-1] < max(invariant):
+                            continue
+                    seen.setdefault(*canonical_key(rows, invariant))
     return seen
 
 

@@ -54,6 +54,17 @@ CLASS_LIST_DIGESTS = {
     (8, "none"): "46cf22f499c0d336a903b3e9ae7618f2e04c8280facd144991e016c9b1a6f383",
 }
 
+# sha256 of repr(extremal._class_cache[n, f][1]) after generate_all(n, f)
+# from an empty cache: every class's generators, in class order.  Each map
+# runs from the first leaf the labeller reaches after the last lowering to
+# a later one, so the digests fix which leaves the labeller reaches, and in
+# what order, not only the keys.
+GENERATOR_DIGESTS = {
+    (7, "none"): "614a78ee3d8ed699afabbf999297dba7bab03e767722c6b28b7ea2912417bcd2",
+    (8, "maxdeg3"): "b1f1d283a8d14335499cdb40189612e3b6820c6cb32890c32c7df23d71e5f423",
+    (8, "none"): "7309f8b6f570327f45d378f8a4b402b028efc00aad4d77bb00f5252354c6daf7",
+}
+
 # The hereditary filters as predicates on whole graphs: the oracle of the
 # mask tests in FILTERS.
 GRAPH_FILTERS = {
@@ -635,6 +646,14 @@ class TestGeneration:
         text = "".join(to_graph6(g) + "\n" for g in generate_all(n, filter_name))
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         assert digest == CLASS_LIST_DIGESTS[n, filter_name]
+
+    @pytest.mark.parametrize("n, filter_name", sorted(GENERATOR_DIGESTS))
+    def test_generator_digests(self, monkeypatch, n, filter_name):
+        monkeypatch.setattr(extremal, "_class_cache", {})
+        generate_all(n, filter_name)
+        text = repr(extremal._class_cache[n, filter_name][1])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == GENERATOR_DIGESTS[n, filter_name]
 
     @pytest.mark.parametrize(
         "filter_name, count", [("none", 1044), ("k4free", 685), ("maxdeg3", 150), ("both", 146)]
