@@ -17,11 +17,12 @@ it to a smaller mask (orbit pruning, after McKay's canonical
 construction path).  With the twin swaps those automorphisms reach the
 parent's whole automorphism group, so each orbit keeps exactly one
 mask.  An extension is keyed only when its new vertex has the maximum
-of a vertex invariant (canonical deletion); a dict on the canonical key
-removes the classes still reached more than once.  This covers every
-class of any hereditary filter.  On top of that sit the exhaustive
-bound checks: the size-capped count bound with its exact equality
-characterization, and empirical tightness tables.
+of a vertex invariant, and kept only when that vertex lies in the orbit
+of the vertex its canonical labelling places last (canonical deletion),
+so each class is reached exactly once, from one parent and one mask.
+This covers every class of any hereditary filter.  On top of that sit
+the exhaustive bound checks: the size-capped count bound with its exact
+equality characterization, and empirical tightness tables.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def lower_twins(adj: tuple[int, ...] | list[int]) -> list[int]:
 
 def canonical_key(
     adj: tuple[int, ...] | list[int], invariant: list[int] | None = None
-) -> tuple[tuple[int, ...], Generators]:
+) -> tuple[tuple[int, ...], Generators, bool]:
     """Canonical per-position adjacency segments of the graph with rows
-    ``adj``, with automorphisms of the graph they rebuild.
+    ``adj``, with automorphisms of the graph they rebuild and whether the
+    highest label n-1 lies in the orbit of the vertex placed last.
 
     Position j's segment holds the adjacency bits between the vertex
     placed at j and the vertices placed at 0..j-1 (bit for position 0 is
@@ -176,6 +178,16 @@ def canonical_key(
     leaf reached before the last lowering has other segments and gives
     no map.
 
+    The third value is the generator's canonical deletion test: whether
+    n-1 lies in the orbit, under the whole automorphism group, of the
+    vertex placed last (the key's position n-1).  The maps carry the
+    first leaf's last vertex to each later leaf's and the twin swaps move
+    a vertex over its twin class, so that orbit is the union of the twin
+    classes of the leaves' last vertices.  A leaf places each twin class
+    in label order, so its last vertex is the highest of its class, as
+    n-1 is of its own: n-1 lies in the orbit exactly when a leaf places
+    it last.
+
     Each frame of the search holds its own list of segments.  A forced
     level (one candidate) adds its vertex's bits to that list and goes on
     to the next level in the same frame; a branching level gives each
@@ -186,7 +198,7 @@ def canonical_key(
     """
     n = len(adj)
     if n == 0:
-        return (), ()
+        return (), (), False
     if invariant is None:
         invariant = vertex_invariants(adj)
     cell_of: dict[int, int] = {}
@@ -269,7 +281,8 @@ def canonical_key(
     pos = [0] * n
     for j, v in enumerate(leaves[0]):
         pos[v] = j
-    return key, tuple(tuple([pos[v] for v in leaf]) for leaf in leaves[1:])
+    last_in_orbit = any(leaf[last] == last for leaf in leaves)
+    return key, tuple(tuple([pos[v] for v in leaf]) for leaf in leaves[1:]), last_in_orbit
 
 
 def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
@@ -289,8 +302,9 @@ def _least_in_orbit(mask: int, images: list[list[int]]) -> bool:
 
 def _augment_chunk(
     args: tuple[list[tuple[tuple[int, ...], Generators]], int, str],
-) -> dict[tuple[int, ...], Generators]:
-    """Canonical keys of the filtered one-vertex extensions of each parent.
+) -> list[tuple[tuple[int, ...], Generators]]:
+    """The classes of order n reached from these parents, each once, as
+    its canonical key with the generators ``canonical_key`` returned.
 
     Each mask is a candidate neighborhood of the new vertex, and it is
     tested on the mask and the parent's rows; no ``Graph`` is built:
@@ -327,44 +341,46 @@ def _augment_chunk(
       isomorphic extension that passes the same gates.
     - Filter: its degree cap is the loop bound above; a K4-free filter
       also asks that no triangle of the parent lie inside the mask.
-    - Canonical deletion: the new vertex must have the maximum
-      ``vertex_invariants`` entry, compared first on degree (the degree
-      gate) and then, among the vertices of that degree, on the full
-      invariant.  Every class of order n keeps at least one extension:
-      deleting a vertex of maximum invariant leaves a graph of the
-      hereditary class, isomorphic to a parent, and adding the vertex
-      back is, through that isomorphism, a mask of the parent whose orbit
-      keeps a mask.
+    - Canonical deletion: the extension is kept only when its new vertex
+      n-1 lies in the orbit of the vertex its canonical labelling places
+      last (the third value of ``canonical_key``; McKay's canonical
+      construction path).  The labelling places vertices in increasing
+      order of ``vertex_invariants``, so a new vertex below the maximum
+      invariant fails, and that is tested first, before the labelling.
+      Each class G of order n is kept exactly once.  At least once:
+      deleting the last-placed vertex u leaves a graph of the hereditary
+      class, isomorphic to a parent; adding u back is a mask of that
+      parent whose orbit keeps a mask, and the extension it gives is
+      isomorphic to G through a map taking the new vertex to u, so there
+      too the new vertex lies in the orbit of the vertex placed last.
+      At most once: if two kept extensions give G, an automorphism of G
+      maps one new vertex onto the other, so their parents are
+      isomorphic, hence one class, and its restriction is an automorphism
+      of that parent mapping one mask onto the other, which the orbit
+      gate keeps only once.
 
     Each parent comes as its rows with its generators, permutations of
-    its labels.  A survivor's rows are keyed as they are, reusing the
-    invariant list of the deletion gate when it was computed.  A class
-    can still arise from several parents or masks, so the returned dict
-    maps each key to the generators its first keying returned.
+    its labels.  A survivor's rows are keyed as they are, with the
+    invariant list of the deletion test.
     """
     parents, n, filter_name = args
     cap, k4free = FILTERS[filter_name]
     top = n - 1 if cap is None else min(cap, n - 1)
     by_size = _masks_by_size(n - 1)
-    seen: dict[tuple[int, ...], Generators] = {}
+    kept: list[tuple[tuple[int, ...], Generators]] = []
     new_bit = 1 << (n - 1)
     for padj, generators in parents:
-        # geq[d]: parent vertices of degree >= d (geq[n] stays 0).
-        geq = [0] * (n + 1)
-        for v, row in enumerate(padj):
-            for d in range(row.bit_count() + 1):
-                geq[d] |= 1 << v
+        peak = max(row.bit_count() for row in padj)
+        # At d = peak, a parent vertex of degree peak that gains the new
+        # edge would end above d; past peak, none can.
+        heavy = sum(1 << v for v, row in enumerate(padj) if row.bit_count() == peak)
         twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
         images = [[1 << w for w in perm] for perm in generators]
         # The new vertex has degree d, from the parent's maximum degree (a
         # parent vertex of degree > d would end above d) up to the cap.
-        for d in range(max(row.bit_count() for row in padj), top + 1):
-            # Parent vertices of degree d end above d if they gain the new
-            # edge; those that end at d tie with the new vertex (mask is 0
-            # when d is 0, so geq[-1] never counts).
-            at_d, below = geq[d], geq[d - 1]
+        for d in range(peak, top + 1):
             for mask in by_size[d]:
-                if mask & at_d:
+                if mask & heavy:
                     continue
                 for v, low in twins:
                     if mask & v and low & ~mask:
@@ -376,13 +392,14 @@ def _augment_chunk(
                         continue
                     rows = [row | new_bit if mask >> v & 1 else row for v, row in enumerate(padj)]
                     rows.append(mask)
-                    invariant = None
-                    if at_d | mask & below:
-                        invariant = vertex_invariants(rows)
-                        if invariant[-1] < max(invariant):
-                            continue
-                    seen.setdefault(*canonical_key(rows, invariant))
-    return seen
+                    invariant = vertex_invariants(rows)
+                    if invariant[-1] < max(invariant):
+                        continue
+                    key, found, last_in_orbit = canonical_key(rows, invariant)
+                    if last_in_orbit:
+                        kept.append((key, found))
+            heavy = 0
+    return kept
 
 
 # Per (order, filter): the class representatives, and beside each the
@@ -403,17 +420,17 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
 
     ``filter_name`` must be a hereditary filter from FILTERS ("none",
     "k4free", "maxdeg3", "both").  Each order extends the order n-1
-    classes by one vertex; ``_augment_chunk`` keys, of each parent, only
+    classes by one vertex; ``_augment_chunk`` keeps, of each parent, only
     the extensions whose mask no automorphism that the parent's labelling
-    met takes to a smaller mask and whose new vertex has the maximum
-    invariant, and the keys are merged in a dict and sorted, so the
-    representatives and their order do not depend on which extension
-    reached a class.  Results are memoized per process, with each class's
-    generators for the next order; ``workers`` > 1 splits the
-    augmentation of the parent list across a process pool of at most
-    ``os.cpu_count()`` processes (deterministic output either way: the
-    parts merge in parent order, so a class keeps the generators a serial
-    run finds first); fewer than 1 is a ValueError.
+    met takes to a smaller mask and whose new vertex lies in the orbit of
+    the vertex the labelling places last, so each class arrives once,
+    from one parent and one mask.  The classes are sorted by key, so the
+    representatives and their order do not depend on the parent order.
+    Results are memoized per process, with each class's generators for
+    the next order; ``workers`` > 1 splits the augmentation of the parent
+    list across a process pool of at most ``os.cpu_count()`` processes
+    (the same classes and generators either way); fewer than 1 is a
+    ValueError.
     """
     check_order(n)
     if workers < 1:
@@ -439,16 +456,14 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
             # Imported here so that serial runs do not pay for loading it.
             from multiprocessing import Pool
 
-            keys: dict[tuple[int, ...], Generators] = {}
             with Pool(min(procs, len(jobs))) as pool:
-                for part in pool.map(_augment_chunk, jobs):
-                    for key, generators in part.items():
-                        keys.setdefault(key, generators)
+                parts = pool.map(_augment_chunk, jobs)
         else:
-            keys = _augment_chunk((parents, n, filter_name))
-        order = sorted(keys)
-        reps = [from_columns(n, key) for key in order]
-        groups = [keys[key] for key in order]
+            parts = [_augment_chunk((parents, n, filter_name))]
+        # Keys are distinct, so the generators are never compared.
+        classes = sorted(item for part in parts for item in part)
+        reps = [from_columns(n, key) for key, _ in classes]
+        groups = [generators for _, generators in classes]
     _class_cache[(n, filter_name)] = reps, groups
     return reps
 

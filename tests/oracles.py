@@ -1,10 +1,14 @@
-"""Subset-scan oracles for the enumerators, sharing no code with them.
+"""Subset-scan oracles for the enumerators, and labelled graph counts for
+the class lists, sharing no code with them.
 
 Each scan tests every subset of a vertex set, so it refuses more than
 SCAN_CAP vertices.  From misbench this module imports only
 ``misbench.graphs`` (``test_oracles.py`` checks it), so an oracle can never
 call the search it checks.
 """
+
+import itertools
+import math
 
 from misbench.graphs import GuardError, iter_bits, lowest_bit
 
@@ -107,3 +111,98 @@ def mibs_scan(g):
         for s in range(1 << g.n)
         if bip[s] and not any(bip[s | 1 << w] for w in iter_bits(g.full_mask & ~s))
     )
+
+
+# Labelled counts, for the orbit-stabilizer identity: the classes G of
+# order n in a filter's class give sum n!/|Aut G| labelled graphs.
+
+
+def labelled_subcubic(n):
+    """Labelled graphs on n vertices of maximum degree at most 3.
+
+    Vertices are added one by one, the state being the number of vertices
+    of degree 0, 1, 2 and 3; a new vertex joins a, b, c of degree 0, 1, 2
+    with a + b + c <= 3, each choice of vertices counted once.
+    """
+    states = {(0, 0, 0, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (d0, d1, d2, d3), ways in states.items():
+            for a in range(min(d0, 3) + 1):
+                for b in range(min(d1, 3 - a) + 1):
+                    for c in range(min(d2, 3 - a - b) + 1):
+                        state = [d0 - a, d1 - b + a, d2 - c + b, d3 + c]
+                        state[a + b + c] += 1
+                        state = tuple(state)
+                        choices = math.comb(d0, a) * math.comb(d1, b) * math.comb(d2, c)
+                        nxt[state] = nxt.get(state, 0) + ways * choices
+        states = nxt
+    return sum(states.values())
+
+
+def labelled_subcubic_k4_free(n):
+    """Labelled K4-free graphs on n vertices of maximum degree at most 3.
+
+    A K4 in a subcubic graph is a whole component, so by inclusion and
+    exclusion over j marked K4 components (n! / (j! 24^j (n - 4j)!) ways
+    to place them, an integer):
+    sum over j of (-1)^j n! / (j! 24^j (n - 4j)!) labelled_subcubic(n - 4j).
+    """
+    total = 0
+    for j in range(n // 4 + 1):
+        placements = math.factorial(n) // (math.factorial(j) * 24**j * math.factorial(n - 4 * j))
+        total += (-1) ** j * placements * labelled_subcubic(n - 4 * j)
+    return total
+
+
+LABELLED_COUNTS = {
+    "none": lambda n: 1 << n * (n - 1) // 2,
+    "maxdeg3": labelled_subcubic,
+    "both": labelled_subcubic_k4_free,
+}
+
+
+def labelled_scan(n):
+    """Per filter ("none", "k4free", "maxdeg3", "both"), its labelled graphs
+    on n vertices, every edge set of the n(n-1)/2 pairs tested."""
+    if n > 7:
+        raise GuardError(f"labelled scan capped at 7 vertices, got {n}")
+    pairs = list(itertools.combinations(range(n), 2))
+    incident = [sum(1 << i for i, pair in enumerate(pairs) if v in pair) for v in range(n)]
+    quads = [
+        sum(1 << pairs.index(pair) for pair in itertools.combinations(quad, 2))
+        for quad in itertools.combinations(range(n), 4)
+    ]
+    counts = dict.fromkeys(("none", "k4free", "maxdeg3", "both"), 0)
+    for edges in range(1 << len(pairs)):
+        k4_free = all(edges & quad != quad for quad in quads)
+        subcubic = all((edges & inc).bit_count() <= 3 for inc in incident)
+        counts["none"] += 1
+        counts["k4free"] += k4_free
+        counts["maxdeg3"] += subcubic
+        counts["both"] += k4_free and subcubic
+    return counts
+
+
+def twin_group_order(g):
+    """The order of the group that the twin swaps of g generate, the
+    product of k! over its twin classes of k vertices: the product over
+    vertices v of one plus the number of w < v with N(v) - w == N(w) - v."""
+    order = 1
+    for v in range(g.n):
+        twins = sum(g.adj[v] & ~(1 << w) == g.adj[w] & ~(1 << v) for w in range(v))
+        order *= 1 + twins
+    return order
+
+
+def labelled_total(reps, groups):
+    """Sum of n!/|Aut G| over the classes ``reps`` of one order n, where
+    |Aut G| is ``twin_group_order(G)`` times one plus the number of maps in
+    G's entry of ``groups`` (with the identity, one automorphism of each
+    coset of the twin swaps).  Each term must be an integer."""
+    total = 0
+    for g, generators in zip(reps, groups):
+        term, rest = divmod(math.factorial(g.n), twin_group_order(g) * (1 + len(generators)))
+        assert rest == 0, (g.adj, generators)
+        total += term
+    return total

@@ -381,6 +381,15 @@ class TestPipeline:
         code, out, err = run(capsys, "pipeline", str(path), "--i0", "-1")
         assert (code, out, err) == (2, "", "error: expected nonnegative integers, got '-1'\n")
 
+    @pytest.mark.parametrize("i0", ["", " , "], ids=["empty", "separators-only"])
+    def test_empty_root_set_is_not_maximal(self, capsys, tmp_path, i0):
+        # A root list with no vertex parses to the empty set, which no
+        # graph with a vertex has as a maximal independent set.
+        path = tmp_path / "triangle.g6"
+        path.write_text("Bw\n")
+        code, out, err = run(capsys, "pipeline", str(path), "--i0", i0)
+        assert (code, out, err) == (1, "", "error: root set [] is not a maximal independent set\n")
+
     @pytest.mark.parametrize(
         "graph, i0, message",
         [

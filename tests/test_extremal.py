@@ -39,6 +39,13 @@ from fixtures import (
     record_graph_builds,
     relabel,
 )
+from oracles import (
+    LABELLED_COUNTS,
+    labelled_scan,
+    labelled_subcubic,
+    labelled_subcubic_k4_free,
+    labelled_total,
+)
 
 # Unlabeled simple graph counts by order (independent reference sequence).
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -154,9 +161,10 @@ def moved(mask: int, perm) -> int:
     return sum(1 << perm[v] for v in iter_bits(mask))
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """Every automorphism of ``g``, by a search over all n! permutations
-    that drops a partial map as soon as it breaks an adjacency."""
+def isomorphisms(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every isomorphism from ``g`` onto ``h`` (perm[v] is the image of v),
+    by a search over all n! permutations that drops a partial map as soon
+    as it breaks an adjacency."""
     out = []
     perm = [0] * g.n
 
@@ -166,7 +174,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
             return
         for w in range(g.n):
             if not used >> w & 1 and all(
-                (g.adj[v] >> u & 1) == (g.adj[w] >> perm[u] & 1) for u in range(v)
+                (g.adj[v] >> u & 1) == (h.adj[w] >> perm[u] & 1) for u in range(v)
             ):
                 perm[v] = w
                 extend(v + 1, used | 1 << w)
@@ -175,13 +183,35 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    return isomorphisms(g, g)
+
+
+def check_last_in_orbit(g: Graph, rnd: random.Random) -> None:
+    """For each vertex v of ``g``, relabeled to n-1 with the other labels
+    shuffled: assert that the third value of ``canonical_key`` tells
+    whether n-1 lies in the orbit, under the automorphisms, of the vertex
+    placed at the key's position n-1, that is whether some isomorphism
+    onto the graph the key rebuilds takes n-1 to n-1."""
+    n = g.n
+    for v in range(n):
+        perm = list(range(n))
+        rnd.shuffle(perm)
+        w = perm.index(n - 1)
+        perm[v], perm[w] = perm[w], perm[v]
+        h = relabel(g, perm)
+        key, _, last_in_orbit = canonical_key(h.adj)
+        rep = from_columns(n, key)
+        assert last_in_orbit == any(iso[-1] == n - 1 for iso in isomorphisms(h, rep)), h.adj
+
+
 def check_generators(g: Graph) -> tuple[int, ...]:
     """Assert that ``canonical_key(g.adj)`` returns automorphisms of the
     class representative, each increasing on every class of its twins,
     that with the identity hold one map of each coset of the group the
     twin swaps generate: every automorphism agrees with exactly one of
     them up to twin classes.  Returns the key."""
-    key, generators = canonical_key(g.adj)
+    key, generators, _ = canonical_key(g.adj)
     rep = from_columns(g.n, key)
     twins = lower_twins(rep.adj)
     # Per vertex, the least vertex of its twin class.
@@ -365,6 +395,18 @@ class TestCanonicalForm:
             rnd.shuffle(perm)
             assert check_generators(g) == check_generators(relabel(g, perm))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_last_in_orbit_on_every_class(self, n):
+        rnd = random.Random(n)
+        for g in generate_all(n, "none"):
+            check_last_in_orbit(g, rnd)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_last_in_orbit_on_symmetric_graphs(self, name):
+        # On K3,3, K2,2,2, K1,5 and 2K4 the twin rule leaves few
+        # placements per orbit.
+        check_last_in_orbit(SYMMETRIC[name], random.Random(name))
+
     @settings(max_examples=200, deadline=None)
     @given(random_graph_strategy(max_n=12))
     def test_integer_invariants_order_as_tuples(self, g):
@@ -546,7 +588,7 @@ class TestGeneration:
         cap, _ = FILTERS[filter_name]
         classes = {order: parents_of(order, filter_name) for order in range(1, 8)}
         # Keys are not needed here; a constant keeps the runs short.
-        monkeypatch.setattr(extremal, "canonical_key", lambda rows, invariant=None: ((), ()))
+        monkeypatch.setattr(extremal, "canonical_key", lambda rows, invariant=None: ((), (), False))
         tried = record_tried_masks(monkeypatch)
         for order, parents in classes.items():
             n = order + 1
@@ -559,6 +601,14 @@ class TestGeneration:
                 assert all(low <= mask.bit_count() <= top for mask in tried), padj
                 expected = [m for m in full_loop_degree_gate(padj, n) if m.bit_count() <= top]
                 assert set(expected) <= set(tried), padj
+
+    @pytest.mark.parametrize("filter_name", sorted(FILTERS))
+    def test_each_class_is_kept_once(self, filter_name):
+        # Canonical deletion is exact: over all parents of each order up to
+        # 8, the extensions kept number the classes, and no key repeats.
+        for n in range(2, 9):
+            keys = [key for key, _ in extremal._augment_chunk((parents_of(n - 1, filter_name), n, filter_name))]
+            assert len(keys) == len(set(keys)) == len(generate_all(n, filter_name)), n
 
     def test_masks_tried_at_eight_maxdeg3(self, monkeypatch):
         tried = record_tried_masks(monkeypatch)
@@ -692,8 +742,9 @@ class TestGeneration:
         # Orders 3..6 have more than one parent to split; order 3 has two.
         assert sizes == [2, 3, 3, 3]
 
-        # A pooled run merges the parts in parent order, so every class
-        # keeps the generators of a serial run and the same masks are tried.
+        # Each class is kept from one parent, whichever part holds it, so a
+        # pooled run keeps the generators of a serial run and tries the
+        # same masks.
         calls = count_keys(monkeypatch)
         monkeypatch.setattr(extremal, "_class_cache", {})
         pooled = generate_all(7, "none", workers=3)
@@ -723,6 +774,41 @@ class TestGeneration:
 
         with pytest.raises(GuardError):
             generate_all(9, "none")
+
+
+class TestOrbitStabilizer:
+    """Whole class lists against labelled counts: the classes G of order n
+    give sum n!/|Aut G| labelled graphs, with |Aut G| read from the twin
+    classes and the stored generators."""
+
+    def test_labelled_counts(self):
+        # The counting formulas against a scan of every labelled graph, and
+        # beyond the scan against their values at orders 1..8.
+        for n in range(1, 7):
+            scanned = labelled_scan(n)
+            for filter_name, count in LABELLED_COUNTS.items():
+                assert count(n) == scanned[filter_name], (filter_name, n)
+        assert [labelled_subcubic(n) for n in range(1, 9)] == [
+            1, 2, 8, 64, 768, 12068, 236926, 5651384
+        ]
+        assert [labelled_subcubic_k4_free(n) for n in range(1, 9)] == [
+            1, 2, 8, 63, 763, 12038, 236646, 5646939
+        ]
+        assert [labelled_scan(n)["k4free"] for n in range(1, 7)] == [1, 2, 8, 63, 958, 27626]
+
+    @pytest.mark.parametrize("filter_name", sorted(LABELLED_COUNTS))
+    def test_classes_sum_to_labelled_count(self, filter_name):
+        for n in range(1, 9):
+            generate_all(n, filter_name)
+            reps, groups = extremal._class_cache[n, filter_name]
+            assert labelled_total(reps, groups) == LABELLED_COUNTS[filter_name](n), n
+
+    def test_k4free_classes_sum_to_labelled_scan(self):
+        # k4free has no closed count; the scan stops at order 6.
+        for n in range(1, 7):
+            generate_all(n, "k4free")
+            reps, groups = extremal._class_cache[n, "k4free"]
+            assert labelled_total(reps, groups) == labelled_scan(n)["k4free"], n
 
 
 class TestEqualityScan:
