@@ -4,6 +4,10 @@ graph6 is the compact ASCII format used by the nauty tool family.  The
 order is encoded first (one byte for n <= 62, a ``~`` escape plus three
 bytes otherwise), then the upper triangle of the adjacency matrix in
 column-major order, packed big-endian into 6-bit groups offset by 63.
+The reader checks the alphabet by the least and greatest byte, and reads
+the order field and the body whole, each byte turned into two octal
+digits by ``str.translate`` and the digits into one int, so its cost per
+byte is a C loop's.
 
 The edge-list format is a header line ``n m`` followed by ``m`` lines
 ``u v`` with 0-indexed endpoints.
@@ -14,6 +18,10 @@ from __future__ import annotations
 from .graphs import MAX_VERTICES, Graph, GuardError, from_edges, iter_bits
 
 GRAPH6_HEADER = ">>graph6<<"
+
+
+# Each graph6 byte, 63 + a 6-bit code, as the code's two octal digits.
+_OCTAL = {63 + code: f"{code:02o}" for code in range(64)}
 
 
 class FormatError(ValueError):
@@ -51,37 +59,38 @@ def from_columns(n: int, cols) -> Graph:
 
 
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 string (optionally prefixed by the format header)."""
+    """Decode one graph6 string (optionally prefixed by the format header).
+
+    The order field and the body are read whole: ``str.translate`` turns
+    each byte into the two octal digits of its 6-bit code, and one
+    ``int(..., 8)`` reads them (base 8 is exempt from the interpreter's
+    limit on digits converted).
+    """
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise FormatError("empty graph6 string")
-    data = []
-    for ch in s:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise FormatError(f"byte {ord(ch)} outside the graph6 alphabet")
-        data.append(code)
-    if data[0] == 63:
-        if len(data) < 4:
+    if min(s) < "?" or max(s) > "~":
+        bad = next(ch for ch in s if not "?" <= ch <= "~")
+        raise FormatError(f"byte {ord(bad)} outside the graph6 alphabet")
+    if s[0] == "~":
+        if len(s) < 4:
             raise FormatError("truncated extended order field")
-        if data[1] == 63:
+        if s[1] == "~":
             # The 8-byte order form encodes n > 258047, far above the cap.
             raise GuardError(f"graph order exceeds the cap {MAX_VERTICES}")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = int(s[1:4].translate(_OCTAL), 8)
+        body = s[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     if n > MAX_VERTICES:
         raise GuardError(f"graph order {n} exceeds the cap {MAX_VERTICES}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise FormatError(f"expected {(nbits + 5) // 6} data bytes for order {n}, got {len(body)}")
-    bits = 0
-    for code in body:
-        bits = (bits << 6) | code
+    bits = int(body.translate(_OCTAL), 8) if body else 0
     pad = len(body) * 6 - nbits
     if bits & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits")

@@ -4,14 +4,48 @@ A graph is stored as an order ``n`` plus one adjacency bitmask per vertex.
 Vertex sets everywhere in this package are plain Python ints used as
 bitmasks, so set algebra is word arithmetic: union ``a | b``, intersection
 ``a & b``, difference ``a & ~b``, cardinality ``a.bit_count()``.
+
+The constructor checks a table in whole-table operations: the rows packed
+64 bits apiece into one int form a 64 x 64 bit matrix, which is symmetric
+iff it equals its transpose.  The transpose takes six rounds of masked
+block swaps (Warren, *Hacker's Delight*, 2nd ed., section 7-3), so its
+cost does not grow with the edge count.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
+
+
+def _swap_rounds() -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per round of the 64 x 64 transpose, blocks of 32 down to 1.
+
+    Bit 64 r + c of the packed matrix is entry (r, c).  The round for block
+    size k swaps each entry (r, c) with r & k == 0 and c & k != 0, the ones
+    the mask selects, with (r + k, c - k), 63 k bits above it.
+    """
+    rounds = []
+    for k in (32, 16, 8, 4, 2, 1):
+        cols = sum(1 << c for c in range(64) if c & k)
+        rows = [0 if r & k else cols for r in range(64)]
+        rounds.append((63 * k, int.from_bytes(struct.pack("<64Q", *rows), "little")))
+    return tuple(rounds)
+
+
+_SWAP_ROUNDS = _swap_rounds()
+_DIAGONAL = sum(1 << 65 * v for v in range(64))  # entries (v, v) of the packed matrix
+
+
+def _transpose(packed: int) -> int:
+    """The transpose of a 64 x 64 bit matrix packed as bit 64 r + c = (r, c)."""
+    for shift, mask in _SWAP_ROUNDS:
+        t = (packed ^ packed >> shift) & mask
+        packed ^= t ^ t << shift
+    return packed
 
 
 class GuardError(RuntimeError):
@@ -59,19 +93,22 @@ class Graph:
             raise ValueError("adjacency table length differs from order")
         adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(adj):
-            if row & ~full:
-                raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
-            if row >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(adj):
-            bit = 1 << v
-            while row:
-                low = row & -row
-                row ^= low
-                u = low.bit_length() - 1
-                if not adj[u] & bit:
-                    raise ValueError(f"asymmetric edge {v}-{u}")
+        # Rows in range pack into one int, row v at bits 64 v .. 64 v + 63;
+        # a table with a row out of range is never packed, as the scan raises.
+        in_range = not adj or min(adj) >= 0 and max(adj) <= full
+        packed = int.from_bytes(struct.pack(f"<{self.n}Q", *adj), "little") if in_range else 0
+        if not in_range or packed & _DIAGONAL:
+            # Name the first faulty row, range before loop within a row.
+            for v, row in enumerate(adj):
+                if row & ~full:
+                    raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
+                if row >> v & 1:
+                    raise ValueError(f"loop at vertex {v}")
+        # The lowest entry (v, u) with u in adj[v] and v not in adj[u].
+        one_way = packed & ~_transpose(packed)
+        if one_way:
+            v, u = divmod((one_way & -one_way).bit_length() - 1, 64)
+            raise ValueError(f"asymmetric edge {v}-{u}")
 
     @property
     def full_mask(self) -> int:

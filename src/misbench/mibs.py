@@ -15,7 +15,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .graphs import Graph, components, iter_bits
-from .misenum import mis_sets
+from .misenum import closed_table, mis_sets_in
 
 
 class MibsCounts(NamedTuple):
@@ -49,10 +49,10 @@ def mibs_counts(g: Graph) -> MibsCounts:
     """The census numbers as products over components.
 
     Within a component G, each pair (A, B), A in MIS(G) and B in
-    MIS(G - A), is listed on masks of g and judged by itself.  A and B
-    2-colour A | B, so an outside vertex extends the union iff no
-    component of G[A | B] has neighbours of it on both sides (tested once
-    per distinct union).  A dominates G, so (B, A) is a pair iff B is in
+    MIS(G - A), is listed on masks of g, every search reading one closed
+    table of g, and judged by itself.  A and B 2-colour A | B, so an
+    outside vertex extends the union iff no component of G[A | B] has
+    neighbours of it on both sides (tested once per distinct union).  A dominates G, so (B, A) is a pair iff B is in
     MIS(G).  A generator pair of a disjoint union is one per component, and
     its union is maximal iff every component's part is.  So the distinct,
     ordered and maximal pair counts multiply, and the maximal pairs by
@@ -64,14 +64,15 @@ def mibs_counts(g: Graph) -> MibsCounts:
     distinct = ordered = 1
     full: dict[tuple[int, int], int] = {(0, 0): 1}
     swap: dict[tuple[int, int], int] = {(0, 0): 1}
+    closed = closed_table(g)
     for part in components(g.adj):
-        mis = set(mis_sets(g, part))
+        mis = set(mis_sets_in(closed, part))
         is_maximal: dict[int, bool] = {}
         part_full: Counter = Counter()
         part_swap: Counter = Counter()
         part_ordered = 0
         for a in mis:
-            for b in mis_sets(g, part & ~a):
+            for b in mis_sets_in(closed, part & ~a):
                 part_ordered += 1
                 union = a | b
                 if union not in is_maximal:

@@ -2,19 +2,21 @@
 
 The only search is the pivoting search ``_sets_between``: it lists the
 sets whose size lies in a window, on the subgraph induced by a vertex
-mask and in the input graph's own labels.  It drops a node as
+mask and in the input graph's own labels.  It reads the graph's closed
+neighborhoods from ``closed_table``, which each entry point builds once
+per input graph, however many masks it then searches.  It drops a node as
 soon as its pivot scan meets a vertex that no candidate can dominate,
 or when the vertices left to dominate outnumber what the window's
 remaining choices can dominate, and finishes a node one vertex short of
 the window's top by testing each possible last vertex, without a
-recursive call.  ``mis_sets`` runs it over every size and returns the
-sorted masks, which ``mibs_counts`` reads; ``mis_of_size`` runs it over
-one size, where its size bounds prune every branch unable to end there,
-and the pipeline reads its root-size sets from it;
-for the minimum size it searches each connected component alone and
-multiplies the results.  ``mis_profile`` only counts: it searches each
-connected component, as a mask of the graph, with an emit that tallies
-each set at its size and holds none, and convolves the component
+recursive call.  ``mis_sets_in`` runs it over every size, and
+``mibs_counts`` reads those sets; ``mis_sets`` returns them sorted.
+``mis_of_size`` runs it over one size, where its size bounds prune every
+branch unable to end there, and the pipeline reads its root-size sets
+from it; for the minimum size it searches each connected component alone
+and multiplies the results.  ``mis_profile`` only counts: it searches
+each connected component, as a mask of the graph, with an emit that
+tallies each set at its size and holds none, and convolves the component
 profiles.
 """
 
@@ -40,10 +42,24 @@ def convolve(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def closed_table(g: Graph) -> list[int]:
+    """The closed neighborhoods of g as ``_sets_between`` reads them:
+    N[v] at index v + 1 and 0 at index 0, so the row of a one-bit mask b
+    is ``closed[b.bit_length()]``."""
+    return [0] + [row | 1 << v for v, row in enumerate(g.adj)]
+
+
 def _sets_between(
-    g: Graph, within: int, lo: int, hi: int, emit: Callable[[int], None], reach: int = MAX_VERTICES
+    closed: list[int],
+    within: int,
+    lo: int,
+    hi: int,
+    emit: Callable[[int], None],
+    reach: int = MAX_VERTICES,
 ) -> None:
-    """Call emit(mask) for each maximal independent set of g[within] of size lo..hi.
+    """Call emit(mask) for each maximal independent set of g[within] of
+    size lo..hi, where ``closed`` is ``closed_table(g)``: a caller builds
+    it once per graph and passes it to every search on that graph.
 
     The pivoting search of Bron & Kerbosch with the pivot rule of Tomita,
     Tanaka & Takahashi, on masks of g: R is the set so far, P the
@@ -68,9 +84,6 @@ def _sets_between(
     N[v].  Every v in P keeps R | {v} independent and outside X, so this
     emits exactly the completions the recursion would.
     """
-    # closed[v + 1] = N[v], so the row of a one-bit mask is closed[bit.bit_length()].
-    closed = [0] + [row | 1 << v for v, row in enumerate(g.adj)]
-
     def expand(r: int, size: int, p: int, x: int) -> None:
         if not p:
             if not x and size >= lo:
@@ -114,17 +127,23 @@ def _sets_between(
     del expand
 
 
-def mis_sets(g: Graph, within: int | None = None) -> list[int]:
-    """All maximal independent sets of g[within], as sorted masks.
+def mis_sets_in(closed: list[int], within: int) -> list[int]:
+    """All maximal independent sets of g[within], in search order, where
+    ``closed`` is ``closed_table(g)``.
 
-    The subgraph induced by ``within`` (all of g by default) is searched
-    in g's own labels by ``_sets_between`` over the full size window, so a
-    sub-problem needs no relabeled copy and no node is pruned by size.
+    The subgraph induced by ``within`` is searched in g's own labels by
+    ``_sets_between`` over the full size window, so a sub-problem needs
+    no relabeled copy and no node is pruned by size.
     """
-    if within is None:
-        within = g.full_mask
     out: list[int] = []
-    _sets_between(g, within, 0, within.bit_count(), out.append)
+    _sets_between(closed, within, 0, within.bit_count(), out.append)
+    return out
+
+
+def mis_sets(g: Graph, within: int | None = None) -> list[int]:
+    """All maximal independent sets of g[within] (all of g by default), as
+    sorted masks: ``mis_sets_in`` sorted."""
+    out = mis_sets_in(closed_table(g), g.full_mask if within is None else within)
     out.sort()
     return out
 
@@ -133,10 +152,11 @@ class _Overflow(Exception):
     """More than MIS_OF_SIZE_CAP sets of one size were held."""
 
 
-def _sets_of_size(g: Graph, within: int, k: int, reach: int) -> list[int]:
-    """The maximal independent sets of g[within] of size k.  The search
-    stops once it holds more than MIS_OF_SIZE_CAP of them: a list that
-    long only says that the cap is passed."""
+def _sets_of_size(closed: list[int], within: int, k: int, reach: int) -> list[int]:
+    """The maximal independent sets of g[within] of size k, from
+    ``closed_table(g)``.  The search stops once it holds more than
+    MIS_OF_SIZE_CAP of them: a list that long only says that the cap is
+    passed."""
     out: list[int] = []
 
     def hold(mask: int) -> None:
@@ -145,7 +165,7 @@ def _sets_of_size(g: Graph, within: int, k: int, reach: int) -> list[int]:
             raise _Overflow
 
     try:
-        _sets_between(g, within, k, k, hold, reach)
+        _sets_between(closed, within, k, k, hold, reach)
     except _Overflow:
         pass
     return out
@@ -174,14 +194,15 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
     ``mis_sets``.
     """
     reach = max_degree(g) + 1
+    closed = closed_table(g)
     if k is not None:
-        factors = [_sets_of_size(g, g.full_mask, k, reach)]
+        factors = [_sets_of_size(closed, g.full_mask, k, reach)]
     else:
         k = 0
         factors = []
         for part in components(g.adj):
             size = -(-part.bit_count() // reach)
-            while not (sets := _sets_of_size(g, part, size, reach)):
+            while not (sets := _sets_of_size(closed, part, size, reach)):
                 size += 1
             k += size
             factors.append(sets)
@@ -201,8 +222,9 @@ def mis_profile(g: Graph) -> tuple[int, ...]:
     so the profile is the convolution of the component profiles.  Each
     component runs ``_sets_between`` over its full size window with an
     emit that only counts the set at its size: no set is held, listed
-    or sorted.
+    or sorted.  The closed table is built once, for all components.
     """
+    closed = closed_table(g)
     profile = (1,)
     for part in components(g.adj):
         counts = [0] * (part.bit_count() + 1)
@@ -210,7 +232,7 @@ def mis_profile(g: Graph) -> tuple[int, ...]:
         def tally(mask: int) -> None:
             counts[mask.bit_count()] += 1
 
-        _sets_between(g, part, 0, part.bit_count(), tally)
+        _sets_between(closed, part, 0, part.bit_count(), tally)
         profile = convolve(profile, counts)
     return profile
 

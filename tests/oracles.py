@@ -1,5 +1,6 @@
-"""Subset-scan oracles for the enumerators, and labelled graph counts for
-the class lists, sharing no code with them.
+"""Subset-scan oracles for the enumerators, labelled graph counts for the
+class lists, and a per-edge reference for the graph validator, sharing no
+code with them.
 
 Each scan tests every subset of a vertex set, so it refuses more than
 SCAN_CAP vertices.  From misbench this module imports only
@@ -10,9 +11,30 @@ call the search it checks.
 import itertools
 import math
 
-from misbench.graphs import GuardError, iter_bits, lowest_bit
+from misbench.graphs import MAX_VERTICES, GuardError, iter_bits, lowest_bit
 
 SCAN_CAP = 20
+
+
+def validate_table(n, adj):
+    """Raise what ``Graph(n, adj)`` raises, with the same message, or return
+    None: the order cap, the table length, then each row in vertex order
+    for neighbors outside 0..n-1 and a loop, then every edge v-u, in
+    vertex order and increasing u, for its mirror u-v."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GuardError(f"graph order {n} outside 0..{MAX_VERTICES}")
+    if len(adj) != n:
+        raise ValueError("adjacency table length differs from order")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"vertex {v} has neighbors outside 0..{n - 1}")
+        if row >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+    for v, row in enumerate(adj):
+        for u in iter_bits(row):
+            if not adj[u] >> v & 1:
+                raise ValueError(f"asymmetric edge {v}-{u}")
 
 
 def _check_scan(mask):

@@ -1,11 +1,16 @@
 """graph6 and edge-list round trips, format anchors, and input guards."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import misbench
 from misbench.graphio import (
     FormatError,
     load_graphs,
@@ -287,5 +292,44 @@ class TestColumnDecoder:
 
     @settings(max_examples=300, deadline=None)
     @given(graph6_like())
+    # Several bytes outside the alphabet, one in the order field: the first is named.
+    @example("!B w")
+    @example("~?!\x7fww!")
+    @example(">>graph6<<~ ?@\x7f")
+    @example("Bw\xe9!")
+    # Orders 63 and 64 through the ~ order field, right and wrong.
+    @example("~??~" + "?" * 326)
+    @example("~??~" + "?" * 325 + "@")
+    @example("~?@?" + "~" * 336)
+    @example("~?@?" + "~" * 335)
     def test_same_graph_or_same_error(self, text):
         assert decode_outcome(parse_graph6, text) == decode_outcome(pair_order_graph6, text)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_order_64_under_the_lowest_digit_limit(self):
+        # An order-64 body is 336 bytes, 672 octal digits: above 640, the
+        # lowest limit the interpreter accepts on the digits of a string it
+        # converts to int.  Bases 8 and 2 are exempt from it; base 10 is not.
+        rng = random.Random(71)
+        g = from_edges(64, [(i, j) for j in range(64) for i in range(j) if rng.random() < 0.5])
+        script = (
+            "import sys\n"
+            "from misbench.graphio import parse_graph6\n"
+            "print(*parse_graph6(sys.stdin.read()).adj)\n"
+            "print(int('7' * 700, 8).bit_length(), int('1' * 2100, 2).bit_length())\n"
+            "try:\n"
+            "    int('9' * 700)\n"
+            "except ValueError:\n"
+            "    print('base 10 limited')\n"
+        )
+        src = str(Path(misbench.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=to_graph6(g) + "\n",
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [" ".join(map(str, g.adj)), "2100 2100", "base 10 limited"]

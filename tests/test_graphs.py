@@ -1,10 +1,13 @@
 """Bitmask graph core: construction, invariants, structure predicates."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from misbench.graphs import (
+    MAX_VERTICES,
     Graph,
     GuardError,
     components,
@@ -30,6 +33,7 @@ from fixtures import (
     random_graph_strategy,
     relabel,
 )
+from oracles import validate_table
 
 
 class TestConstruction:
@@ -88,6 +92,61 @@ class TestConstruction:
         assert edge_count(cycle_graph(5)) == 5
         assert edge_count(path_graph(5)) == 4
         assert max_degree(path_graph(2)) == 1
+
+
+@st.composite
+def near_tables(draw):
+    """Adjacency tables of orders 0-64, half of them 63 or 64: a random
+    symmetric table with up to three faults, each a flipped bit off the
+    diagonal, a loop, a bit at position n or a negative row."""
+    n = draw(st.one_of(st.sampled_from((63, 64)), st.integers(0, MAX_VERTICES)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = rng.random()
+    adj = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    faults = draw(st.lists(st.sampled_from(("flip", "loop", "bit n", "negative")), max_size=3))
+    for fault in faults if n else ():
+        v = rng.randrange(n)
+        if fault == "flip":
+            adj[v] ^= 1 << rng.choice([u for u in range(n) if u != v] or [n])
+        elif fault == "loop":
+            adj[v] |= 1 << v
+        elif fault == "bit n":
+            adj[v] |= 1 << n
+        else:
+            adj[v] = ~adj[v]
+    return n, tuple(adj)
+
+
+def build_outcome(build, n, adj):
+    try:
+        return build(n, adj)
+    except (GuardError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestValidatorReference:
+    """Graph's whole-table checks against the per-edge reference validator."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_tables())
+    # Two one-way entries: the lowest, (0, 1), is named, not (0, 2) or (63, 0).
+    @example((3, (0b110, 0, 0)))
+    @example((64, (1 << 63 | 2,) + (0,) * 63))
+    # A loop in a later row than a one-way entry is still named first.
+    @example((3, (0b010, 0, 0b100)))
+    def test_same_table_or_same_error(self, table):
+        n, adj = table
+        expected = build_outcome(validate_table, n, adj)
+        got = build_outcome(Graph, n, adj)
+        if expected is None:
+            assert isinstance(got, Graph) and got.adj == adj
+        else:
+            assert got == expected
 
 
 class TestStructure:

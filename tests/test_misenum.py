@@ -371,10 +371,11 @@ class TestCycleAndPathProfiles:
 def window_slices(g, within, brute):
     """Every window lo <= hi of g[within]: what _sets_between emits, and the
     slice of the oracle's sets (masks of g, sorted)."""
+    closed = misenum.closed_table(g)
     for lo in range(within.bit_count() + 1):
         for hi in range(lo, within.bit_count() + 1):
             out = []
-            misenum._sets_between(g, within, lo, hi, out.append)
+            misenum._sets_between(closed, within, lo, hi, out.append)
             yield sorted(out), [m for m in brute if lo <= m.bit_count() <= hi]
 
 
