@@ -152,8 +152,10 @@ def components(adj: Sequence[int], within: int | None = None) -> list[int]:
         comp = frontier = todo & -todo
         while frontier:
             nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= adj[u]
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                nxt |= adj[low.bit_length() - 1]
             frontier = nxt & todo & ~comp
             comp |= frontier
         out.append(comp)

@@ -1,10 +1,13 @@
 """Enumeration of maximal independent sets, counted exactly by size.
 
-The only search is the pivoting search ``_sets_between``: it lists the
-sets whose size lies in a window, on the subgraph induced by a vertex
-mask and in the input graph's own labels.  It reads the graph's closed
-neighborhoods from ``closed_table``, which each entry point builds once
-per input graph, however many masks it then searches.  It drops a node as
+Two pivoting searches read the graph's closed neighborhoods from
+``closed_table``, which each entry point builds once per input graph,
+however many masks it then searches.  One lists, one counts, and they
+share no code, so each checks the other.
+
+The listing search ``_sets_between`` lists the sets whose size lies in a
+window, on the subgraph induced by a vertex mask and in the input
+graph's own labels.  It drops a node as
 soon as its pivot scan meets a vertex that no candidate can dominate,
 or when the vertices left to dominate outnumber what the window's
 remaining choices can dominate, and finishes a node one vertex short of
@@ -14,10 +17,15 @@ recursive call.  ``mis_sets_in`` runs it over every size, and
 ``mis_of_size`` runs it over one size, where its size bounds prune every
 branch unable to end there, and the pipeline reads its root-size sets
 from it; for the minimum size it searches each connected component alone
-and multiplies the results.  ``mis_profile`` only counts: it searches
-each connected component, as a mask of the graph, with an emit that
-tallies each set at its size and holds none, and convolves the component
-profiles.
+and multiplies the results.
+
+The counting search ``_count_sizes`` gives the number of sets of each
+size on a vertex mask.  It carries the size of the set so far, not the
+set, reads its pivot from the excluded vertices first, and tallies a
+branch that leaves no candidate inside the branch loop, so no set is
+built and no call is made per set.  ``mis_profile`` runs it on each
+connected component, as a mask of the graph, and convolves the
+component profiles.
 """
 
 from __future__ import annotations
@@ -214,26 +222,85 @@ def mis_of_size(g: Graph, k: int | None = None) -> tuple[int, list[int]]:
     return k, sorted(out)
 
 
+def _count_sizes(closed: list[int], within: int) -> list[int]:
+    """Entry k counts the maximal independent sets of g[within] of size k,
+    for k = 0..|within|, where ``closed`` is ``closed_table(g)``.
+
+    The pivoting search of ``_sets_between`` cut down to counting: a node
+    carries the size of R, not R, and no set is built or emitted.  The
+    pivot is read from X first, as a vertex of X that meets no candidate
+    is a dead end and one that meets a single candidate is the best pivot
+    there is; P is scanned only while no vertex found so far meets P in
+    fewer than two vertices, and the scan stops at the first vertex of P
+    with no other neighbor in P.  A branch that leaves no candidate is
+    tallied in the branch loop itself, when it leaves X empty too, with
+    no recursive call.
+    """
+    counts = [0] * (within.bit_count() + 1)
+
+    def expand(size: int, p: int, x: int) -> None:
+        fewest = len(closed)
+        rest = x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = closed[low.bit_length()]
+            hits = (row & p).bit_count()
+            if hits < fewest:
+                if not hits:
+                    return
+                fewest = hits
+                pivot = row
+        if fewest > 1:
+            rest = p
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = closed[low.bit_length()]
+                hits = (row & p).bit_count()
+                if hits < fewest:
+                    fewest = hits
+                    pivot = row
+                    if hits == 1:
+                        break
+        size += 1
+        branch = p & pivot
+        while branch:
+            low = branch & -branch
+            branch ^= low
+            row = closed[low.bit_length()]
+            left = p & ~row
+            if left:
+                expand(size, left, x & ~row)
+            elif not x & ~row:
+                counts[size] += 1
+            p ^= low
+            x |= low
+
+    if within:
+        expand(0, within, 0)
+    else:
+        counts[0] = 1
+    # As in _sets_between: dropping the name frees the closure at once.
+    del expand
+    return counts
+
+
 def mis_profile(g: Graph) -> tuple[int, ...]:
     """Exact per-size counts of maximal independent sets, without the sets:
     entry k of the returned tuple, for k = 0..n, counts those of size k.
 
     A maximal independent set of a disjoint union is one per component,
     so the profile is the convolution of the component profiles.  Each
-    component runs ``_sets_between`` over its full size window with an
-    emit that only counts the set at its size: no set is held, listed
-    or sorted.  The closed table is built once, for all components.
+    component, a mask of g, is counted by ``_count_sizes``, a search of
+    its own that lists nothing; the listing search ``_sets_between``
+    behind ``mis_sets`` shares no code with it, so each checks the
+    other.  The closed table is built once, for all components.
     """
     closed = closed_table(g)
     profile = (1,)
     for part in components(g.adj):
-        counts = [0] * (part.bit_count() + 1)
-
-        def tally(mask: int) -> None:
-            counts[mask.bit_count()] += 1
-
-        _sets_between(closed, part, 0, part.bit_count(), tally)
-        profile = convolve(profile, counts)
+        profile = convolve(profile, _count_sizes(closed, part))
     return profile
 
 

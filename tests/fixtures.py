@@ -28,6 +28,19 @@ def path_graph(n):
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
+def prism_graph(m):
+    """C_m x K2: rung i joins vertex i to m + i, and each rail is an m-cycle."""
+    rails = [(i, (i + 1) % m) for i in range(m)]
+    return from_edges(2 * m, [(i, m + i) for i in range(m)] + rails + [(m + a, m + b) for a, b in rails])
+
+
+def mobius_ladder(m):
+    """The Moebius ladder on 2m vertices: the cycle C_2m and its m diagonals
+    v-(v + m), the rungs.  Going round, the rails swap between rung m - 1
+    and rung 0."""
+    return from_edges(2 * m, [(v, (v + 1) % (2 * m)) for v in range(2 * m)] + [(v, v + m) for v in range(m)])
+
+
 def disjoint_union(a, b):
     """a beside b, b's vertices shifted up by a.n."""
     return Graph(a.n + b.n, a.adj + tuple(row << a.n for row in b.adj))

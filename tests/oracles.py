@@ -1,6 +1,7 @@
-"""Subset-scan oracles for the enumerators, labelled graph counts for the
-class lists, and a per-edge reference for the graph validator, sharing no
-code with them.
+"""Subset-scan oracles for the enumerators, a transfer-matrix count for
+the ladders past the scan's cap, labelled graph counts for the class
+lists, and a per-edge reference for the graph validator, sharing no code
+with them.
 
 Each scan tests every subset of a vertex set, so it refuses more than
 SCAN_CAP vertices.  From misbench this module imports only
@@ -133,6 +134,48 @@ def mibs_scan(g):
         for s in range(1 << g.n)
         if bip[s] and not any(bip[s | 1 << w] for w in iter_bits(g.full_mask & ~s))
     )
+
+
+# Per-size counts of the ladders, past the subset-scan cap.
+
+
+def ladder_profile(m, twisted=False):
+    """Entry k counts the maximal independent sets of size k of the prism
+    C_m x K2 (m >= 3), or with ``twisted`` of the Moebius ladder on 2m
+    vertices, for k = 0..2m: a rung-by-rung transfer matrix whose entries
+    are the polynomials 0, 1 and x.
+
+    Rung i holds one vertex on each of two rails, joined to each other and
+    to the vertex of the same rail in rungs i - 1 and i + 1.  A set takes
+    from each rung nothing, the first or the second vertex (c = 0, 1, 2).
+    The state at rung i is the pair (c[i - 1], c[i]), and the entry of T
+    from (a, b) to (b, c) is x if c > 0 and 1 otherwise, provided b and c
+    are not the same rail (independence) and, when b == 0, {a, c} is
+    {1, 2} (both vertices of rung i dominated along their rails); every
+    other entry is 0.  Going once round the m rungs, the profile of the
+    prism is the trace of T^m.  The Moebius ladder swaps the rails between
+    rung m - 1 and rung 0, so its walk ends at the rail swap S of the
+    state it started from: the trace of T^m S.
+    """
+    swap = (0, 2, 1)
+    states = [(a, b) for a in range(3) for b in range(3)]
+    total = [0] * (2 * m + 1)
+    for start in states:
+        row = {start: [1]}  # the row of T^step at start, one polynomial per state
+        for _ in range(m):
+            nxt = {}
+            for (a, b), poly in row.items():
+                for c in range(3):
+                    if b and b == c or not b and {a, c} != {1, 2}:
+                        continue
+                    out = nxt.setdefault((b, c), [0] * (len(poly) + 1))
+                    for k, coef in enumerate(poly):
+                        out[k + (c > 0)] += coef
+            row = nxt
+        a, b = start
+        for k, coef in enumerate(row.get((swap[a], swap[b]) if twisted else start, ())):
+            total[k] += coef
+    return tuple(total)
 
 
 # Labelled counts, for the orbit-stabilizer identity: the classes G of

@@ -2,7 +2,9 @@
 
 The subset scan ``oracles.mis_scan`` is the oracle; the pivoting search
 must agree with it exactly (same masks, not just counts) on every corpus
-graph.
+graph.  Past its cap, the counter behind ``mis_profile`` and the listing
+search behind ``mis_sets`` check each other, and closed forms and a
+transfer matrix check both.
 """
 
 import random
@@ -17,6 +19,7 @@ from misbench.corpus import (
     oracle_graphs,
     pipeline_instances,
     random_cubic_k4free,
+    random_graph,
 )
 from misbench.graphs import GuardError, from_edges, is_maximal_independent, iter_bits
 from misbench.misenum import convolve, min_mis, mis_of_size, mis_profile, mis_sets
@@ -28,13 +31,15 @@ from fixtures import (
     edges,
     empty_graph,
     induced_subgraph,
+    mobius_ladder,
     path_graph,
+    prism_graph,
     random_graph_strategy,
     random_union,
     record_graph_builds,
     triangle_chain,
 )
-from oracles import mis_scan, size_counts
+from oracles import ladder_profile, mis_scan, size_counts
 
 
 class TestKnownProfiles:
@@ -159,6 +164,69 @@ class TestProfileAlgebra:
         assert type(p) is tuple
         assert p[1] == 2 and sum(p) == 3 and sum(p[:2]) == 2
         assert convolve(p, (0, 1)) == (0, 0, 2, 1, 0, 0)
+
+
+class TestCounterAgainstListing:
+    """mis_profile counts with ``_count_sizes`` and mis_sets lists with
+    ``_sets_between``, two searches sharing no code, so past the
+    subset-scan cap each checks the other.  Below it, the counter also
+    runs on arbitrary masks against the subset scan."""
+
+    def test_connected_cubic_graphs(self):
+        # 508, 5,187 and 35,577 sets, each graph one component.
+        for n in (24, 32, 40):
+            g = random_cubic_k4free(n, 7000 + n)
+            assert mis_profile(g) == size_counts(g.n, mis_sets(g)), n
+
+    def test_random_graphs_on_thirty_vertices(self):
+        for p in (0.05, 0.1, 0.2, 0.3, 0.45):
+            g = random_graph(30, p, random.Random(int(100 * p)))
+            assert mis_profile(g) == size_counts(g.n, mis_sets(g)), p
+
+    def test_within_masks(self):
+        # The counter on any mask of g, connected or not, the empty one too.
+        rng = random.Random(61)
+        for g in [empty_graph(0), empty_graph(3), *oracle_graphs(80, max_n=14)]:
+            closed = misenum.closed_table(g)
+            for within in (0, g.full_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+                counts = misenum._count_sizes(closed, within)
+                assert tuple(counts) == size_counts(within.bit_count(), mis_scan(g, within))
+
+
+# Totals of the prisms C_m x K2 (m = 4..12) and the Moebius ladders on 2m
+# vertices (m = 3..12), pinned so that the counter and the transfer matrix
+# cannot both drift.
+PRISM_TOTALS = dict(zip(range(4, 13), (6, 10, 20, 28, 46, 78, 122, 198, 324)))
+MOBIUS_TOTALS = dict(zip(range(3, 13), (2, 8, 12, 16, 30, 48, 74, 124, 200, 320)))
+
+
+class TestLadders:
+    """Prisms and Moebius ladders: connected, cubic and K4-free, so the
+    component product cannot make them easy.  Their per-size counts come
+    from the transfer matrix ``oracles.ladder_profile``, which the subset
+    scan checks first, to 40 vertices."""
+
+    LADDERS = ((prism_graph, False), (mobius_ladder, True))
+
+    def test_transfer_matrix_matches_the_subset_scan(self):
+        for build, twisted in self.LADDERS:
+            for m in range(3, 9):
+                assert ladder_profile(m, twisted) == size_counts(2 * m, mis_scan(build(m))), m
+
+    def test_totals(self):
+        for m, total in PRISM_TOTALS.items():
+            assert sum(mis_profile(prism_graph(m))) == sum(ladder_profile(m)) == total, m
+        for m, total in MOBIUS_TOTALS.items():
+            assert sum(mis_profile(mobius_ladder(m))) == sum(ladder_profile(m, True)) == total, m
+
+    def test_profiles_to_forty_vertices(self):
+        for build, twisted in self.LADDERS:
+            for m in range(3, 21):
+                g = build(m)
+                profile = ladder_profile(m, twisted)
+                assert mis_profile(g) == profile, m
+                k, sets = mis_of_size(g)
+                assert profile[k] == len(sets) and not any(profile[:k]), m
 
 
 def tuple_key_min(sets):
