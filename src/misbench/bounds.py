@@ -129,16 +129,20 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
 
-def induction_identity_residual(n: int, k: int, eta: float) -> float:
+def induction_identity_residual(n: int, k: int, eta: float) -> float | None:
     """Relative residual of the branching induction step for the bound above.
 
     The bound B must satisfy B(n-1, k) + B(n-(5-eta), k-1) = B(n, k): the
     first term covers excluding a maximum-degree vertex, the second
     including it and deleting its closed neighborhood of formal size
     5-eta.  Both terms are evaluated from the closed form at the shifted
-    arguments and the result is |T1 + T2 - B| / B.
+    arguments and the result is |T1 + T2 - B| / B.  The step is defined
+    only for 0 < eta < 1, k >= 1 and n >= 5 - eta; elsewhere the result
+    is None.
     """
     _check_nk(n, k)
+    if not (0 < eta < 1 and k >= 1 and n >= 5 - eta):
+        return None
     ln_b = _interp_ln(n, k, eta)
     t1 = math.exp(_interp_ln(n - 1, k, eta) - ln_b)
     t2 = math.exp(_interp_ln(n - (5.0 - eta), k - 1, eta) - ln_b)
@@ -243,6 +247,8 @@ class TwoSumReport(NamedTuple):
     second sum's terms decrease in k, ln_max2 reports the supremum of its
     term formula over the closed range starting at k = p_cut, which the
     in-range terms approach from below; argmax2 names the k attaining it.
+    both_below_target tells whether both sums lie below ln_target, the
+    log of 12^{n/4}.
     """
 
     n: int
@@ -255,6 +261,7 @@ class TwoSumReport(NamedTuple):
     ln_max2: float
     argmax2: int
     ln_target: float
+    both_below_target: bool
 
 
 def _log_sum_exp(values: list[float]) -> float:
@@ -288,17 +295,21 @@ def two_sum_estimate(n: int, p_cut: int, eta: float) -> TwoSumReport:
     terms2 = [_term2_ln(n, k) for k in range(p_cut, n + 1)]
     argmax1 = max(range(len(terms1)), key=terms1.__getitem__)
     argmax2 = max(range(len(terms2)), key=terms2.__getitem__) + p_cut
+    ln_sum1 = _log_sum_exp(terms1)
+    ln_sum2 = _log_sum_exp(terms2[1:])
+    ln_target = n * LN12 / 4.0
     return TwoSumReport(
         n=n,
         p_cut=p_cut,
         eta=eta,
-        ln_sum1=_log_sum_exp(terms1),
-        ln_sum2=_log_sum_exp(terms2[1:]),
+        ln_sum1=ln_sum1,
+        ln_sum2=ln_sum2,
         ln_max1=terms1[argmax1],
         argmax1=argmax1,
         ln_max2=terms2[argmax2 - p_cut],
         argmax2=argmax2,
-        ln_target=n * LN12 / 4.0,
+        ln_target=ln_target,
+        both_below_target=ln_sum1 < ln_target and ln_sum2 < ln_target,
     )
 
 
@@ -309,11 +320,6 @@ class TwoSumWitness(NamedTuple):
 
     xi: float
     report: TwoSumReport
-
-    @property
-    def both_below_target(self) -> bool:
-        r = self.report
-        return r.ln_sum1 < r.ln_target and r.ln_sum2 < r.ln_target
 
 
 # Largest order the witness search tries before giving up (GuardError).
@@ -349,7 +355,7 @@ def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
         return TwoSumWitness(xi, two_sum_estimate(n, math.floor((1.0 + xi) * n / 4.0), eta))
 
     best = at(64)
-    while not best.both_below_target:
+    while not best.report.both_below_target:
         n = 2 * best.report.n
         if n > TWO_SUM_N_CAP:
             raise GuardError(f"no witness n found below {TWO_SUM_N_CAP}")
@@ -358,7 +364,7 @@ def find_two_sum_witness(eta: float = 0.4) -> TwoSumWitness:
     lo = best.report.n // 2
     while best.report.n - lo > 1:
         trial = at((lo + best.report.n) // 2)
-        if trial.both_below_target:
+        if trial.report.both_below_target:
             best = trial
         else:
             lo = trial.report.n

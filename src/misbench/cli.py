@@ -167,9 +167,7 @@ def cmd_bounds(args) -> int:
         "eppstein": _bound_entry(bounds.eppstein(n, k)),
         "nielsen": _bound_entry(bounds.nielsen(n, k)),
         "interpolated": _bound_entry(bounds.interpolated(n, k, args.eta)),
-        "induction_residual": bounds.induction_identity_residual(n, k, args.eta)
-        if 0 < args.eta < 1 and k >= 1 and n >= (5 - args.eta)
-        else None,
+        "induction_residual": bounds.induction_identity_residual(n, k, args.eta),
     }
     _emit(payload)
     return 0
@@ -191,14 +189,8 @@ def cmd_solve(args) -> int:
     if args.margin is not None:
         raise FormatError("--margin has no effect with --two-sum-eta")
     witness = bounds.find_two_sum_witness(args.two_sum_eta)
-    # The report carries the witness's eta, n and p_cut.
-    _emit(
-        {
-            **witness.report._asdict(),
-            "xi": witness.xi,
-            "both_below_target": witness.both_below_target,
-        }
-    )
+    # The report carries the witness's eta, n, p_cut and verdict.
+    _emit({**witness.report._asdict(), "xi": witness.xi})
     return 0
 
 
@@ -228,7 +220,7 @@ def cmd_search(args) -> int:
     if args.save_classes:
         with open(args.save_classes, "w", encoding="ascii") as fh:
             fh.writelines(to_graph6(g) + "\n" for g in reps)
-    rows = extremal.tightness_scan(args.n, reps, args.selector, args.eta)
+    rows = extremal.tightness_scan(reps, args.selector, args.eta)
     _emit(
         {
             "n": args.n,
@@ -246,7 +238,7 @@ def cmd_verify_theorem2(args) -> int:
     extremal.check_order(args.max_n)
     rows = []
     for n in range(1, args.max_n + 1):
-        rows += extremal.verify_equality_scan(n, extremal.generate_all(n, "none", args.workers))
+        rows += extremal.verify_equality_scan(extremal.generate_all(n, "none", args.workers))
     ok = not any(row["violations"] for row in rows)
     _emit({"max_n": args.max_n, "holds": ok, "rows": rows})
     return 0 if ok else 1

@@ -168,7 +168,7 @@ def canonical_key(
     have the final segments.  The map from the first of them to each
     later one is an automorphism, one per leaf, returned on the key's
     positions: perm[j] is the image of position j in
-    ``from_columns(n, key)``.  Every leaf with the final segments is
+    ``from_columns(key)``.  Every leaf with the final segments is
     either reached after the last lowering or skipped by the twin rule,
     and each reached leaf places every class of twins in label order.
     So each map is increasing on every twin class, and with the identity
@@ -441,7 +441,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
     if cached is not None:
         return cached[0]
     if n <= 1:
-        reps, groups = [Graph(n, (0,) * n)], [()]
+        reps, groups = [Graph((0,) * n)], [()]
     else:
         parent_reps = generate_all(n - 1, filter_name, workers)
         parents = list(zip([g.adj for g in parent_reps], _class_cache[n - 1, filter_name][1]))
@@ -462,7 +462,7 @@ def generate_all(n: int, filter_name: str = "none", workers: int = 1) -> list[Gr
             parts = [_augment_chunk((parents, n, filter_name))]
         # Keys are distinct, so the generators are never compared.
         classes = sorted(item for part in parts for item in part)
-        reps = [from_columns(n, key) for key, _ in classes]
+        reps = [from_columns(key) for key, _ in classes]
         groups = [generators for _, generators in classes]
     _class_cache[(n, filter_name)] = reps, groups
     return reps
@@ -477,16 +477,18 @@ def is_clique_union(g: Graph) -> tuple[bool, int]:
     return True, len(comps)
 
 
-def verify_equality_scan(n: int, reps: list[Graph]) -> list[dict]:
-    """Check mis_{<=k} <= 3^{4k-n} 4^{n-3k} over the order-n classes ``reps``, every k.
+def verify_equality_scan(reps: list[Graph]) -> list[dict]:
+    """Check mis_{<=k} <= 3^{4k-n} 4^{n-3k} over the classes ``reps``, every k.
 
     Exact rationals throughout.  A class violates when it exceeds the
     bound, attains equality without being a disjoint union of exactly k
     cliques of size 3 or 4, or has that structure without equality.
     Returns the rows ``verify-theorem2`` prints, one per k: ``n``, ``k``,
     the ``bound`` as a Fraction, the ``max_count`` over the classes, the
-    number of ``attainers`` and the graph6 list of ``violations``.
+    number of ``attainers`` and the graph6 list of ``violations``.  The
+    classes share one order n, read from the first; the list is not empty.
     """
+    n = reps[0].n
     rows = []
     profiles = [(g, mis_profile(g), is_clique_union(g)) for g in reps]
     for k in range(n + 1):
@@ -521,13 +523,15 @@ def verify_equality_scan(n: int, reps: list[Graph]) -> list[dict]:
     return rows
 
 
-def tightness_scan(n: int, reps: list[Graph], selector: str, eta: float = 0.4) -> list[dict]:
-    """Empirical per-k maxima of mis_k over the order-n classes ``reps``
+def tightness_scan(reps: list[Graph], selector: str, eta: float = 0.4) -> list[dict]:
+    """Empirical per-k maxima of mis_k over the classes ``reps``, which
+    share one order n, read from the first (the list is not empty),
     against the bound family ``bounds.SELECTORS[selector]``; only
     corollary1 reads ``eta``, which the command checks beforehand."""
     if selector not in bounds.SELECTORS:
         raise ValueError(f"unknown bound selector {selector!r}; options: {sorted(bounds.SELECTORS)}")
     bound_ln = bounds.SELECTORS[selector]
+    n = reps[0].n
     profiles = [(g, mis_profile(g)) for g in reps]
     rows = []
     for k in range(n + 1):

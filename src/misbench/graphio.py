@@ -37,8 +37,9 @@ def decode_ascii(data: bytes) -> str:
         raise FormatError(f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII") from exc
 
 
-def from_columns(n: int, cols) -> Graph:
-    """The order-n graph with graph6 columns ``cols``.
+def from_columns(cols) -> Graph:
+    """The graph with graph6 columns ``cols``, one per vertex, so of order
+    n = ``len(cols)``.
 
     Column j, for j = 1..n-1, holds the pairs (0, j) .. (j - 1, j) as a
     j-bit int whose most significant bit is row 0, so bit j - 1 - i is the
@@ -46,6 +47,7 @@ def from_columns(n: int, cols) -> Graph:
     writes the columns and in which ``extremal.canonical_key`` builds its
     segments.
     """
+    n = len(cols)
     adj = [0] * n
     for j in range(1, n):
         col = cols[j]
@@ -55,7 +57,7 @@ def from_columns(n: int, cols) -> Graph:
             i = j - low.bit_length()
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -100,7 +102,7 @@ def parse_graph6(line: str) -> Graph:
     for j in range(n - 1, 0, -1):
         cols[j] = bits & ((1 << j) - 1)
         bits >>= j
-    return from_columns(n, cols)
+    return from_columns(cols)
 
 
 def to_graph6(g: Graph) -> str:

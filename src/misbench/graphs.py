@@ -1,9 +1,10 @@
 """Bitmask graph core for graphs on at most 64 vertices.
 
-A graph is stored as an order ``n`` plus one adjacency bitmask per vertex.
-Vertex sets everywhere in this package are plain Python ints used as
-bitmasks, so set algebra is word arithmetic: union ``a | b``, intersection
-``a & b``, difference ``a & ~b``, cardinality ``a.bit_count()``.
+A graph is stored as one adjacency bitmask per vertex, its order ``n``
+being the number of rows.  Vertex sets everywhere in this package are
+plain Python ints used as bitmasks, so set algebra is word arithmetic:
+union ``a | b``, intersection ``a & b``, difference ``a & ~b``,
+cardinality ``a.bit_count()``.
 
 The constructor checks a table in whole-table operations: the rows packed
 64 bits apiece into one int form a 64 x 64 bit matrix, which is symmetric
@@ -75,7 +76,7 @@ def lowest_bit(mask: int) -> int:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1``.
+    """Simple undirected graph on vertices ``0 .. n-1``, n = ``len(adj)``.
 
     ``adj[v]`` is the open neighborhood of ``v`` as a bitmask.  The
     constructor validates symmetry, absence of loops, and the order cap,
@@ -83,25 +84,23 @@ class Graph:
     valid by construction passes the rows, not a ``Graph``.
     """
 
-    n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise GuardError(f"graph order {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency table length differs from order")
         adj = self.adj
-        full = (1 << self.n) - 1
+        n = len(adj)
+        if n > MAX_VERTICES:
+            raise GuardError(f"graph order {n} outside 0..{MAX_VERTICES}")
+        full = (1 << n) - 1
         # Rows in range pack into one int, row v at bits 64 v .. 64 v + 63;
         # a table with a row out of range is never packed, as the scan raises.
         in_range = not adj or min(adj) >= 0 and max(adj) <= full
-        packed = int.from_bytes(struct.pack(f"<{self.n}Q", *adj), "little") if in_range else 0
+        packed = int.from_bytes(struct.pack(f"<{n}Q", *adj), "little") if in_range else 0
         if not in_range or packed & _DIAGONAL:
             # Name the first faulty row, range before loop within a row.
             for v, row in enumerate(adj):
                 if row & ~full:
-                    raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
+                    raise ValueError(f"vertex {v} has neighbors outside 0..{n - 1}")
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
         # The lowest entry (v, u) with u in adj[v] and v not in adj[u].
@@ -109,6 +108,10 @@ class Graph:
         if one_way:
             v, u = divmod((one_way & -one_way).bit_length() - 1, 64)
             raise ValueError(f"asymmetric edge {v}-{u}")
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     @property
     def full_mask(self) -> int:
@@ -135,7 +138,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def max_degree(g: Graph) -> int:

@@ -10,12 +10,12 @@ from misbench.graphs import Graph, from_edges, iter_bits
 
 
 def empty_graph(n):
-    return Graph(n, (0,) * n)
+    return Graph((0,) * n)
 
 
 def complete_graph(n):
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph(tuple(full ^ (1 << v) for v in range(n)))
 
 
 def cycle_graph(n):
@@ -43,7 +43,7 @@ def mobius_ladder(m):
 
 def disjoint_union(a, b):
     """a beside b, b's vertices shifted up by a.n."""
-    return Graph(a.n + b.n, a.adj + tuple(row << a.n for row in b.adj))
+    return Graph(a.adj + tuple(row << a.n for row in b.adj))
 
 
 def induced_subgraph(g, mask):
@@ -57,7 +57,7 @@ def induced_subgraph(g, mask):
         for u in iter_bits(g.adj[old] & mask):
             row |= 1 << pos[u]
         rows.append(row)
-    return Graph(len(keep), tuple(rows)), keep
+    return Graph(tuple(rows)), keep
 
 
 def relabel(g, perm):
@@ -68,7 +68,7 @@ def relabel(g, perm):
         for u in iter_bits(g.adj[v]):
             row |= 1 << perm[u]
         rows[perm[v]] = row
-    return Graph(g.n, tuple(rows))
+    return Graph(tuple(rows))
 
 
 def edges(g):

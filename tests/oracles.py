@@ -17,15 +17,14 @@ from misbench.graphs import MAX_VERTICES, GuardError, iter_bits, lowest_bit
 SCAN_CAP = 20
 
 
-def validate_table(n, adj):
-    """Raise what ``Graph(n, adj)`` raises, with the same message, or return
-    None: the order cap, the table length, then each row in vertex order
+def validate_table(adj):
+    """Raise what ``Graph(adj)`` raises, with the same message, or return
+    None: the order cap on n = len(adj), then each row in vertex order
     for neighbors outside 0..n-1 and a loop, then every edge v-u, in
     vertex order and increasing u, for its mirror u-v."""
-    if not 0 <= n <= MAX_VERTICES:
+    n = len(adj)
+    if n > MAX_VERTICES:
         raise GuardError(f"graph order {n} outside 0..{MAX_VERTICES}")
-    if len(adj) != n:
-        raise ValueError("adjacency table length differs from order")
     full = (1 << n) - 1
     for v, row in enumerate(adj):
         if row & ~full:

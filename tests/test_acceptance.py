@@ -88,7 +88,7 @@ def test_triangle_union_attains_classic_bound():
 def test_size_capped_bound_exhaustive_to_seven():
     with Budget("size-capped-bound-n7", 2.0):
         for n in range(1, 8):
-            for row in verify_equality_scan(n, generate_all(n, "none")):
+            for row in verify_equality_scan(generate_all(n, "none")):
                 assert row["violations"] == [], (
                     f"n={row['n']} k={row['k']}: violations {row['violations']}"
                 )
@@ -96,7 +96,7 @@ def test_size_capped_bound_exhaustive_to_seven():
 
 def test_size_capped_bound_exhaustive_eight():
     with Budget("size-capped-bound-n8", 10.0):
-        for row in verify_equality_scan(8, generate_all(8, "none")):
+        for row in verify_equality_scan(generate_all(8, "none")):
             assert row["violations"] == [], f"k={row['k']}: violations {row['violations']}"
 
 

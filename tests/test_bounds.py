@@ -121,6 +121,14 @@ class TestInterpolation:
             for n, k in ((10, 2), (20, 5), (40, 10), (33, 8)):
                 assert induction_identity_residual(n, k, eta) < 1e-10
 
+    def test_induction_residual_only_inside_its_domain(self):
+        # The step is defined for 0 < eta < 1, k >= 1 and n >= 5 - eta,
+        # so for no order below 5.
+        for n, k, eta in ((10, 2, 0.0), (10, 2, 1.0), (10, 0, 0.4), (4, 1, 0.4), (4, 4, 0.9)):
+            assert induction_identity_residual(n, k, eta) is None, (n, k, eta)
+        for n, k, eta in ((5, 1, 0.4), (5, 5, 0.01), (6, 1, 0.99)):
+            assert induction_identity_residual(n, k, eta) < 1e-10, (n, k, eta)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=6, max_value=60),
@@ -250,11 +258,12 @@ class TestTwoSum:
         r = two_sum_estimate(40, 10, 0.0)
         assert r.ln_sum1 > r.ln_target
         assert r.ln_sum2 > r.ln_target
+        assert not r.both_below_target
 
     def test_witness_found_and_verified(self):
         w = find_two_sum_witness(0.4)
         r = w.report
-        assert w.both_below_target
+        assert r.both_below_target
         assert r.ln_sum1 < r.ln_target
         assert r.ln_sum2 < r.ln_target
         assert (r.eta, r.p_cut) == (0.4, math.floor((1 + w.xi) * r.n / 4))

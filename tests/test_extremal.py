@@ -84,10 +84,9 @@ GRAPH_FILTERS = {
 
 def extensions(parent: Graph):
     """Every one-vertex extension of ``parent`` as (mask, validated graph)."""
-    n = parent.n + 1
     for mask in range(1 << parent.n):
         rows = [row | 1 << parent.n if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
-        yield mask, Graph(n, tuple(rows) + (mask,))
+        yield mask, Graph(tuple(rows) + (mask,))
 
 
 def full_loop_degree_gate(padj: tuple[int, ...], n: int) -> list[int]:
@@ -201,7 +200,7 @@ def check_last_in_orbit(g: Graph, rnd: random.Random) -> None:
         perm[v], perm[w] = perm[w], perm[v]
         h = relabel(g, perm)
         key, _, last_in_orbit = canonical_key(h.adj)
-        rep = from_columns(n, key)
+        rep = from_columns(key)
         assert last_in_orbit == any(iso[-1] == n - 1 for iso in isomorphisms(h, rep)), h.adj
 
 
@@ -212,7 +211,7 @@ def check_generators(g: Graph) -> tuple[int, ...]:
     twin swaps generate: every automorphism agrees with exactly one of
     them up to twin classes.  Returns the key."""
     key, generators, _ = canonical_key(g.adj)
-    rep = from_columns(g.n, key)
+    rep = from_columns(key)
     twins = lower_twins(rep.adj)
     # Per vertex, the least vertex of its twin class.
     least = [(low & -low).bit_length() - 1 if low else v for v, low in enumerate(twins)]
@@ -291,11 +290,11 @@ def tuple_invariants(g: Graph) -> list[tuple[int, ...]]:
 def reference_classes(max_n: int, filter_name: str) -> dict[int, set[tuple[int, ...]]]:
     """Classes per order by one-vertex augmentation, every candidate keyed by ``reference_key``."""
     predicate = GRAPH_FILTERS[filter_name]
-    classes = {1: {reference_key(Graph(1, (0,)))}}
+    classes = {1: {reference_key(Graph((0,)))}}
     for n in range(2, max_n + 1):
         keys = set()
         for parent in classes[n - 1]:
-            for _, g in extensions(from_columns(n - 1, parent)):
+            for _, g in extensions(from_columns(parent)):
                 if predicate(g):
                     keys.add(reference_key(g))
         classes[n] = keys
@@ -347,15 +346,15 @@ class TestCanonicalForm:
     @given(random_graph_strategy(max_n=7))
     def test_reconstruction_roundtrip(self, g):
         key = canonical_key(g.adj)[0]
-        rebuilt = from_columns(g.n, key)
+        rebuilt = from_columns(key)
         assert canonical_key(rebuilt.adj)[0] == key
         assert edge_count(rebuilt) == edge_count(g)
         assert sorted(map(rebuilt.degree, range(g.n))) == sorted(map(g.degree, range(g.n)))
 
     def test_idempotent(self):
         g = disjoint_union(cycle_graph(5), path_graph(3))
-        c = from_columns(g.n, canonical_key(g.adj)[0])
-        assert from_columns(c.n, canonical_key(c.adj)[0]) == c
+        c = from_columns(canonical_key(g.adj)[0])
+        assert from_columns(canonical_key(c.adj)[0]) == c
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_relabel_invariance_on_symmetric_graphs(self, name):
@@ -369,7 +368,7 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             rnd.shuffle(perm)
             assert check_generators(relabel(g, perm)) == key
-        assert reference_key(from_columns(g.n, key)) == reference_key(g)
+        assert reference_key(from_columns(key)) == reference_key(g)
 
     @pytest.mark.parametrize("n", range(6))
     def test_partition_of_labeled_graphs_matches_reference(self, n):
@@ -530,7 +529,7 @@ class TestGeneration:
         assert len(keyed) == len(orbits)
         assert len(orbits) <= invariant_calls[0] <= survivors
         for adj in keyed:
-            Graph(len(adj), adj)  # full validation raises on a bad table
+            Graph(adj)  # full validation raises on a bad table
 
     def test_twin_and_orbit_gates_keep_the_least_mask_of_each_orbit(self):
         # For every class of orders 1..6 as parent, every mask before the
@@ -540,7 +539,7 @@ class TestGeneration:
         checked = kept = 0
         for order in range(1, 7):
             for padj, generators in parents_of(order, "none"):
-                group = automorphisms(Graph(order, padj))
+                group = automorphisms(Graph(padj))
                 twins = [(1 << v, low) for v, low in enumerate(lower_twins(padj)) if low]
                 images = [[1 << w for w in perm] for perm in generators]
                 for mask in range(1 << order):
@@ -568,7 +567,7 @@ class TestGeneration:
                     if any(parent.degree(v) + (mask >> v & 1) > d for v in range(order)):
                         continue
                     rows = [row | (mask >> v & 1) << order for v, row in enumerate(parent.adj)]
-                    g = Graph(order + 1, tuple(rows) + (mask,))
+                    g = Graph(tuple(rows) + (mask,))
                     passes = (cap is None or d <= cap) and (
                         not k4free or extremal._triangle_free_within(parent.adj, mask)
                     )
@@ -821,19 +820,19 @@ class TestEqualityScan:
 
     def test_small_orders_no_violations(self):
         for n in range(1, 6):
-            for row in verify_equality_scan(n, generate_all(n, "none")):
+            for row in verify_equality_scan(generate_all(n, "none")):
                 assert row["violations"] == [], (
                     f"n={row['n']} k={row['k']}: {row['violations']}"
                 )
 
     def test_attainers_at_triangle(self):
-        rows = verify_equality_scan(3, generate_all(3, "none"))
+        rows = verify_equality_scan(generate_all(3, "none"))
         by_k = {row["k"]: row for row in rows}
         assert by_k[1]["attainers"] == 1  # K3 is the unique attainer
         assert by_k[1]["bound"] == 3
 
     def test_attainers_at_order_four(self):
-        by_k = {row["k"]: row for row in verify_equality_scan(4, generate_all(4, "none"))}
+        by_k = {row["k"]: row for row in verify_equality_scan(generate_all(4, "none"))}
         assert by_k[1]["bound"] == 4
         assert by_k[1]["attainers"] == 1  # K4
 
@@ -846,7 +845,7 @@ class TestEqualityScan:
             return (0, 4, 0, 0) if to_graph6(g) == "Bw" else real(g)
 
         monkeypatch.setattr(extremal, "mis_profile", inflate_triangle)
-        rows = verify_equality_scan(3, generate_all(3, "none"))
+        rows = verify_equality_scan(generate_all(3, "none"))
         # 4 exceeds 3 at k = 1 and floor(243/64) = 3 at k = 2, not
         # floor(19683/4096) = 4 at k = 3.
         assert [row["violations"] for row in rows] == [[], ["Bw"], ["Bw"], []]
@@ -860,14 +859,14 @@ class TestEqualityScan:
     )
     def test_equality_off_the_structure_is_a_violation(self, monkeypatch, structure, violations):
         monkeypatch.setattr(extremal, "is_clique_union", lambda g: structure)
-        rows = verify_equality_scan(3, generate_all(3, "none"))
+        rows = verify_equality_scan(generate_all(3, "none"))
         assert [row["violations"] for row in rows] == violations
 
     def test_nielsen_report_empty_small(self):
         # The path of `search --selector nielsen`: no class of order n has
         # more than 4^{5k-n} 5^{n-4k} maximal independent sets of size k.
         for n in range(1, 6):
-            for row in tightness_scan(n, generate_all(n), "nielsen"):
+            for row in tightness_scan(generate_all(n), "nielsen"):
                 assert row["max_mis_k"] <= nielsen(n, row["k"]).exact
 
 
@@ -918,7 +917,7 @@ class TestDegreeTwoSlack:
 
 class TestScans:
     def test_tightness_scan_attainer(self):
-        rows = tightness_scan(6, generate_all(6, "none"), "eppstein")
+        rows = tightness_scan(generate_all(6, "none"), "eppstein")
         by_k = {row["k"]: row for row in rows}
         # Two triangles: 9 maximal independent sets of size 2 meet 3^2.
         assert by_k[2]["max_mis_k"] == 9
@@ -926,12 +925,12 @@ class TestScans:
 
     def test_tightness_scan_accepts_preloaded_reps(self):
         reps = generate_all(5, "k4free")
-        rows = tightness_scan(5, reps, "nielsen")
+        rows = tightness_scan(reps, "nielsen")
         assert len(rows) == 6
 
     def test_tightness_scan_rejects_unknown_selector(self):
         with pytest.raises(ValueError):
-            tightness_scan(4, generate_all(4, "none"), "bogus")
+            tightness_scan(generate_all(4, "none"), "bogus")
 
     def test_mibs_extremes(self):
         # K4 maximizes at order 4 with its six edges.

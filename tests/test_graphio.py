@@ -237,7 +237,7 @@ def pair_order_graph6(line: str) -> Graph:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
             pos += 1
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def decode_outcome(decoder, line):

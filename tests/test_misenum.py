@@ -183,6 +183,17 @@ class TestCounterAgainstListing:
             g = random_graph(30, p, random.Random(int(100 * p)))
             assert mis_profile(g) == size_counts(g.n, mis_sets(g)), p
 
+    def test_exact_windows_past_the_scan_cap(self):
+        # mis_of_size(g, k) is the window the pipeline lists for a given
+        # root set; past the subset-scan cap the counter is its only
+        # independent check, at every size whose sets the window may hold.
+        graphs = [random_cubic_k4free(n, 7000 + n) for n in (24, 32, 40)]
+        graphs += [random_graph(30, p, random.Random(int(100 * p))) for p in (0.05, 0.1, 0.2, 0.3, 0.45)]
+        for g in graphs:
+            for k, count in enumerate(mis_profile(g)):
+                if count <= misenum.MIS_OF_SIZE_CAP:
+                    assert len(mis_of_size(g, k)[1]) == count, (g.n, k)
+
     def test_within_masks(self):
         # The counter on any mask of g, connected or not, the empty one too.
         rng = random.Random(61)

@@ -620,7 +620,10 @@ class TestProductBound:
             stats = transversal_census(g, cells, state)
             report = verify_product_bound(g, cells, state, stats)
             assert report["holds"], report["violations"]
-            assert report["p_good"] <= report["product_bound"] <= report["ceiling"]
+            # The certificate returns what it checks; p_good and the
+            # product stay with the census.
+            assert sorted(report) == ["ceiling", "holds", "violations"]
+            assert stats.p_good <= stats.product_bound <= report["ceiling"]
 
     def test_every_bad_event_at_least_quarter(self):
         g = claw_two_diamonds((5, 9))
