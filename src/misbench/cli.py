@@ -16,6 +16,12 @@ argument (or stdin with ``-``), in graph6 or edge-list format told apart by
 the first line.  Results are JSON on stdout (CSV for ``curves``); floats
 carry 12 significant digits.  Exit codes: 0 success, 1 semantic failure,
 2 input/parse error, 3 resource guard, 141 stdout closed by its reader.
+
+The parser is built once per process, and ``main`` parses each command
+once: the arguments after the command name go straight to that command's
+parser.  The whole parser parses only for help, an unknown command or
+arguments the command's parser leaves over, so every usage line, message
+and exit code is the one it gives.
 """
 
 from __future__ import annotations
@@ -103,14 +109,16 @@ def _write(obj, out: list[str], indent: str) -> None:
 def _emit(payload) -> None:
     out: list[str] = []
     _write(payload, out, "\n")
-    print("".join(out))
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _read_graphs(path: str) -> list[Graph]:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as fh:
+        # One read of the whole file: a buffer would only be copied.
+        with open(path, "rb", buffering=0) as fh:
             data = fh.read()
     return load_graphs(decode_ascii(data))
 
@@ -314,7 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The whole parser would hand these arguments to the command's parser,
+    # which its subparsers action holds by name; it parses itself only to
+    # print its help or refuse the argv.
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            args = parser.parse_args(argv)
     try:
         # search and verify-theorem2 take --workers; refuse a bad count
         # before any work, even when no process pool would be started.
@@ -327,7 +346,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout.  Point it at the null device, so that
         # the flush at interpreter exit has nowhere to fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_CLOSED_STDOUT
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

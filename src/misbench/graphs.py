@@ -7,43 +7,55 @@ union ``a | b``, intersection ``a & b``, difference ``a & ~b``,
 cardinality ``a.bit_count()``.
 
 The constructor checks a table in whole-table operations: the rows packed
-64 bits apiece into one int form a 64 x 64 bit matrix, which is symmetric
-iff it equals its transpose.  The transpose takes six rounds of masked
-block swaps (Warren, *Hacker's Delight*, 2nd ed., section 7-3), so its
-cost does not grow with the edge count.
+w bits apiece into one int form a w x w bit matrix, which is symmetric iff
+it equals its transpose.  The width w is the smallest of 8, 16, 32 and 64
+that holds the order, and the transpose takes log2 w rounds of masked block
+swaps (Warren, *Hacker's Delight*, 2nd ed., section 7-3), so its cost grows
+with the table's width, not with its edge count.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
 
-def _swap_rounds() -> tuple[tuple[int, int], ...]:
-    """(shift, mask) per round of the 64 x 64 transpose, blocks of 32 down to 1.
+def _swap_rounds(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per round of the width x width transpose, blocks of width / 2 down to 1.
 
-    Bit 64 r + c of the packed matrix is entry (r, c).  The round for block
-    size k swaps each entry (r, c) with r & k == 0 and c & k != 0, the ones
-    the mask selects, with (r + k, c - k), 63 k bits above it.
+    Bit width r + c of the packed matrix is entry (r, c).  The round for
+    block size k swaps each entry (r, c) with r & k == 0 and c & k != 0, the
+    ones the mask selects, with (r + k, c - k), (width - 1) k bits above it.
     """
     rounds = []
-    for k in (32, 16, 8, 4, 2, 1):
-        cols = sum(1 << c for c in range(64) if c & k)
-        rows = [0 if r & k else cols for r in range(64)]
-        rounds.append((63 * k, int.from_bytes(struct.pack("<64Q", *rows), "little")))
+    k = width
+    while k > 1:
+        k //= 2
+        cols = sum(1 << c for c in range(width) if c & k)
+        rounds.append(((width - 1) * k, sum(cols << width * r for r in range(width) if not r & k)))
     return tuple(rounds)
 
 
-_SWAP_ROUNDS = _swap_rounds()
-_DIAGONAL = sum(1 << 65 * v for v in range(64))  # entries (v, v) of the packed matrix
+_ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct code of one packed row, per width
+_SWAP_ROUNDS = {width: _swap_rounds(width) for width in _ROW_CODES}
+_DIAGONALS = {width: sum(1 << (width + 1) * v for v in range(width)) for width in _ROW_CODES}
 
 
-def _transpose(packed: int) -> int:
-    """The transpose of a 64 x 64 bit matrix packed as bit 64 r + c = (r, c)."""
-    for shift, mask in _SWAP_ROUNDS:
+def _layout(n: int) -> tuple[int, Callable[..., bytes]]:
+    """The smallest width that holds order n, and the packer of n rows at it."""
+    width = min(w for w in _ROW_CODES if w >= n)
+    return width, struct.Struct(f"<{n}{_ROW_CODES[width]}").pack
+
+
+_LAYOUTS = tuple(map(_layout, range(MAX_VERTICES + 1)))
+
+
+def _transpose(packed: int, width: int) -> int:
+    """The transpose of a width x width bit matrix packed as bit width r + c = (r, c)."""
+    for shift, mask in _SWAP_ROUNDS[width]:
         t = (packed ^ packed >> shift) & mask
         packed ^= t ^ t << shift
     return packed
@@ -81,7 +93,9 @@ class Graph:
     ``adj[v]`` is the open neighborhood of ``v`` as a bitmask.  The
     constructor validates symmetry, absence of loops, and the order cap,
     and no path builds a ``Graph`` without it: code that works on tables
-    valid by construction passes the rows, not a ``Graph``.
+    valid by construction passes the rows, not a ``Graph``.  It packs and
+    transposes the table at its width, the smallest of 8, 16, 32 and 64
+    bits that holds n.
     """
 
     adj: tuple[int, ...]
@@ -92,11 +106,13 @@ class Graph:
         if n > MAX_VERTICES:
             raise GuardError(f"graph order {n} outside 0..{MAX_VERTICES}")
         full = (1 << n) - 1
-        # Rows in range pack into one int, row v at bits 64 v .. 64 v + 63;
-        # a table with a row out of range is never packed, as the scan raises.
+        width, pack = _LAYOUTS[n]
+        # Rows in range pack into one int, row v at bits width v .. width v +
+        # width - 1; a table with a row out of range is never packed, as the
+        # scan raises.
         in_range = not adj or min(adj) >= 0 and max(adj) <= full
-        packed = int.from_bytes(struct.pack(f"<{n}Q", *adj), "little") if in_range else 0
-        if not in_range or packed & _DIAGONAL:
+        packed = int.from_bytes(pack(*adj), "little") if in_range else 0
+        if not in_range or packed & _DIAGONALS[width]:
             # Name the first faulty row, range before loop within a row.
             for v, row in enumerate(adj):
                 if row & ~full:
@@ -104,9 +120,9 @@ class Graph:
                 if row >> v & 1:
                     raise ValueError(f"loop at vertex {v}")
         # The lowest entry (v, u) with u in adj[v] and v not in adj[u].
-        one_way = packed & ~_transpose(packed)
+        one_way = packed & ~_transpose(packed, width)
         if one_way:
-            v, u = divmod((one_way & -one_way).bit_length() - 1, 64)
+            v, u = divmod((one_way & -one_way).bit_length() - 1, width)
             raise ValueError(f"asymmetric edge {v}-{u}")
 
     @property

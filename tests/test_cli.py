@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import misbench
-from misbench import bounds, extremal, pipeline
+from misbench import bounds, cli, extremal, pipeline
 from misbench.cli import CURVE_HEADER, _emit, build_parser, main
 from misbench.corpus import diamond_union
 from misbench.graphio import to_graph6
@@ -28,6 +28,9 @@ from misbench.graphs import Graph, from_edges
 from misbench.mibs import MibsCounts
 
 from fixtures import complete_graph, disjoint_union, empty_graph
+
+
+COMMAND_NAMES = ("mis", "mibs", "bounds", "curves", "solve", "pipeline", "search", "verify-theorem2")
 
 
 def _round_floats(obj):
@@ -272,6 +275,33 @@ class TestCurves:
         code, out, err = run(capsys, "curves", "--eta", eta)
         assert (code, out) == (1, "")
         assert err == f"error: eta must lie in [0, 1], got {float(eta)}\n"
+
+    def test_closed_stdout_closes_the_null_device(self, monkeypatch, tmp_path, k4_file):
+        # stdout goes to the null device through the descriptor opened for
+        # it, which is closed once duplicated.
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def record_open(*args):
+            opened.append(real_open(*args))
+            return opened[-1]
+
+        def record_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        def closed_pipe(payload):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "_emit", closed_pipe)
+        with open(tmp_path / "stdout", "w") as out:
+            monkeypatch.setattr(sys, "stdout", out)
+            monkeypatch.setattr(os, "open", record_open)
+            monkeypatch.setattr(os, "close", record_close)
+            code = main(["mis", k4_file])
+            monkeypatch.undo()
+        assert code == 141
+        assert len(opened) == 1 and closed == opened
 
     def test_closed_stdout_exits_quietly(self, tmp_path):
         # The reader takes one line and closes the pipe, as ``| head -1``
@@ -684,6 +714,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        error = "misbench: error: argument command: invalid choice: 'frobnicate' (choose from {})\n"
+        # Later Python 3.13 releases list the choices unquoted.
+        assert captured.out == ""
+        assert captured.err in {
+            build_parser().format_usage() + error.format(", ".join(map(form, COMMAND_NAMES))) for form in (repr, str)
+        }
 
     def test_empty_input_is_two(self, capsys, tmp_path):
         path = tmp_path / "empty.g6"
@@ -809,6 +846,51 @@ class TestWriter:
             emitted({"a": record})
         with pytest.raises(TypeError):
             emitted([record])
+
+
+class TestOneParsePass:
+    """main parses with the named command's parser alone, and hands help,
+    unknown commands and leftover arguments to the whole parser: each argv
+    gives the exit, stdout and stderr that parsing with the whole parser
+    and running the command gives."""
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        try:
+            result = ("returned", call(argv))
+        except SystemExit as exc:
+            result = ("exited", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @staticmethod
+    def whole_parser(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            ["frobnicate"],
+            *([command, "--help"] for command in COMMAND_NAMES),
+            ["mis", "{k4}", "extra"],
+            ["mis", "--bogus"],
+            ["search", "-n", "x"],
+            ["bounds", "12"],
+            ["pipeline", "{k4}", "--i0"],
+            # Exits 2 naming '--' as the command, or, where argparse drops
+            # a leading '--' (later Python 3.13 releases), runs mis.
+            ["--", "mis", "{k4}"],
+            ["mis", "--", "{k4}"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no arguments",
+    )
+    def test_same_outcome_as_the_whole_parser(self, capsys, k4_file, argv):
+        argv = [arg.format(k4=k4_file) for arg in argv]
+        assert self.outcome(capsys, main, argv) == self.outcome(capsys, self.whole_parser, argv)
 
 
 class TestParserReuse:

@@ -10,6 +10,7 @@ from misbench.graphs import (
     MAX_VERTICES,
     Graph,
     GuardError,
+    _transpose,
     components,
     from_edges,
     is_clique,
@@ -121,6 +122,16 @@ def near_tables(draw):
     return tuple(adj)
 
 
+def width_boundary_examples(test):
+    """One @example per fault at each order where the packed width changes
+    (8 | 9, 16 | 17, 32 | 33) and at 64: a one-way edge (0, n - 1), a loop
+    at n - 1 and a bit at position n, each in an otherwise empty table."""
+    for n in (8, 9, 16, 17, 32, 33, 64):
+        for v, row in ((0, 1 << n - 1), (n - 1, 1 << n - 1), (n - 1, 1 << n)):
+            test = example(tuple(row if u == v else 0 for u in range(n)))(test)
+    return test
+
+
 def build_outcome(build, adj):
     try:
         return build(adj)
@@ -138,6 +149,7 @@ class TestValidatorReference:
     @example((1 << 63 | 2,) + (0,) * 63)
     # A loop in a later row than a one-way entry is still named first.
     @example((0b010, 0, 0b100))
+    @width_boundary_examples
     def test_same_table_or_same_error(self, adj):
         expected = build_outcome(validate_table, adj)
         got = build_outcome(Graph, adj)
@@ -145,6 +157,20 @@ class TestValidatorReference:
             assert isinstance(got, Graph) and got.adj == adj
         else:
             assert got == expected
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_maps_each_entry_to_its_mirror(self, width):
+        for r in range(width):
+            for c in range(width):
+                assert _transpose(1 << width * r + c, width) == 1 << width * c + r
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_twice_is_the_identity(self, width):
+        rng = random.Random(width)
+        for packed in (0, (1 << width * width) - 1, *(rng.getrandbits(width * width) for _ in range(20))):
+            assert _transpose(_transpose(packed, width), width) == packed
 
 
 class TestStructure:
